@@ -1,8 +1,9 @@
 //! Golden-file test for the `trace_run` export path: a full LBRA
 //! diagnosis must yield a valid Chrome `trace_event` JSON document whose
 //! spans cover the interpreter, the ring snapshots and all three
-//! diagnosis phases.
+//! diagnosis phases, and whose flow events form well-ordered chains.
 
+use std::collections::BTreeMap;
 use stm_telemetry::json::Json;
 
 /// Span names that every sequential-benchmark trace must contain.
@@ -19,6 +20,7 @@ const EXPECTED_SPANS: &[&str] = &[
 #[test]
 fn trace_run_export_is_valid_chrome_trace() {
     stm_telemetry::set_enabled(true);
+    let before = stm_telemetry::metrics_snapshot();
     let b = stm_suite::by_id("sort").expect("sort benchmark");
     {
         let _run = stm_telemetry::span_cat("trace_run", "harness");
@@ -26,6 +28,10 @@ fn trace_run_export_is_valid_chrome_trace() {
         assert!(d.stats.failure_runs_used > 0, "no failing runs collected");
     }
     let spans = stm_telemetry::take_spans();
+    let discarded = stm_telemetry::metrics_snapshot()
+        .delta_since(&before)
+        .counter("engine.jobs_discarded")
+        .unwrap_or(0);
     stm_telemetry::set_enabled(false);
 
     let text = stm_telemetry::export::chrome_trace(&spans);
@@ -42,8 +48,10 @@ fn trace_run_export_is_valid_chrome_trace() {
         Some("ms")
     );
 
-    // Every event is a well-formed complete ("X") or instant ("i") event.
+    // Every event is a well-formed complete ("X"), instant ("i") or flow
+    // ("s"/"t"/"f") event. Flow events are gathered per id as (ph, ts).
     let mut names = std::collections::BTreeSet::new();
+    let mut flows: BTreeMap<u64, Vec<(&str, f64)>> = BTreeMap::new();
     for ev in events {
         let name = ev.get("name").and_then(|v| v.as_str()).expect("name");
         names.insert(name.to_string());
@@ -59,9 +67,46 @@ fn trace_run_export_is_valid_chrome_trace() {
             Some("i") => {
                 assert_eq!(ev.get("s").and_then(|v| v.as_str()), Some("t"));
             }
+            Some(ph @ ("s" | "t" | "f")) => {
+                assert_eq!(name, "flow");
+                let id = ev.get("id").and_then(|v| v.as_f64()).expect("flow id");
+                let ts = ev.get("ts").and_then(|v| v.as_f64()).expect("ts");
+                flows.entry(id as u64).or_default().push((ph, ts));
+            }
             other => panic!("unexpected ph {other:?} on {name}"),
         }
     }
+
+    // Flow chains: every id has exactly one start and at most one
+    // finish, the start no later than the finish, and every step between
+    // them. A job the engine dispatched speculatively and then discarded
+    // (the quota filled first) is never consumed, so its flow has no
+    // finish; the unfinished flows must be exactly those jobs.
+    assert!(!flows.is_empty(), "engine jobs emit flow events");
+    let mut unfinished = 0u64;
+    for (id, chain) in &flows {
+        let at = |want: &str| -> Vec<f64> {
+            chain
+                .iter()
+                .filter(|(ph, _)| *ph == want)
+                .map(|(_, ts)| *ts)
+                .collect()
+        };
+        let (starts, finishes) = (at("s"), at("f"));
+        assert_eq!(starts.len(), 1, "flow {id}: one start, got {chain:?}");
+        assert!(finishes.len() <= 1, "flow {id}: one finish, got {chain:?}");
+        let s = starts[0];
+        let f = finishes.first().copied().unwrap_or(f64::INFINITY);
+        unfinished += u64::from(finishes.is_empty());
+        assert!(s <= f, "flow {id}: finish before start");
+        for t in at("t") {
+            assert!(s <= t && t <= f, "flow {id}: step {t} outside [{s}, {f}]");
+        }
+    }
+    assert_eq!(
+        unfinished, discarded,
+        "only discarded speculative jobs may leave a flow unfinished"
+    );
 
     for want in EXPECTED_SPANS {
         assert!(names.contains(*want), "missing span {want:?} in {names:?}");

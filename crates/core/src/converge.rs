@@ -34,7 +34,9 @@
 //! document.
 
 use crate::diagnose::{failure_profile, success_profile};
-use crate::profile::{lbr_events, lcr_events, BranchOutcome, CoherenceEvent};
+use crate::profile::{
+    decode_lbr, decode_lcr, BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry,
+};
 use crate::ranking::{Polarity, RankedEvent, RankingModel};
 use crate::runner::FailureSpec;
 use std::collections::{BTreeMap, BTreeSet};
@@ -365,7 +367,7 @@ pub struct ConvergenceTracker<E: Ord + Clone + Display> {
     top1_streak: usize,
     history: Vec<PollPoint>,
     trajectories: BTreeMap<String, Vec<(usize, f64)>>,
-    top: Vec<ScoredPredictor<E>>,
+    scored: Vec<ScoredPredictor<E>>,
 }
 
 impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
@@ -379,7 +381,7 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             top1_streak: 0,
             history: Vec::new(),
             trajectories: BTreeMap::new(),
-            top: Vec::new(),
+            scored: Vec::new(),
         }
     }
 
@@ -415,15 +417,14 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
 
     /// The latest top-k ranking.
     pub fn top(&self) -> &[ScoredPredictor<E>] {
-        &self.top
+        &self.scored[..self.scored.len().min(TOP_K)]
     }
 
-    /// The full live ranking over every observed event — the causal-chain
-    /// reconstructor's support source (link candidates deep in a ring
-    /// window rarely make the top-k).
-    #[must_use = "scoring computes a fresh ranking; use the returned list"]
-    pub fn scores(&self) -> Vec<ScoredPredictor<E>> {
-        self.ranking.scores()
+    /// The full live ranking over every observed event, as scored at the
+    /// latest poll — the causal-chain reconstructor's support source (link
+    /// candidates deep in a ring window rarely make the top-k).
+    pub fn scores(&self) -> &[ScoredPredictor<E>] {
+        &self.scored
     }
 
     /// Per-witness poll history.
@@ -442,9 +443,12 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
     /// Ingests one witness profile and re-polls the convergence state.
     pub fn observe(&mut self, is_failure: bool, id: impl Into<String>, events: BTreeSet<E>) {
         self.ranking.ingest(is_failure, id, events);
-        let scored = self.ranking.scores();
-        let top: Vec<ScoredPredictor<E>> = scored.into_iter().take(TOP_K).collect();
-        let keys: Vec<(E, Polarity)> = top.iter().map(|p| (p.event.clone(), p.polarity)).collect();
+        self.scored = self.ranking.scores();
+        let keys: Vec<(E, Polarity)> = self
+            .top()
+            .iter()
+            .map(|p| (p.event.clone(), p.polarity))
+            .collect();
         self.churn = rank_churn(&self.prev_top, &keys);
         let top1 = keys.first();
         self.top1_streak = match (self.prev_top.first(), top1) {
@@ -453,7 +457,7 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             (_, None) => 0,
         };
         let witness = self.witnesses();
-        for p in &top {
+        for p in &self.scored[..keys.len()] {
             self.trajectories
                 .entry(Self::label(&p.event, p.polarity))
                 .or_default()
@@ -465,7 +469,6 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             top1_streak: self.top1_streak,
         });
         self.prev_top = keys;
-        self.top = top;
     }
 
     /// Whether the policy's stability conditions hold right now
@@ -493,9 +496,12 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             churn: self.churn,
             top1_streak: self.top1_streak,
             stable: self.is_stable(),
-            top1: self.top.first().map(|p| Self::label(&p.event, p.polarity)),
+            top1: self
+                .top()
+                .first()
+                .map(|p| Self::label(&p.event, p.polarity)),
             top: self
-                .top
+                .top()
                 .iter()
                 .map(|p| PredictorSummary {
                     predictor: Self::label(&p.event, p.polarity),
@@ -519,7 +525,7 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
     /// The tracker's live state as the `/diagnosis` JSON document.
     pub fn to_json(&self, verdict: &str) -> Json {
         let top = self
-            .top
+            .top()
             .iter()
             .map(|p| {
                 Json::obj([
@@ -741,31 +747,68 @@ pub struct SnapshotIngest {
     policy: StabilityPolicy,
     inner: Option<MonitorInner>,
     fired: bool,
-    chain_traces: Vec<(String, ProfileData)>,
 }
 
-/// How many failing-witness ring snapshots an ingest retains verbatim for
+/// How many failing-witness ring snapshots an ingest retains, decoded, for
 /// live causal-chain reconstruction. The first `CHAIN_TRACE_CAP` kept
 /// failure snapshots are retained in consumption order, so the retained
 /// set is deterministic for a deterministic stream.
 pub const CHAIN_TRACE_CAP: usize = 8;
 
+/// Retained failing-witness traces: witness id plus its decoded ring.
+type Traces<D> = Vec<(String, Vec<D>)>;
+
 #[derive(Debug)]
 enum MonitorInner {
-    Lbr(ConvergenceTracker<BranchOutcome>),
-    Lcr(ConvergenceTracker<CoherenceEvent>),
+    Lbr(ConvergenceTracker<BranchOutcome>, Traces<DecodedLbrEntry>),
+    Lcr(ConvergenceTracker<CoherenceEvent>, Traces<DecodedLcrEntry>),
 }
 
-/// The live scored ranking of an ingest, typed by ring kind — the
-/// prefix-accurate counterpart of [`FinalRanking`] for consumers (the
-/// causal-chain reconstructor) that need support scores *before* the
-/// ingest finishes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LiveRanking {
+impl MonitorInner {
+    fn lbr(policy: StabilityPolicy) -> Self {
+        MonitorInner::Lbr(
+            ConvergenceTracker::new(IncrementalRanking::new(), policy),
+            Vec::new(),
+        )
+    }
+
+    fn lcr(policy: StabilityPolicy) -> Self {
+        MonitorInner::Lcr(
+            ConvergenceTracker::new(IncrementalRanking::with_absence(), policy),
+            Vec::new(),
+        )
+    }
+}
+
+/// The live state of an ingest that a causal-chain reconstructor walks,
+/// typed by ring kind: the scored ranking as of the latest snapshot (the
+/// prefix-accurate counterpart of [`FinalRanking`]) and the retained
+/// failing-witness traces, decoded once when they were retained (first
+/// [`CHAIN_TRACE_CAP`] kept failures, in consumption order).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LiveRanking<'a> {
     /// LBRA: presence predictors over branch outcomes.
-    Lbr(Vec<ScoredPredictor<BranchOutcome>>),
+    Lbr {
+        /// The full scored ranking, best first.
+        scores: &'a [ScoredPredictor<BranchOutcome>],
+        /// Retained failing traces, decoded.
+        traces: &'a [(String, Vec<DecodedLbrEntry>)],
+    },
     /// LCRA: presence and absence predictors over coherence events.
-    Lcr(Vec<ScoredPredictor<CoherenceEvent>>),
+    Lcr {
+        /// The full scored ranking, best first.
+        scores: &'a [ScoredPredictor<CoherenceEvent>],
+        /// Retained failing traces, decoded.
+        traces: &'a [(String, Vec<DecodedLcrEntry>)],
+    },
+}
+
+/// Keeps a decoded ring when it is one of the first [`CHAIN_TRACE_CAP`]
+/// failures — the same decode that fed the ranking, so no second pass.
+fn retain<D>(traces: &mut Traces<D>, is_failure: bool, witness: &str, decoded: Vec<D>) {
+    if is_failure && traces.len() < CHAIN_TRACE_CAP {
+        traces.push((witness.to_string(), decoded));
+    }
 }
 
 impl SnapshotIngest {
@@ -778,7 +821,6 @@ impl SnapshotIngest {
             policy,
             inner: None,
             fired: false,
-            chain_traces: Vec::new(),
         }
     }
 
@@ -798,59 +840,49 @@ impl SnapshotIngest {
         let Some(profile) = profile else {
             return false;
         };
-        let ingested = match (&profile.data, &mut self.inner) {
-            (ProfileData::Lbr(records), Some(MonitorInner::Lbr(t))) => {
-                t.observe(is_failure, witness, lbr_events(&self.layout, records));
+        // The first profile-bearing snapshot pins the ring kind.
+        let policy = self.policy;
+        let inner = self.inner.get_or_insert_with(|| match &profile.data {
+            ProfileData::Lbr(_) => MonitorInner::lbr(policy),
+            ProfileData::Lcr(_) => MonitorInner::lcr(policy),
+        });
+        let ingested = match (&profile.data, inner) {
+            (ProfileData::Lbr(records), MonitorInner::Lbr(t, traces)) => {
+                let decoded = decode_lbr(&self.layout, records);
+                let events = decoded.iter().filter_map(DecodedLbrEntry::branch_outcome);
+                t.observe(is_failure, witness, events.collect());
+                retain(traces, is_failure, witness, decoded);
                 true
             }
-            (ProfileData::Lcr(records), Some(MonitorInner::Lcr(t))) => {
-                t.observe(is_failure, witness, lcr_events(&self.layout, records));
-                true
-            }
-            (ProfileData::Lbr(records), inner @ None) => {
-                let mut t = ConvergenceTracker::new(IncrementalRanking::new(), self.policy);
-                t.observe(is_failure, witness, lbr_events(&self.layout, records));
-                *inner = Some(MonitorInner::Lbr(t));
-                true
-            }
-            (ProfileData::Lcr(records), inner @ None) => {
-                let mut t =
-                    ConvergenceTracker::new(IncrementalRanking::with_absence(), self.policy);
-                t.observe(is_failure, witness, lcr_events(&self.layout, records));
-                *inner = Some(MonitorInner::Lcr(t));
+            (ProfileData::Lcr(records), MonitorInner::Lcr(t, traces)) => {
+                let decoded = decode_lcr(&self.layout, records);
+                let events = decoded.iter().map(|e| e.event);
+                t.observe(is_failure, witness, events.collect());
+                retain(traces, is_failure, witness, decoded);
                 true
             }
             // A profile of the other ring: the batch model skips it too.
             _ => false,
         };
-        if ingested && is_failure && self.chain_traces.len() < CHAIN_TRACE_CAP {
-            self.chain_traces
-                .push((witness.to_string(), profile.data.clone()));
-        }
         if ingested && self.should_stop() {
             self.fired = true;
         }
         ingested
     }
 
-    /// The layout snapshots are decoded against.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    /// The retained failing-witness ring snapshots (first
-    /// [`CHAIN_TRACE_CAP`] kept failures, in consumption order) — the raw
-    /// material a causal-chain reconstructor walks backward through.
-    pub fn chain_traces(&self) -> &[(String, ProfileData)] {
-        &self.chain_traces
-    }
-
-    /// The full live scored ranking, typed by ring kind. `None` before
-    /// the first profile-bearing snapshot pins the kind.
-    pub fn live_ranking(&self) -> Option<LiveRanking> {
+    /// The live scored ranking and the retained decoded failing traces,
+    /// typed by ring kind — borrowed, nothing is re-scored or re-decoded.
+    /// `None` before the first profile-bearing snapshot pins the kind.
+    pub fn live_ranking(&self) -> Option<LiveRanking<'_>> {
         match &self.inner {
-            Some(MonitorInner::Lbr(t)) => Some(LiveRanking::Lbr(t.scores())),
-            Some(MonitorInner::Lcr(t)) => Some(LiveRanking::Lcr(t.scores())),
+            Some(MonitorInner::Lbr(t, traces)) => Some(LiveRanking::Lbr {
+                scores: t.scores(),
+                traces,
+            }),
+            Some(MonitorInner::Lcr(t, traces)) => Some(LiveRanking::Lcr {
+                scores: t.scores(),
+                traces,
+            }),
             None => None,
         }
     }
@@ -861,8 +893,8 @@ impl SnapshotIngest {
     pub fn should_stop(&self) -> bool {
         self.fired
             || match &self.inner {
-                Some(MonitorInner::Lbr(t)) => t.should_stop(),
-                Some(MonitorInner::Lcr(t)) => t.should_stop(),
+                Some(MonitorInner::Lbr(t, _)) => t.should_stop(),
+                Some(MonitorInner::Lcr(t, _)) => t.should_stop(),
                 None => false,
             }
     }
@@ -870,8 +902,8 @@ impl SnapshotIngest {
     /// Snapshots ingested so far (both classes).
     pub fn witnesses(&self) -> usize {
         match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.witnesses(),
-            Some(MonitorInner::Lcr(t)) => t.witnesses(),
+            Some(MonitorInner::Lbr(t, _)) => t.witnesses(),
+            Some(MonitorInner::Lcr(t, _)) => t.witnesses(),
             None => 0,
         }
     }
@@ -879,8 +911,8 @@ impl SnapshotIngest {
     /// Failure snapshots ingested so far.
     pub fn failures(&self) -> usize {
         match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.failures(),
-            Some(MonitorInner::Lcr(t)) => t.failures(),
+            Some(MonitorInner::Lbr(t, _)) => t.failures(),
+            Some(MonitorInner::Lcr(t, _)) => t.failures(),
             None => 0,
         }
     }
@@ -888,8 +920,8 @@ impl SnapshotIngest {
     /// Success snapshots ingested so far.
     pub fn successes(&self) -> usize {
         match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.successes(),
-            Some(MonitorInner::Lcr(t)) => t.successes(),
+            Some(MonitorInner::Lbr(t, _)) => t.successes(),
+            Some(MonitorInner::Lcr(t, _)) => t.successes(),
             None => 0,
         }
     }
@@ -897,8 +929,8 @@ impl SnapshotIngest {
     /// Top-k churn at the latest ingest.
     pub fn churn(&self) -> u64 {
         match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.churn(),
-            Some(MonitorInner::Lcr(t)) => t.churn(),
+            Some(MonitorInner::Lbr(t, _)) => t.churn(),
+            Some(MonitorInner::Lcr(t, _)) => t.churn(),
             None => 0,
         }
     }
@@ -906,8 +938,8 @@ impl SnapshotIngest {
     /// Consecutive snapshots the current top-1 predictor has survived.
     pub fn top1_streak(&self) -> usize {
         match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.top1_streak(),
-            Some(MonitorInner::Lcr(t)) => t.top1_streak(),
+            Some(MonitorInner::Lbr(t, _)) => t.top1_streak(),
+            Some(MonitorInner::Lcr(t, _)) => t.top1_streak(),
             None => 0,
         }
     }
@@ -925,8 +957,8 @@ impl SnapshotIngest {
     /// The live state as a `/diagnosis`-shaped JSON document.
     pub fn to_json(&self) -> Json {
         match &self.inner {
-            Some(MonitorInner::Lbr(t)) => t.to_json(self.live_verdict()),
-            Some(MonitorInner::Lcr(t)) => t.to_json(self.live_verdict()),
+            Some(MonitorInner::Lbr(t, _)) => t.to_json(self.live_verdict()),
+            Some(MonitorInner::Lcr(t, _)) => t.to_json(self.live_verdict()),
             None => Json::obj([
                 ("verdict", Json::from(self.live_verdict())),
                 ("witnesses_ingested", Json::from(0usize)),
@@ -943,11 +975,11 @@ impl SnapshotIngest {
         let policy = self.policy;
         let fired = self.fired;
         let (final_ranking, evidence) = match self.inner? {
-            MonitorInner::Lbr(t) => {
+            MonitorInner::Lbr(t, _) => {
                 let (r, e) = t.finish();
                 (FinalRanking::Lbr(r), e)
             }
-            MonitorInner::Lcr(t) => {
+            MonitorInner::Lcr(t, _) => {
                 let (r, e) = t.finish();
                 (FinalRanking::Lcr(r), e)
             }
@@ -1131,9 +1163,26 @@ mod tests {
     fn live_scores_match_batch_scores_at_every_prefix() {
         let profiles = mixed_profiles();
         for absence in [false, true] {
+            let ranking = if absence {
+                IncrementalRanking::with_absence()
+            } else {
+                IncrementalRanking::new()
+            };
+            let mut tracker = ConvergenceTracker::new(ranking, StabilityPolicy::never());
             for cut in 1..=profiles.len() {
                 let inc = stream(&profiles[..cut], absence);
                 let scores = inc.scores();
+                // The tracker's cached list is the fresh scoring, bitwise:
+                // `ScoredPredictor`'s derived equality compares the floats
+                // by value, so the bits are checked on top.
+                let (is_failure, events) = &profiles[cut - 1];
+                tracker.observe(*is_failure, format!("p{}", cut - 1), events.clone());
+                assert_eq!(tracker.scores(), &scores[..], "cut={cut}");
+                for (c, s) in tracker.scores().iter().zip(&scores) {
+                    assert_eq!(c.score.to_bits(), s.score.to_bits(), "cut={cut}");
+                    assert_eq!(c.precision.to_bits(), s.precision.to_bits());
+                    assert_eq!(c.recall.to_bits(), s.recall.to_bits());
+                }
                 let batch = batch(&profiles[..cut], absence);
                 assert_eq!(scores.len(), batch.len());
                 for (s, b) in scores.iter().zip(&batch) {

@@ -248,12 +248,10 @@ struct ShardState {
     skipped: u64,
     after_stop: u64,
     done: bool,
-    /// JSON form of the current [`CausalChain`], recomputed after every
-    /// ingested snapshot; `None` until one forms.
-    chain: Option<Json>,
-    /// Fingerprint of `chain` — gates the `diagnosis.chain` event to
-    /// actual form/change transitions.
-    chain_fp: Option<u64>,
+    /// The current [`CausalChain`], rebuilt after every ingested snapshot
+    /// so its counts stay current; `None` until one forms. Rendered as
+    /// JSON only where it is read (the status document and `finish`).
+    chain: Option<CausalChain>,
 }
 
 #[derive(Debug)]
@@ -334,7 +332,10 @@ impl Shard {
             ("successes", Json::from(successes)),
             ("rank_churn", Json::from(churn)),
             ("top1_stable_for", Json::from(streak)),
-            ("chain", st.chain.clone().unwrap_or(Json::Null)),
+            (
+                "chain",
+                st.chain.as_ref().map_or(Json::Null, CausalChain::to_json),
+            ),
             ("queue_depth", Json::from(depth)),
             (
                 "accepted",
@@ -346,10 +347,15 @@ impl Shard {
 }
 
 /// Publishes the `"fleet"` status document covering every shard.
+/// Building and publishing happen under one lock, so the last document
+/// published is also the last one built: a worker cannot overwrite a
+/// sibling's fresher document with an entry it read earlier.
 fn publish_fleet_doc(shards: &BTreeMap<String, Arc<Shard>>) {
     if !telemetry::enabled() {
         return;
     }
+    static PUBLISH: Mutex<()> = Mutex::new(());
+    let _serial = PUBLISH.lock().unwrap_or_else(|p| p.into_inner());
     let entries: Vec<(String, Json)> = shards
         .iter()
         .map(|(name, s)| (name.clone(), s.status_entry()))
@@ -428,7 +434,6 @@ impl FleetDaemon {
                 after_stop: 0,
                 done: false,
                 chain: None,
-                chain_fp: None,
             }),
             accepted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -543,7 +548,8 @@ impl FleetDaemon {
     }
 
     /// Blocks until every *unpaused* shard's queue is empty and its
-    /// worker idle. A paused shard is skipped — its queue is
+    /// worker idle, with the gauges and status document of its last
+    /// snapshot published. A paused shard is skipped — its queue is
     /// intentionally backed up.
     pub fn drain(&self) {
         for shard in self.shards.values() {
@@ -590,7 +596,7 @@ impl FleetDaemon {
                 ingested: st.ingested,
                 skipped: st.skipped,
                 after_stop: st.after_stop,
-                chain: st.chain.take(),
+                chain: st.chain.as_ref().map(CausalChain::to_json),
             };
             entries.push((name.clone(), shard_report.to_json()));
             reports.insert(name.clone(), shard_report);
@@ -654,9 +660,14 @@ fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
                 };
                 if ok {
                     st.ingested += 1;
-                    let fp = chain.as_ref().map(CausalChain::fingerprint);
-                    if fp != st.chain_fp {
-                        if let Some(c) = &chain {
+                    // The storyline fingerprint ignores support counts, so
+                    // the event fires when the story forms or changes, not
+                    // on every witness.
+                    if let Some(c) = &chain {
+                        if log::would_log(log::Level::Info)
+                            && st.chain.as_ref().map(CausalChain::fingerprint)
+                                != Some(c.fingerprint())
+                        {
                             log::info(
                                 "fleet",
                                 "diagnosis.chain",
@@ -669,9 +680,8 @@ fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
                                 ],
                             );
                         }
-                        st.chain = chain.as_ref().map(CausalChain::to_json);
-                        st.chain_fp = fp;
                     }
+                    st.chain = chain;
                 } else {
                     st.skipped += 1;
                 }
@@ -680,14 +690,13 @@ fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
                 }
             }
         }
-        let depth = {
-            let mut q = shard.queue_lock();
-            q.busy = false;
-            q.items.len()
-        };
-        shard.cond.notify_all();
+        // Publish before going idle, so a `drain()` that returns sees
+        // this snapshot in the gauges and the status document.
+        let depth = shard.queue_lock().items.len();
         shard.publish_gauges(depth);
         publish_fleet_doc(all);
+        shard.queue_lock().busy = false;
+        shard.cond.notify_all();
     }
 }
 

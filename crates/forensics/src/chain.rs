@@ -35,14 +35,12 @@
 
 use crate::dossier::mesi_transition;
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use stm_core::converge::{LiveRanking, ScoredPredictor, SnapshotIngest};
-use stm_core::profile::{
-    decode_lbr, decode_lcr, BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry,
-};
+use stm_core::profile::{BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry};
 use stm_core::ranking::{Polarity, RankedEvent};
 use stm_machine::ir::Program;
-use stm_machine::report::ProfileData;
 use stm_telemetry::json::Json;
 
 /// Longest chain the reconstructor reports. The anchor and the
@@ -159,7 +157,7 @@ pub struct CausalChain {
     pub links: Vec<ChainLink>,
 }
 
-/// Per-event support statistics, source-agnostic: built from either the
+/// Per-event support statistics, source-agnostic: read from either the
 /// batch [`RankedEvent`]s or the live [`ScoredPredictor`]s.
 #[derive(Debug, Clone, Copy)]
 struct Support {
@@ -170,80 +168,103 @@ struct Support {
     success_matches: usize,
 }
 
-/// A predictor stat in ranking order — what the reconstructor needs from
-/// either ranking representation.
-struct PredictorStat<E> {
-    event: E,
-    polarity: Polarity,
-    support: Support,
+impl Support {
+    const NONE: Support = Support {
+        precision: 0.0,
+        recall: 0.0,
+        score: 0.0,
+        failure_matches: 0,
+        success_matches: 0,
+    };
 }
 
-impl<E: Clone> PredictorStat<E> {
-    fn from_ranked(r: &RankedEvent<E>) -> Self {
-        PredictorStat {
-            event: r.event.clone(),
-            polarity: r.polarity,
-            support: Support {
-                precision: r.precision,
-                recall: r.recall,
-                score: r.score,
-                failure_matches: r.failure_matches,
-                success_matches: r.success_matches,
-            },
-        }
+/// A predictor in ranking order — what the reconstructor reads from either
+/// ranking representation, borrowed in place.
+trait Predictor<E> {
+    fn event(&self) -> &E;
+    fn polarity(&self) -> Polarity;
+    fn support(&self) -> Support;
+}
+
+impl<E> Predictor<E> for RankedEvent<E> {
+    fn event(&self) -> &E {
+        &self.event
     }
 
-    fn from_scored(s: &ScoredPredictor<E>) -> Self {
-        PredictorStat {
-            event: s.event.clone(),
-            polarity: s.polarity,
-            support: Support {
-                precision: s.precision,
-                recall: s.recall,
-                score: s.score,
-                failure_matches: s.failure_matches,
-                success_matches: s.success_matches,
-            },
+    fn polarity(&self) -> Polarity {
+        self.polarity
+    }
+
+    fn support(&self) -> Support {
+        Support {
+            precision: self.precision,
+            recall: self.recall,
+            score: self.score,
+            failure_matches: self.failure_matches,
+            success_matches: self.success_matches,
         }
     }
 }
 
-/// One decoded occurrence in a failing trace: 1-based ring position, the
-/// source-level event, and the mechanism string for that record.
-type TraceEntry<E> = (usize, E, String);
+impl<E> Predictor<E> for ScoredPredictor<E> {
+    fn event(&self) -> &E {
+        &self.event
+    }
 
-fn lbr_trace(entries: &[DecodedLbrEntry]) -> Vec<TraceEntry<BranchOutcome>> {
-    entries
-        .iter()
-        .filter_map(|e| {
-            e.branch_outcome().map(|bo| {
-                (
-                    e.position,
-                    bo,
-                    format!(
-                        "edge {:#010x} -> {:#010x} taken {}",
-                        e.record.from,
-                        e.record.to,
-                        if bo.outcome { "TRUE" } else { "FALSE" }
-                    ),
-                )
-            })
-        })
-        .collect()
+    fn polarity(&self) -> Polarity {
+        self.polarity
+    }
+
+    fn support(&self) -> Support {
+        Support {
+            precision: self.precision,
+            recall: self.recall,
+            score: self.score,
+            failure_matches: self.failure_matches,
+            success_matches: self.success_matches,
+        }
+    }
 }
 
-fn lcr_trace(entries: &[DecodedLcrEntry]) -> Vec<TraceEntry<CoherenceEvent>> {
-    entries
-        .iter()
-        .map(|e| {
-            let t = mesi_transition(e.event.access, e.event.state);
-            (
-                e.position,
-                e.event,
-                format!("{}: {}", t.transition, t.meaning),
-            )
-        })
-        .collect()
+/// One decoded ring record the walk reads: its 1-based position and
+/// source-level event (`None` for records that prove no event), and the
+/// hardware mechanism it rides on — rendered only for links that survive
+/// into the chain.
+trait TraceRecord {
+    type Event;
+    fn occurrence(&self) -> Option<(usize, Self::Event)>;
+    fn mechanism(&self) -> String;
+}
+
+impl TraceRecord for DecodedLbrEntry {
+    type Event = BranchOutcome;
+
+    fn occurrence(&self) -> Option<(usize, BranchOutcome)> {
+        self.branch_outcome().map(|bo| (self.position, bo))
+    }
+
+    fn mechanism(&self) -> String {
+        let taken = self.branch_outcome().is_some_and(|bo| bo.outcome);
+        format!(
+            "edge {:#010x} -> {:#010x} taken {}",
+            self.record.from,
+            self.record.to,
+            if taken { "TRUE" } else { "FALSE" }
+        )
+    }
+}
+
+impl TraceRecord for DecodedLcrEntry {
+    type Event = CoherenceEvent;
+
+    fn occurrence(&self) -> Option<(usize, CoherenceEvent)> {
+        Some((self.position, self.event))
+    }
+
+    fn mechanism(&self) -> String {
+        let t = mesi_transition(self.event.access, self.event.state);
+        format!("{}: {}", t.transition, t.meaning)
+    }
 }
 
 fn branch_label(program: Option<&Program>, e: &BranchOutcome) -> String {
@@ -290,13 +311,7 @@ impl CausalChain {
         failures: usize,
         successes: usize,
     ) -> Option<CausalChain> {
-        let stats: Vec<PredictorStat<BranchOutcome>> =
-            ranked.iter().map(PredictorStat::from_ranked).collect();
-        let traces: Vec<(String, Vec<TraceEntry<BranchOutcome>>)> = traces
-            .iter()
-            .map(|(w, entries)| (w.clone(), lbr_trace(entries)))
-            .collect();
-        reconstruct(ChainKind::Lbr, &stats, &traces, failures, successes, |e| {
+        reconstruct(ChainKind::Lbr, ranked, traces, failures, successes, |e| {
             branch_label(program, e)
         })
     }
@@ -311,59 +326,30 @@ impl CausalChain {
         failures: usize,
         successes: usize,
     ) -> Option<CausalChain> {
-        let stats: Vec<PredictorStat<CoherenceEvent>> =
-            ranked.iter().map(PredictorStat::from_ranked).collect();
-        let traces: Vec<(String, Vec<TraceEntry<CoherenceEvent>>)> = traces
-            .iter()
-            .map(|(w, entries)| (w.clone(), lcr_trace(entries)))
-            .collect();
-        reconstruct(ChainKind::Lcr, &stats, &traces, failures, successes, |e| {
+        reconstruct(ChainKind::Lcr, ranked, traces, failures, successes, |e| {
             coherence_label(program, e)
         })
     }
 
     /// Reconstructs the *live* chain of a streaming ingest (the fleet
     /// path): anchors on the current incremental top predictor and walks
-    /// the ingest's retained failing traces. Labels are canonical (the
-    /// daemon holds a [`Layout`](stm_machine::layout::Layout), not a
-    /// [`Program`]). `None` before the first failing trace is retained
-    /// or while no retained trace contains the anchor.
+    /// the ingest's retained failing traces, both borrowed as the ingest
+    /// holds them (scored at the latest snapshot, decoded at retention).
+    /// Labels are canonical (the daemon holds a
+    /// [`Layout`](stm_machine::layout::Layout), not a [`Program`]). `None`
+    /// before the first failing trace is retained or while no retained
+    /// trace contains the anchor.
     pub fn from_ingest(ingest: &SnapshotIngest) -> Option<CausalChain> {
-        let layout = ingest.layout();
         let failures = ingest.failures();
         let successes = ingest.successes();
         match ingest.live_ranking()? {
-            LiveRanking::Lbr(scored) => {
-                let stats: Vec<PredictorStat<BranchOutcome>> =
-                    scored.iter().map(PredictorStat::from_scored).collect();
-                let traces: Vec<(String, Vec<TraceEntry<BranchOutcome>>)> = ingest
-                    .chain_traces()
-                    .iter()
-                    .filter_map(|(w, data)| match data {
-                        ProfileData::Lbr(records) => {
-                            Some((w.clone(), lbr_trace(&decode_lbr(layout, records))))
-                        }
-                        ProfileData::Lcr(_) => None,
-                    })
-                    .collect();
-                reconstruct(ChainKind::Lbr, &stats, &traces, failures, successes, |e| {
+            LiveRanking::Lbr { scores, traces } => {
+                reconstruct(ChainKind::Lbr, scores, traces, failures, successes, |e| {
                     branch_label(None, e)
                 })
             }
-            LiveRanking::Lcr(scored) => {
-                let stats: Vec<PredictorStat<CoherenceEvent>> =
-                    scored.iter().map(PredictorStat::from_scored).collect();
-                let traces: Vec<(String, Vec<TraceEntry<CoherenceEvent>>)> = ingest
-                    .chain_traces()
-                    .iter()
-                    .filter_map(|(w, data)| match data {
-                        ProfileData::Lcr(records) => {
-                            Some((w.clone(), lcr_trace(&decode_lcr(layout, records))))
-                        }
-                        ProfileData::Lbr(_) => None,
-                    })
-                    .collect();
-                reconstruct(ChainKind::Lcr, &stats, &traces, failures, successes, |e| {
+            LiveRanking::Lcr { scores, traces } => {
+                reconstruct(ChainKind::Lcr, scores, traces, failures, successes, |e| {
                     coherence_label(None, e)
                 })
             }
@@ -392,13 +378,22 @@ impl CausalChain {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// A stable fingerprint of the chain's observable content, used to
-    /// fire `diagnosis.chain` events only when a chain forms or changes.
-    /// Deterministic across processes (fixed-key hasher over the encoded
-    /// JSON).
+    /// A stable fingerprint of the chain's *storyline* — kind, top
+    /// predictor, anchor, witnesses consulted and the ordered (role, event)
+    /// links — used to fire `diagnosis.chain` events only when the story
+    /// forms or changes. Support counts, scores and ring positions move
+    /// with every witness and are deliberately left out. Deterministic
+    /// across processes (fixed-key hasher).
     pub fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        self.to_json().encode().hash(&mut h);
+        self.kind.as_str().hash(&mut h);
+        self.top_predictor.hash(&mut h);
+        self.anchor.hash(&mut h);
+        self.witnesses_consulted.hash(&mut h);
+        for l in &self.links {
+            l.role.as_str().hash(&mut h);
+            l.event.hash(&mut h);
+        }
         h.finish()
     }
 
@@ -506,74 +501,95 @@ impl CausalChain {
     }
 }
 
-/// Sightings of one candidate event across the failing windows.
-#[derive(Debug, Default)]
-struct Candidate {
+/// Sightings of one candidate event across the failing windows, with the
+/// record its mechanism is rendered from (the first witness's).
+struct Candidate<'a, D> {
     marks: Vec<WitnessMark>,
     position_sum: u64,
-    mechanism: String,
+    source: &'a D,
 }
 
-/// The shared reconstruction walk over decoded, mechanism-annotated
-/// traces. `stats` must be in ranking order (best predictor first).
-fn reconstruct<E: Ord + Clone + std::fmt::Display>(
+/// A link before the cap: everything the ordering needs, with the label and
+/// mechanism strings left unrendered until the link survives.
+struct Draft<'a, E, D> {
+    event: E,
+    display: String,
+    source: &'a D,
+    mean_position: f64,
+    marks: Vec<WitnessMark>,
+    support: Support,
+}
+
+/// The shared reconstruction walk over decoded traces. `stats` must be in
+/// ranking order (best predictor first).
+fn reconstruct<E, P, D>(
     kind: ChainKind,
-    stats: &[PredictorStat<E>],
-    traces: &[(String, Vec<TraceEntry<E>>)],
+    stats: &[P],
+    traces: &[(String, Vec<D>)],
     failures: usize,
     successes: usize,
     label: impl Fn(&E) -> String,
-) -> Option<CausalChain> {
+) -> Option<CausalChain>
+where
+    E: Ord + Clone + Display,
+    P: Predictor<E>,
+    D: TraceRecord<Event = E>,
+{
     let top = stats.first()?;
-    let top_display = match top.polarity {
-        Polarity::Present => format!("{}", top.event),
-        Polarity::Absent => format!("!{}", top.event),
+    let top_display = match top.polarity() {
+        Polarity::Present => format!("{}", top.event()),
+        Polarity::Absent => format!("!{}", top.event()),
     };
     // The anchor must be a presence predictor that actually occurs in a
     // retained failing trace — an absence predictor never does, and a
     // presence predictor can be missing from the (capped) retained set.
     let anchor = stats
         .iter()
-        .filter(|s| s.polarity == Polarity::Present)
+        .filter(|s| s.polarity() == Polarity::Present)
         .find(|s| {
-            traces
-                .iter()
-                .any(|(_, t)| t.iter().any(|(_, e, _)| *e == s.event))
+            traces.iter().any(|(_, t)| {
+                t.iter()
+                    .any(|r| r.occurrence().is_some_and(|(_, e)| e == *s.event()))
+            })
         })?;
-    let anchor_event = anchor.event.clone();
+    let anchor_event = anchor.event();
 
     // Per-witness window: from the anchor's deepest occurrence down to
     // the failure at position 1. Witnesses without the anchor contribute
     // no window (their snapshot starts after the root cause fired).
-    let mut candidates: BTreeMap<E, Candidate> = BTreeMap::new();
+    let mut candidates: BTreeMap<E, Candidate<'_, D>> = BTreeMap::new();
     let mut consulted = 0usize;
     for (witness, trace) in traces {
         let Some(anchor_pos) = trace
             .iter()
-            .filter(|(_, e, _)| *e == anchor_event)
-            .map(|(p, _, _)| *p)
+            .filter_map(TraceRecord::occurrence)
+            .filter(|(_, e)| e == anchor_event)
+            .map(|(p, _)| p)
             .max()
         else {
             continue;
         };
         consulted += 1;
         // Deepest in-window occurrence per event in this witness.
-        let mut deepest: BTreeMap<&E, (usize, &str)> = BTreeMap::new();
-        for (pos, event, mechanism) in trace {
-            if *pos <= anchor_pos {
-                deepest.insert(event, (*pos, mechanism.as_str()));
+        let mut deepest: BTreeMap<E, (usize, &D)> = BTreeMap::new();
+        for record in trace {
+            if let Some((pos, event)) = record.occurrence() {
+                if pos <= anchor_pos {
+                    deepest.insert(event, (pos, record));
+                }
             }
         }
-        for (event, (pos, mechanism)) in deepest {
-            let c = candidates.entry(event.clone()).or_default();
+        for (event, (pos, record)) in deepest {
+            let c = candidates.entry(event).or_insert_with(|| Candidate {
+                marks: Vec::new(),
+                position_sum: 0,
+                source: record,
+            });
             c.marks.push(WitnessMark {
                 witness: witness.clone(),
                 position: pos,
             });
             c.position_sum += pos as u64;
-            if c.mechanism.is_empty() {
-                c.mechanism = mechanism.to_string();
-            }
         }
     }
     if consulted == 0 {
@@ -583,34 +599,19 @@ fn reconstruct<E: Ord + Clone + std::fmt::Display>(
     let support_of = |event: &E| -> Support {
         stats
             .iter()
-            .find(|s| s.polarity == Polarity::Present && s.event == *event)
-            .map(|s| s.support)
-            .unwrap_or(Support {
-                precision: 0.0,
-                recall: 0.0,
-                score: 0.0,
-                failure_matches: 0,
-                success_matches: 0,
-            })
+            .find(|s| s.polarity() == Polarity::Present && s.event() == event)
+            .map_or(Support::NONE, Predictor::support)
     };
 
-    let mut links: Vec<ChainLink> = candidates
+    let mut links: Vec<Draft<'_, E, D>> = candidates
         .into_iter()
-        .map(|(event, c)| {
-            let s = support_of(&event);
-            ChainLink {
-                role: LinkRole::Propagation,
-                event: format!("{event}"),
-                label: label(&event),
-                mechanism: c.mechanism,
-                mean_position: c.position_sum as f64 / c.marks.len() as f64,
-                witnesses: c.marks,
-                precision: s.precision,
-                recall: s.recall,
-                support: s.score,
-                failure_matches: s.failure_matches,
-                success_matches: s.success_matches,
-            }
+        .map(|(event, c)| Draft {
+            display: format!("{event}"),
+            support: support_of(&event),
+            event,
+            source: c.source,
+            mean_position: c.position_sum as f64 / c.marks.len() as f64,
+            marks: c.marks,
         })
         .collect();
 
@@ -619,15 +620,15 @@ fn reconstruct<E: Ord + Clone + std::fmt::Display>(
     links.sort_by(|a, b| {
         b.mean_position
             .total_cmp(&a.mean_position)
-            .then_with(|| b.support.total_cmp(&a.support))
-            .then_with(|| a.event.cmp(&b.event))
+            .then_with(|| b.support.score.total_cmp(&a.support.score))
+            .then_with(|| a.display.cmp(&b.display))
     });
 
     // The anchor leads the storyline regardless of its mean position
     // (other window events can average deeper across different witness
     // subsets).
     let anchor_display = format!("{anchor_event}");
-    if let Some(i) = links.iter().position(|l| l.event == anchor_display) {
+    if let Some(i) = links.iter().position(|l| l.display == anchor_display) {
         let anchor_link = links.remove(i);
         links.insert(0, anchor_link);
     }
@@ -641,14 +642,15 @@ fn reconstruct<E: Ord + Clone + std::fmt::Display>(
         order.sort_by(|&a, &b| {
             links[b]
                 .support
-                .total_cmp(&links[a].support)
-                .then_with(|| links[a].event.cmp(&links[b].event))
+                .score
+                .total_cmp(&links[a].support.score)
+                .then_with(|| links[a].display.cmp(&links[b].display))
         });
         let mut keep: Vec<bool> = vec![false; links.len()];
         for &i in order.iter().take(MAX_LINKS - 2) {
             keep[i] = true;
         }
-        let mut kept: Vec<ChainLink> = links
+        let mut kept: Vec<Draft<'_, E, D>> = links
             .into_iter()
             .zip(keep)
             .filter_map(|(l, k)| k.then_some(l))
@@ -659,15 +661,29 @@ fn reconstruct<E: Ord + Clone + std::fmt::Display>(
     }
 
     let n = links.len();
-    for (i, l) in links.iter_mut().enumerate() {
-        l.role = if i == 0 {
-            LinkRole::RootCause
-        } else if i == n - 1 {
-            LinkRole::Failure
-        } else {
-            LinkRole::Propagation
-        };
-    }
+    let links = links
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| ChainLink {
+            role: if i == 0 {
+                LinkRole::RootCause
+            } else if i == n - 1 {
+                LinkRole::Failure
+            } else {
+                LinkRole::Propagation
+            },
+            label: label(&d.event),
+            event: d.display,
+            mechanism: d.source.mechanism(),
+            mean_position: d.mean_position,
+            witnesses: d.marks,
+            precision: d.support.precision,
+            recall: d.support.recall,
+            support: d.support.score,
+            failure_matches: d.support.failure_matches,
+            success_matches: d.support.success_matches,
+        })
+        .collect();
 
     Some(CausalChain {
         kind,
@@ -884,7 +900,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_and_fingerprint_tracks_content() {
+    fn json_round_trips_and_fingerprint_tracks_the_storyline() {
         let (ranked, traces) = demo_inputs();
         let chain = CausalChain::from_lbra(None, &ranked, &traces, 2, 2)
             .unwrap()
@@ -906,8 +922,20 @@ mod tests {
             .unwrap()
             .with_symptom("assertion failed: demo");
         assert_eq!(chain.fingerprint(), same.fingerprint());
-        let different = CausalChain::from_lbra(None, &ranked, &traces[..1], 2, 2).unwrap();
-        assert_ne!(chain.fingerprint(), different.fingerprint());
+        // Counts, supports and positions move with every witness; the
+        // storyline does not.
+        let mut recounted = ranked.clone();
+        recounted[1] = ranked_bo(1, false, 0.6, 3, 2);
+        let recounted = CausalChain::from_lbra(None, &recounted, &traces, 5, 9).unwrap();
+        assert_ne!(recounted.to_json(), chain.to_json());
+        assert_eq!(recounted.fingerprint(), chain.fingerprint());
+        // Fewer witnesses consulted, or a different link order, is a
+        // different story.
+        let fewer = CausalChain::from_lbra(None, &ranked, &traces[..1], 2, 2).unwrap();
+        assert_ne!(chain.fingerprint(), fewer.fingerprint());
+        let mut reordered = chain.clone();
+        reordered.links.swap(1, 2);
+        assert_ne!(chain.fingerprint(), reordered.fingerprint());
     }
 
     #[test]

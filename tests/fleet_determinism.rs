@@ -11,14 +11,19 @@
 //!    `fleet`/`shed` event per shed snapshot, and its post-shed ranking
 //!    matches the batch model over exactly the *kept* snapshots
 //!    (drop-oldest keeps the tail, reject-new keeps the head).
+//! 4. The failing traces a shard's ingest retains for its live causal
+//!    chain, decoded once at retention, equal a fresh decode of the raw
+//!    ring snapshots.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-use stm::core::converge::{FinalRanking, StabilityPolicy};
+use stm::core::converge::{
+    FinalRanking, LiveRanking, SnapshotIngest, StabilityPolicy, CHAIN_TRACE_CAP,
+};
 use stm::core::diagnose::{failure_profile, success_profile, Quotas};
 use stm::core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
-use stm::core::profile::{lbr_events, BranchOutcome};
+use stm::core::profile::{decode_lbr, decode_lcr, lbr_events, BranchOutcome};
 use stm::core::ranking::RankingModel;
 use stm::fleet::{FleetDaemon, ShardConfig, ShardReport, ShedPolicy, Snapshot, SubmitOutcome};
 use stm::machine::report::{ProfileData, RunReport};
@@ -285,6 +290,55 @@ fn overload_sheds_exactly_and_ranks_the_kept_snapshots() {
                 assert_eq!(ranked, &expected, "{name}: post-shed ranking matches batch");
             }
             other => panic!("{name}: wrong profile kind {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn retained_chain_traces_equal_a_fresh_decode() {
+    for (id, lbr) in [("sort", true), ("apache4", false)] {
+        let (profiles, snaps) = pool(id, lbr);
+        let layout = profiles.runner().machine().layout();
+        let spec = profiles.spec();
+        let mut ingest =
+            SnapshotIngest::new(layout.clone(), spec.clone(), StabilityPolicy::never());
+        for (is_failure, witness, report) in &snaps {
+            assert!(
+                ingest.observe(*is_failure, witness, report),
+                "{id}: {witness}"
+            );
+        }
+        // The first CHAIN_TRACE_CAP failures, in consumption order.
+        let raw: Vec<(&String, &ProfileData)> = snaps
+            .iter()
+            .filter(|(is_failure, _, _)| *is_failure)
+            .take(CHAIN_TRACE_CAP)
+            .map(|(_, w, r)| (w, &failure_profile(r, spec).expect("failure profile").data))
+            .collect();
+        assert!(!raw.is_empty(), "{id}: failing snapshots retained");
+        match ingest.live_ranking().expect("ring kind pinned") {
+            LiveRanking::Lbr { traces, .. } => {
+                assert!(lbr, "{id}: LCR shard retained LBR traces");
+                assert_eq!(traces.len(), raw.len(), "{id}");
+                for ((w, decoded), (want_w, data)) in traces.iter().zip(&raw) {
+                    let ProfileData::Lbr(records) = data else {
+                        panic!("{id}: LCR profile in an LBR shard")
+                    };
+                    assert_eq!(w, *want_w);
+                    assert_eq!(decoded, &decode_lbr(layout, records), "{id}: {w}");
+                }
+            }
+            LiveRanking::Lcr { traces, .. } => {
+                assert!(!lbr, "{id}: LBR shard retained LCR traces");
+                assert_eq!(traces.len(), raw.len(), "{id}");
+                for ((w, decoded), (want_w, data)) in traces.iter().zip(&raw) {
+                    let ProfileData::Lcr(records) = data else {
+                        panic!("{id}: LBR profile in an LCR shard")
+                    };
+                    assert_eq!(w, *want_w);
+                    assert_eq!(decoded, &decode_lcr(layout, records), "{id}: {w}");
+                }
+            }
         }
     }
 }
