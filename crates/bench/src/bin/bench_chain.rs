@@ -5,7 +5,7 @@
 //!
 //! For one sequential benchmark (sort, LBRA) and one concurrency
 //! benchmark (apache4, LCRA Conf2) the harness collects the same
-//! witness sets at `threads(1)` and at `default_threads()`, rebuilds
+//! witness sets at `threads(1)` and at a fixed `threads(8)`, rebuilds
 //! the [`CausalChain`] from each collection, and gates:
 //!
 //! * `chain_root_cause_link_rank` — 1-based link rank of the
@@ -15,9 +15,13 @@
 //!   storyline (higher is worse).
 //! * `min_link_support_floor` — the weakest link's support score
 //!   (`_floor`: lower is worse — evidence quality must not erode).
-//! * `thread_mismatch` — 0 when the `threads(1)` and
-//!   `default_threads()` chains are byte-identical JSON, 1 otherwise
-//!   (the determinism acceptance invariant).
+//! * `thread_mismatch` — 0 when the `threads(1)` and `threads(8)`
+//!   chains are byte-identical JSON, 1 otherwise (the determinism
+//!   acceptance invariant).
+//!
+//! The `threads(8)` collection runs with telemetry switched off: its
+//! speculative runs depend on scheduling, so only the `threads(1)`
+//! collection feeds the gated `counters.*`.
 
 use stm_bench::{json_rank, mark, MetricsEmitter};
 use stm_core::diagnose::failure_profile;
@@ -26,7 +30,7 @@ use stm_core::profile::{decode_lbr, decode_lcr};
 use stm_core::runner::Runner;
 use stm_forensics::{CausalChain, ChainLink};
 use stm_machine::report::ProfileData;
-use stm_suite::eval::{default_threads, expand_workloads, lbra_runner, lcra_runner};
+use stm_suite::eval::{expand_workloads, lbra_runner, lcra_runner};
 use stm_suite::Benchmark;
 use stm_telemetry::json::Json;
 
@@ -63,13 +67,15 @@ fn main() {
         };
 
         let serial = chain_for(&b, &runner, &collect(1), lbr);
-        let parallel = chain_for(&b, &runner, &collect(default_threads()), lbr);
+        stm_telemetry::set_enabled(false);
+        let parallel = chain_for(&b, &runner, &collect(8), lbr);
+        stm_telemetry::set_enabled(true);
         let thread_mismatch = usize::from(
             serial.as_ref().map(|c| c.to_json().encode())
                 != parallel.as_ref().map(|c| c.to_json().encode()),
         );
 
-        let Some(chain) = parallel else {
+        let Some(chain) = serial else {
             println!(
                 "{id:<10} {:>6} {:>10} {:>8} {:>12} {:>14}",
                 "-", "-", 0, "-", "-"
@@ -104,7 +110,7 @@ fn main() {
             failed = true;
         }
         if thread_mismatch != 0 {
-            eprintln!("{id}: chain differs between threads(1) and default_threads()");
+            eprintln!("{id}: chain differs between threads(1) and threads(8)");
             failed = true;
         }
 

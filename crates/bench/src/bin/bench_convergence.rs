@@ -8,7 +8,7 @@
 //! sets twice: once to full quota under `StabilityPolicy::never()`
 //! (monitor-only), once under the default early-stop policy. It then
 //! re-streams the full-quota witness profiles through the public
-//! [`IncrementalRanking`] / [`ConvergenceTracker`] API to chart the
+//! [`ConvergenceTracker`] API to chart the
 //! rank of the ground-truth root cause after every ingested witness and
 //! to find the exact witness count at which the default policy fires.
 //!
@@ -28,7 +28,7 @@
 use std::collections::BTreeSet;
 
 use stm_bench::{json_rank, mark, MetricsEmitter};
-use stm_core::converge::{ConvergenceTracker, FinalRanking, IncrementalRanking, StabilityPolicy};
+use stm_core::converge::{ConvergenceTracker, FinalRanking, StabilityPolicy};
 use stm_core::diagnose::{failure_profile, success_profile};
 use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
 use stm_core::profile::{lbr_events, lcr_events, BranchOutcome, CoherenceEvent};
@@ -220,8 +220,8 @@ fn rank_of_root_cause(b: &Benchmark, ranking: &FinalRanking) -> Option<usize> {
 }
 
 /// Re-streams a full-quota session's witness profiles — in the engine's
-/// consumption order (all failures, then all successes) — through the
-/// public incremental API, charting the root cause's rank after every
+/// consumption order (all failures, then all successes) — through a
+/// public convergence tracker, charting the root cause's rank after every
 /// witness and finding where the default policy would stop.
 fn replay<E, F>(
     b: &Benchmark,
@@ -235,18 +235,16 @@ where
     F: Fn(&E) -> bool,
 {
     let stream = witness_stream::<E>(b, runner, profiles);
-    let mut inc = if absence {
-        IncrementalRanking::with_absence()
+    let mut tracker = if absence {
+        ConvergenceTracker::with_absence(StabilityPolicy::default())
     } else {
-        IncrementalRanking::new()
+        ConvergenceTracker::new(StabilityPolicy::default())
     };
-    let mut tracker = ConvergenceTracker::new(inc.clone(), StabilityPolicy::default());
     let mut curve = Vec::with_capacity(stream.len());
     let mut stable_at = None;
     for (i, (is_failure, witness, events)) in stream.into_iter().enumerate() {
-        inc.ingest(is_failure, witness.clone(), events.clone());
         tracker.observe(is_failure, witness, events);
-        let rank = inc
+        let rank = tracker
             .scores()
             .iter()
             .position(|p| is_target(&p.event))

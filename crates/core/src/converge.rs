@@ -1,24 +1,21 @@
-//! Online diagnosis convergence: incremental ranking, rank-stability
-//! tracking, and the early-stop policy (ROADMAP item 2's streaming seam).
+//! Online diagnosis convergence: live re-ranking, rank-stability
+//! tracking, and the early-stop policy.
 //!
-//! The batch [`RankingModel`](crate::ranking::RankingModel) re-scores
-//! every predictor against every profile (`O(P × E)`) and only after the
-//! whole collection finishes. This module maintains the same statistics
-//! *incrementally*: [`IncrementalRanking`] folds one witness profile in
-//! at a time (`O(|profile|)` count updates), so the engine can re-rank
-//! after every consumed job and an operator can watch the diagnosis
-//! converge instead of waiting for the quota.
+//! A [`RankingModel`] stores its profiles as per-event postings, so
+//! adding one witness profile costs `O(|profile| log U)` and a fresh
+//! count-only ranking ([`RankingModel::scores`]) costs `O(U log U)`,
+//! whatever the number of profiles. That is cheap enough to re-rank after
+//! every consumed job, so an operator can watch the diagnosis converge
+//! instead of waiting for the quota.
 //!
-//! Three layers:
+//! Two layers sit on top of the model:
 //!
-//! * [`IncrementalRanking`] — per-event match counts plus a shadow
-//!   [`RankingModel`](crate::ranking::RankingModel), guaranteeing the
-//!   final [`IncrementalRanking::finish`] ranking is *bit-identical* to
-//!   the batch `rank()` / `rank_with_absence()` over the same profiles
-//!   (pinned in `tests/engine_determinism.rs`);
-//! * [`ConvergenceTracker`] — per-witness polling: top-k rank churn
-//!   (Kendall-style discordant-pair count), the top-1 stability streak,
-//!   and per-predictor score trajectories;
+//! * [`ConvergenceTracker`] — owns the model, re-scores it after every
+//!   witness and polls top-k rank churn (Kendall-style discordant-pair
+//!   count), the top-1 stability streak, and per-predictor score
+//!   trajectories. Its final ranking is the model's own `rank()` /
+//!   `rank_with_absence()`, so it equals the batch ranking over the same
+//!   profiles by construction (pinned in `tests/engine_determinism.rs`);
 //! * [`StabilityPolicy`] — when the engine may stop collecting early:
 //!   top-1 unchanged for `stable_for` consecutive witnesses, with floor
 //!   counts on both profile classes so a failure-only prefix can never
@@ -37,7 +34,7 @@ use crate::diagnose::{failure_profile, success_profile};
 use crate::profile::{
     decode_lbr, decode_lcr, BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry,
 };
-use crate::ranking::{Polarity, RankedEvent, RankingModel};
+use crate::ranking::{Polarity, RankedEvent, RankingModel, ScoredPredictor};
 use crate::runner::FailureSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Display;
@@ -122,192 +119,6 @@ impl StabilityPolicy {
     }
 }
 
-/// Per-event presence counts: in how many failure / success profiles the
-/// event appeared.
-#[derive(Debug, Clone, Copy, Default)]
-struct EventCounts {
-    fail: usize,
-    succ: usize,
-}
-
-/// A predictor's live score at some point of the ingest stream — the
-/// count-derived subset of [`RankedEvent`], cheap enough to recompute on
-/// every witness.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoredPredictor<E> {
-    /// The event.
-    pub event: E,
-    /// Presence or absence predictor.
-    pub polarity: Polarity,
-    /// Prediction precision `|F∧e| / |e|`.
-    pub precision: f64,
-    /// Prediction recall `|F∧e| / |F|`.
-    pub recall: f64,
-    /// Harmonic mean of precision and recall — the ranking key.
-    pub score: f64,
-    /// Failure profiles matching the predictor.
-    pub failure_matches: usize,
-    /// Success profiles matching the predictor.
-    pub success_matches: usize,
-}
-
-/// Precision / recall / harmonic score from integer match counts — the
-/// exact float expressions of `RankingModel::score_one`, so a score
-/// computed from counts is bitwise equal to the batch score of the same
-/// profile set.
-fn score_counts(f: usize, s: usize, total_f: usize) -> (f64, f64, f64) {
-    let precision = if f + s > 0 {
-        f as f64 / (f + s) as f64
-    } else {
-        0.0
-    };
-    let recall = if total_f > 0 {
-        f as f64 / total_f as f64
-    } else {
-        0.0
-    };
-    let score = if precision + recall > 0.0 {
-        2.0 * precision * recall / (precision + recall)
-    } else {
-        0.0
-    };
-    (precision, recall, score)
-}
-
-/// The §5.2 ranking statistics, maintained one profile at a time.
-///
-/// Each ingested profile updates per-event presence counts in
-/// `O(|profile| log U)`; a live ranking over the event universe `U`
-/// ([`IncrementalRanking::scores`]) costs `O(U log U)` — independent of
-/// how many profiles have accumulated, where the batch model pays
-/// `O(P × U)` per re-score. A shadow [`RankingModel`] keeps the full
-/// profiles so [`IncrementalRanking::finish`] returns the batch ranking
-/// verbatim (witness id lists included), bit-identical to calling
-/// `rank()` / `rank_with_absence()` on the same profile stream.
-#[derive(Debug, Clone)]
-pub struct IncrementalRanking<E: Ord + Clone> {
-    model: RankingModel<E>,
-    counts: BTreeMap<E, EventCounts>,
-    total_fail: usize,
-    total_succ: usize,
-    absence: bool,
-}
-
-impl<E: Ord + Clone> IncrementalRanking<E> {
-    /// An empty presence-only ranking (the LBRA shape).
-    pub fn new() -> Self {
-        IncrementalRanking {
-            model: RankingModel::new(),
-            counts: BTreeMap::new(),
-            total_fail: 0,
-            total_succ: 0,
-            absence: false,
-        }
-    }
-
-    /// An empty ranking that also scores absence predictors (the LCRA
-    /// shape, §4.2.2).
-    pub fn with_absence() -> Self {
-        IncrementalRanking {
-            absence: true,
-            ..IncrementalRanking::new()
-        }
-    }
-
-    /// Whether absence predictors are scored alongside presence ones.
-    pub fn scores_absence(&self) -> bool {
-        self.absence
-    }
-
-    /// Failure profiles ingested so far.
-    pub fn failure_count(&self) -> usize {
-        self.total_fail
-    }
-
-    /// Success profiles ingested so far.
-    pub fn success_count(&self) -> usize {
-        self.total_succ
-    }
-
-    /// Folds one witness profile into the statistics.
-    pub fn ingest(&mut self, is_failure: bool, id: impl Into<String>, events: BTreeSet<E>) {
-        for e in &events {
-            let slot = self.counts.entry(e.clone()).or_default();
-            if is_failure {
-                slot.fail += 1;
-            } else {
-                slot.succ += 1;
-            }
-        }
-        if is_failure {
-            self.total_fail += 1;
-        } else {
-            self.total_succ += 1;
-        }
-        self.model.add_profile_named(is_failure, id, events);
-    }
-
-    fn score_key(&self, event: &E, polarity: Polarity) -> ScoredPredictor<E> {
-        let c = self.counts.get(event).copied().unwrap_or_default();
-        let (f, s) = match polarity {
-            Polarity::Present => (c.fail, c.succ),
-            Polarity::Absent => (self.total_fail - c.fail, self.total_succ - c.succ),
-        };
-        let (precision, recall, score) = score_counts(f, s, self.total_fail);
-        ScoredPredictor {
-            event: event.clone(),
-            polarity,
-            precision,
-            recall,
-            score,
-            failure_matches: f,
-            success_matches: s,
-        }
-    }
-
-    /// The current ranking, best first, under the batch tie-break order
-    /// (score descending, event ascending, `Present` before `Absent`).
-    /// Scores are bitwise equal to what the batch model would report for
-    /// the same prefix of profiles.
-    #[must_use = "scoring computes a fresh ranking; use the returned list"]
-    pub fn scores(&self) -> Vec<ScoredPredictor<E>> {
-        let mut out: Vec<ScoredPredictor<E>> = Vec::new();
-        for e in self.counts.keys() {
-            out.push(self.score_key(e, Polarity::Present));
-            if self.absence {
-                out.push(self.score_key(e, Polarity::Absent));
-            }
-        }
-        out.sort_by(|a, b| {
-            b.score.total_cmp(&a.score).then_with(|| {
-                a.event
-                    .cmp(&b.event)
-                    .then_with(|| a.polarity.cmp(&b.polarity))
-            })
-        });
-        out
-    }
-
-    /// The final batch ranking over everything ingested — delegated to
-    /// the shadow [`RankingModel`], so the result (witness lists and all)
-    /// is bit-identical to a batch `rank()` / `rank_with_absence()` over
-    /// the same profiles.
-    #[must_use = "finishing consumes the ranking; use the returned list"]
-    pub fn finish(self) -> Vec<RankedEvent<E>> {
-        if self.absence {
-            self.model.rank_with_absence()
-        } else {
-            self.model.rank()
-        }
-    }
-}
-
-impl<E: Ord + Clone> Default for IncrementalRanking<E> {
-    fn default() -> Self {
-        IncrementalRanking::new()
-    }
-}
-
 /// Kendall-style displacement between two top-k rankings: the number of
 /// predictor pairs whose relative order inverted. A key absent from one
 /// ranking sits at virtual position `k` (below everything ranked), so an
@@ -356,11 +167,12 @@ pub struct Trajectory {
     pub points: Vec<(usize, f64)>,
 }
 
-/// Live convergence state over an [`IncrementalRanking`]: churn, streak,
-/// and trajectories, polled once per ingested witness.
+/// Live convergence state over a [`RankingModel`]: churn, streak, and
+/// trajectories, polled once per ingested witness.
 #[derive(Debug, Clone)]
 pub struct ConvergenceTracker<E: Ord + Clone + Display> {
-    ranking: IncrementalRanking<E>,
+    model: RankingModel<E>,
+    absence: bool,
     policy: StabilityPolicy,
     prev_top: Vec<(E, Polarity)>,
     churn: u64,
@@ -371,10 +183,11 @@ pub struct ConvergenceTracker<E: Ord + Clone + Display> {
 }
 
 impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
-    /// A tracker over an empty ranking.
-    pub fn new(ranking: IncrementalRanking<E>, policy: StabilityPolicy) -> Self {
+    /// A tracker over an empty presence-only ranking (the LBRA shape).
+    pub fn new(policy: StabilityPolicy) -> Self {
         ConvergenceTracker {
-            ranking,
+            model: RankingModel::new(),
+            absence: false,
             policy,
             prev_top: Vec::new(),
             churn: 0,
@@ -385,6 +198,15 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
         }
     }
 
+    /// A tracker over an empty ranking that also scores absence
+    /// predictors (the LCRA shape, §4.2.2).
+    pub fn with_absence(policy: StabilityPolicy) -> Self {
+        ConvergenceTracker {
+            absence: true,
+            ..ConvergenceTracker::new(policy)
+        }
+    }
+
     /// The policy the tracker evaluates.
     pub fn policy(&self) -> &StabilityPolicy {
         &self.policy
@@ -392,17 +214,17 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
 
     /// Witnesses ingested so far (both classes).
     pub fn witnesses(&self) -> usize {
-        self.ranking.failure_count() + self.ranking.success_count()
+        self.model.failure_count() + self.model.success_count()
     }
 
     /// Failure profiles ingested so far.
     pub fn failures(&self) -> usize {
-        self.ranking.failure_count()
+        self.model.failure_count()
     }
 
     /// Success profiles ingested so far.
     pub fn successes(&self) -> usize {
-        self.ranking.success_count()
+        self.model.success_count()
     }
 
     /// Top-k churn measured at the latest poll.
@@ -442,8 +264,8 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
 
     /// Ingests one witness profile and re-polls the convergence state.
     pub fn observe(&mut self, is_failure: bool, id: impl Into<String>, events: BTreeSet<E>) {
-        self.ranking.ingest(is_failure, id, events);
-        self.scored = self.ranking.scores();
+        self.model.add_profile_named(is_failure, id, events);
+        self.scored = self.model.scores(self.absence);
         let keys: Vec<(E, Polarity)> = self
             .top()
             .iter()
@@ -485,8 +307,9 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
         self.policy.stop && self.is_stable()
     }
 
-    /// Finalises the tracker: the batch-identical final ranking plus the
-    /// accumulated convergence evidence.
+    /// Finalises the tracker: the model's batch ranking (`rank()`, or
+    /// `rank_with_absence()` for the LCRA shape) plus the accumulated
+    /// convergence evidence.
     #[must_use = "finishing consumes the tracker; use the returned parts"]
     pub fn finish(self) -> (Vec<RankedEvent<E>>, ConvergenceEvidence) {
         let evidence = ConvergenceEvidence {
@@ -519,7 +342,12 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
                 .collect(),
             history: self.history,
         };
-        (self.ranking.finish(), evidence)
+        let ranked = if self.absence {
+            self.model.rank_with_absence()
+        } else {
+            self.model.rank()
+        };
+        (ranked, evidence)
     }
 
     /// The tracker's live state as the `/diagnosis` JSON document.
@@ -735,11 +563,9 @@ impl ConvergenceReport {
 /// observing the same `(is_failure, witness, report)` sequence always
 /// produces the same stop decision at the same snapshot, and
 /// [`SnapshotIngest::finish`] returns a final ranking bit-identical to
-/// the batch [`RankingModel`](crate::ranking::RankingModel) over the
-/// ingested snapshots — the shadow-model guarantee of
-/// [`IncrementalRanking::finish`]. Snapshots whose profile is missing or
-/// of the wrong ring are skipped exactly as the batch extractors skip
-/// them.
+/// the batch [`RankingModel`] over the ingested snapshots — the tracker
+/// ranks its own model. Snapshots whose profile is missing or of the
+/// wrong ring are skipped exactly as the batch extractors skip them.
 #[derive(Debug)]
 pub struct SnapshotIngest {
     layout: Layout,
@@ -762,22 +588,6 @@ type Traces<D> = Vec<(String, Vec<D>)>;
 enum MonitorInner {
     Lbr(ConvergenceTracker<BranchOutcome>, Traces<DecodedLbrEntry>),
     Lcr(ConvergenceTracker<CoherenceEvent>, Traces<DecodedLcrEntry>),
-}
-
-impl MonitorInner {
-    fn lbr(policy: StabilityPolicy) -> Self {
-        MonitorInner::Lbr(
-            ConvergenceTracker::new(IncrementalRanking::new(), policy),
-            Vec::new(),
-        )
-    }
-
-    fn lcr(policy: StabilityPolicy) -> Self {
-        MonitorInner::Lcr(
-            ConvergenceTracker::new(IncrementalRanking::with_absence(), policy),
-            Vec::new(),
-        )
-    }
 }
 
 /// The live state of an ingest that a causal-chain reconstructor walks,
@@ -843,8 +653,10 @@ impl SnapshotIngest {
         // The first profile-bearing snapshot pins the ring kind.
         let policy = self.policy;
         let inner = self.inner.get_or_insert_with(|| match &profile.data {
-            ProfileData::Lbr(_) => MonitorInner::lbr(policy),
-            ProfileData::Lcr(_) => MonitorInner::lcr(policy),
+            ProfileData::Lbr(_) => MonitorInner::Lbr(ConvergenceTracker::new(policy), Vec::new()),
+            ProfileData::Lcr(_) => {
+                MonitorInner::Lcr(ConvergenceTracker::with_absence(policy), Vec::new())
+            }
         });
         let ingested = match (&profile.data, inner) {
             (ProfileData::Lbr(records), MonitorInner::Lbr(t, traces)) => {
@@ -1107,35 +919,18 @@ impl ConvergenceMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranking::tests::{assert_scores_match, Oracle};
 
     fn set(items: &[&str]) -> BTreeSet<String> {
         items.iter().map(|s| s.to_string()).collect()
     }
 
-    /// The canonical check: stream profiles through the incremental
-    /// ranker and compare against a batch model over the same stream.
-    fn batch(profiles: &[(bool, BTreeSet<String>)], absence: bool) -> Vec<RankedEvent<String>> {
-        let mut m = RankingModel::new();
-        for (i, (is_failure, events)) in profiles.iter().enumerate() {
-            m.add_profile_named(*is_failure, format!("p{i}"), events.clone());
-        }
+    fn tracker(absence: bool, policy: StabilityPolicy) -> ConvergenceTracker<String> {
         if absence {
-            m.rank_with_absence()
+            ConvergenceTracker::with_absence(policy)
         } else {
-            m.rank()
+            ConvergenceTracker::new(policy)
         }
-    }
-
-    fn stream(profiles: &[(bool, BTreeSet<String>)], absence: bool) -> IncrementalRanking<String> {
-        let mut inc = if absence {
-            IncrementalRanking::with_absence()
-        } else {
-            IncrementalRanking::new()
-        };
-        for (i, (is_failure, events)) in profiles.iter().enumerate() {
-            inc.ingest(*is_failure, format!("p{i}"), events.clone());
-        }
-        inc
     }
 
     fn mixed_profiles() -> Vec<(bool, BTreeSet<String>)> {
@@ -1153,9 +948,13 @@ mod tests {
     fn finish_is_bit_identical_to_batch_rank() {
         let profiles = mixed_profiles();
         for absence in [false, true] {
-            let inc = stream(&profiles, absence);
-            let batch = batch(&profiles, absence);
-            assert_eq!(inc.finish(), batch, "absence={absence}");
+            let mut t = tracker(absence, StabilityPolicy::never());
+            let mut oracle = Oracle::new();
+            for (i, (is_failure, events)) in profiles.iter().enumerate() {
+                t.observe(*is_failure, format!("p{i}"), events.clone());
+                oracle.add(*is_failure, format!("p{i}"), events.clone());
+            }
+            assert_eq!(t.finish().0, oracle.rank(absence), "absence={absence}");
         }
     }
 
@@ -1163,39 +962,13 @@ mod tests {
     fn live_scores_match_batch_scores_at_every_prefix() {
         let profiles = mixed_profiles();
         for absence in [false, true] {
-            let ranking = if absence {
-                IncrementalRanking::with_absence()
-            } else {
-                IncrementalRanking::new()
-            };
-            let mut tracker = ConvergenceTracker::new(ranking, StabilityPolicy::never());
-            for cut in 1..=profiles.len() {
-                let inc = stream(&profiles[..cut], absence);
-                let scores = inc.scores();
-                // The tracker's cached list is the fresh scoring, bitwise:
-                // `ScoredPredictor`'s derived equality compares the floats
-                // by value, so the bits are checked on top.
-                let (is_failure, events) = &profiles[cut - 1];
-                tracker.observe(*is_failure, format!("p{}", cut - 1), events.clone());
-                assert_eq!(tracker.scores(), &scores[..], "cut={cut}");
-                for (c, s) in tracker.scores().iter().zip(&scores) {
-                    assert_eq!(c.score.to_bits(), s.score.to_bits(), "cut={cut}");
-                    assert_eq!(c.precision.to_bits(), s.precision.to_bits());
-                    assert_eq!(c.recall.to_bits(), s.recall.to_bits());
-                }
-                let batch = batch(&profiles[..cut], absence);
-                assert_eq!(scores.len(), batch.len());
-                for (s, b) in scores.iter().zip(&batch) {
-                    assert_eq!(s.event, b.event, "cut={cut}");
-                    assert_eq!(s.polarity, b.polarity, "cut={cut}");
-                    // Bitwise equality: same integer counts, same float
-                    // expressions.
-                    assert_eq!(s.score.to_bits(), b.score.to_bits(), "cut={cut}");
-                    assert_eq!(s.precision.to_bits(), b.precision.to_bits());
-                    assert_eq!(s.recall.to_bits(), b.recall.to_bits());
-                    assert_eq!(s.failure_matches, b.failure_matches);
-                    assert_eq!(s.success_matches, b.success_matches);
-                }
+            let mut t = tracker(absence, StabilityPolicy::never());
+            let mut oracle = Oracle::new();
+            for (i, (is_failure, events)) in profiles.iter().enumerate() {
+                t.observe(*is_failure, format!("p{i}"), events.clone());
+                oracle.add(*is_failure, format!("p{i}"), events.clone());
+                let context = format!("absence={absence} cut={}", i + 1);
+                assert_scores_match(t.scores(), &oracle.rank(absence), &context);
             }
         }
     }
@@ -1216,10 +989,7 @@ mod tests {
 
     #[test]
     fn stable_stream_builds_a_streak_and_stops() {
-        let mut t = ConvergenceTracker::new(
-            IncrementalRanking::new(),
-            StabilityPolicy::default().stable_for(3),
-        );
+        let mut t = ConvergenceTracker::new(StabilityPolicy::default().stable_for(3));
         // Alternate failure/success so both class floors fill.
         for i in 0..8 {
             let is_failure = i % 2 == 0;
@@ -1245,7 +1015,7 @@ mod tests {
         // Ten failures, zero successes: however stable the top-1, the
         // success floor must hold the stop (witness mode ingests all
         // failures before the first success).
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::default());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
         for i in 0..10 {
             t.observe(true, format!("f{i}"), set(&["root"]));
         }
@@ -1260,7 +1030,7 @@ mod tests {
 
     #[test]
     fn never_policy_tracks_but_does_not_stop() {
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::never());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
         for i in 0..20 {
             t.observe(i % 2 == 0, format!("w{i}"), set(&["root"]));
         }
@@ -1270,7 +1040,7 @@ mod tests {
 
     #[test]
     fn churny_stream_resets_the_streak() {
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::never());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
         // Each failure profile carries a different singleton event, so
         // the top-1 keeps flipping to the newest tie-break winner or an
         // earlier event — the streak must stay short.
@@ -1291,7 +1061,7 @@ mod tests {
 
     #[test]
     fn trajectories_follow_top_k_members() {
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::never());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
         t.observe(true, "f0", set(&["root"]));
         t.observe(false, "s0", set(&["noise"]));
         let (_, evidence) = t.finish();
@@ -1320,7 +1090,7 @@ mod tests {
 
     #[test]
     fn tracker_json_document_is_parseable_and_complete() {
-        let mut t = ConvergenceTracker::new(IncrementalRanking::new(), StabilityPolicy::default());
+        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
         t.observe(true, "f0", set(&["root"]));
         let doc = t.to_json("collecting");
         let round = Json::parse(&doc.encode()).expect("valid JSON");

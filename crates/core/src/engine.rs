@@ -10,7 +10,7 @@
 //!
 //! ## Job model
 //!
-//! A collection is described by a [`JobPlan`]: a pure function from a
+//! A collection is described by a `JobPlan`: a pure function from a
 //! logical job index `i` to the `i`-th (workload, seed) pair. Witness-mode
 //! plans cycle a workload list, perturbing the scheduler seed on each lap
 //! exactly as the sequential driver did; scan-mode plans enumerate
@@ -480,8 +480,8 @@ impl DiagnosisSession {
     }
 
     /// Attaches a convergence monitor: the session feeds every consumed
-    /// witness into an incremental ranking
-    /// ([`IncrementalRanking`](crate::converge::IncrementalRanking)),
+    /// witness into a live ranking
+    /// ([`ConvergenceTracker`](crate::converge::ConvergenceTracker)),
     /// publishes the `engine.rank_churn` / `engine.top1_stable_for` /
     /// `engine.witnesses_ingested` gauges and the live `/diagnosis`
     /// document, and — when `policy.stop` is set — stops collecting as

@@ -77,17 +77,15 @@ pub mod transform;
 ///
 /// This is the blessed public surface: the [`DiagnosisSession`] engine,
 /// its [`SessionConfig`]/[`Quotas`] configuration, and the whole
-/// [`converge`] module (incremental ranking, stability policies, the
-/// snapshot-level [`SnapshotIngest`](converge::SnapshotIngest) entry
+/// [`converge`] module (convergence tracking, stability policies, the
+/// snapshot-level [`SnapshotIngest`] entry
 /// point). The PR-3 era free functions (`lbra`, `lcra`,
 /// `find_workloads`) are gone; every caller goes through a session or a
 /// snapshot ingest.
 pub mod prelude {
     pub use crate::analysis::{useful_branch_ratio, UsefulBranchReport};
     pub use crate::converge::*;
-    pub use crate::diagnose::{
-        DiagnosisConfig, DiagnosisStats, LbraDiagnosis, LcraDiagnosis, Quotas,
-    };
+    pub use crate::diagnose::{DiagnosisStats, LbraDiagnosis, LcraDiagnosis, Quotas};
     pub use crate::engine::{
         CollectedProfiles, CollectedRun, DiagnosisSession, ProfileKind, SessionConfig, SessionError,
     };
@@ -95,7 +93,7 @@ pub mod prelude {
         failure_log, render_failure_log, run_and_log, FailureLog, LogPayload,
     };
     pub use crate::profile::{BranchOutcome, CoherenceEvent};
-    pub use crate::ranking::{Polarity, RankedEvent, RankingModel};
+    pub use crate::ranking::{Polarity, RankedEvent, RankingModel, ScoredPredictor};
     pub use crate::runner::{classify, FailureSpec, RunClass, Runner, Workload};
     pub use crate::transform::{instrument, InstrumentOptions, SuccessSites};
 }

@@ -13,8 +13,21 @@
 //! read-too-early order violations under the space-saving LCR
 //! configuration ("failures are highly correlated with B2 *not*
 //! encountering a shared state").
+//!
+//! [`RankingModel`] is the only implementation of these statistics. It
+//! stores profiles as *postings*: for every event, the ascending indexes
+//! of the failure profiles and of the success profiles that contain it —
+//! the hit-spectrum matrix of spectrum-based fault localization, stored
+//! sparsely. Match counts are posting lengths, so
+//! [`RankingModel::scores`] costs `O(U log U)` over the event universe
+//! `U` however many profiles have accumulated, and
+//! [`RankingModel::rank`] reads its witness ids straight from the
+//! postings. The batch diagnosis drivers and the live
+//! [`ConvergenceTracker`](crate::converge::ConvergenceTracker) share this
+//! one store, so incremental and batch rankings agree by construction.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether a predictor fires on the presence or the absence of its event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,97 +72,32 @@ impl<E> RankedEvent<E> {
     }
 }
 
-/// One run's contribution to the model: its id and its event set.
-#[derive(Debug, Clone)]
-struct Profile<E> {
-    id: String,
-    events: BTreeSet<E>,
+/// A predictor scored from match counts alone — a [`RankedEvent`]
+/// without its witness lists, cheap enough to recompute after every
+/// profile.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScoredPredictor<E> {
+    /// The event.
+    pub event: E,
+    /// Presence or absence predictor.
+    pub polarity: Polarity,
+    /// Prediction precision `|F∧e| / |e|`.
+    pub precision: f64,
+    /// Prediction recall `|F∧e| / |F|`.
+    pub recall: f64,
+    /// Harmonic mean of precision and recall — the ranking key.
+    pub score: f64,
+    /// Failure profiles matching the predictor.
+    pub failure_matches: usize,
+    /// Success profiles matching the predictor.
+    pub success_matches: usize,
 }
 
-/// Accumulates profiles and ranks events.
-#[derive(Debug, Clone)]
-pub struct RankingModel<E> {
-    failure_profiles: Vec<Profile<E>>,
-    success_profiles: Vec<Profile<E>>,
-}
-
-impl<E: Ord + Clone> RankingModel<E> {
-    /// Creates an empty model.
-    pub fn new() -> Self {
-        RankingModel {
-            failure_profiles: Vec::new(),
-            success_profiles: Vec::new(),
-        }
-    }
-
-    /// Adds one run's profile under an auto-generated id (`F#n` / `S#n`).
-    pub fn add_profile(&mut self, is_failure: bool, events: BTreeSet<E>) {
-        let id = if is_failure {
-            format!("F#{}", self.failure_profiles.len())
-        } else {
-            format!("S#{}", self.success_profiles.len())
-        };
-        self.add_profile_named(is_failure, id, events);
-    }
-
-    /// Adds one run's profile under an explicit id (e.g. the workload and
-    /// scheduler seed that produced it), so ranked events can name the
-    /// exact runs that voted for them.
-    pub fn add_profile_named(
-        &mut self,
-        is_failure: bool,
-        id: impl Into<String>,
-        events: BTreeSet<E>,
-    ) {
-        let p = Profile {
-            id: id.into(),
-            events,
-        };
-        if is_failure {
-            self.failure_profiles.push(p);
-        } else {
-            self.success_profiles.push(p);
-        }
-    }
-
-    /// Number of failure profiles collected so far.
-    pub fn failure_count(&self) -> usize {
-        self.failure_profiles.len()
-    }
-
-    /// Number of success profiles collected so far.
-    pub fn success_count(&self) -> usize {
-        self.success_profiles.len()
-    }
-
-    fn universe(&self) -> BTreeSet<E> {
-        let mut u = BTreeSet::new();
-        for p in self.failure_profiles.iter().chain(&self.success_profiles) {
-            u.extend(p.events.iter().cloned());
-        }
-        u
-    }
-
-    fn score_one(&self, event: &E, polarity: Polarity) -> RankedEvent<E> {
-        let matches = |p: &Profile<E>| match polarity {
-            Polarity::Present => p.events.contains(event),
-            Polarity::Absent => !p.events.contains(event),
-        };
-        let failure_witnesses: Vec<String> = self
-            .failure_profiles
-            .iter()
-            .filter(|p| matches(p))
-            .map(|p| p.id.clone())
-            .collect();
-        let success_witnesses: Vec<String> = self
-            .success_profiles
-            .iter()
-            .filter(|p| matches(p))
-            .map(|p| p.id.clone())
-            .collect();
-        let f = failure_witnesses.len();
-        let s = success_witnesses.len();
-        let total_f = self.failure_profiles.len();
+impl<E: Clone> ScoredPredictor<E> {
+    /// Scores a predictor that `f` of the `total_f` failure profiles and
+    /// `s` success profiles match. These are the model's only copies of
+    /// the §5.2 float expressions.
+    fn from_counts(event: &E, polarity: Polarity, f: usize, s: usize, total_f: usize) -> Self {
         let precision = if f + s > 0 {
             f as f64 / (f + s) as f64
         } else {
@@ -172,7 +120,7 @@ impl<E: Ord + Clone> RankingModel<E> {
             precision.is_finite() && recall.is_finite() && score.is_finite(),
             "non-finite ranking score (precision {precision}, recall {recall}, score {score})"
         );
-        RankedEvent {
+        ScoredPredictor {
             event: event.clone(),
             polarity,
             precision,
@@ -180,9 +128,177 @@ impl<E: Ord + Clone> RankingModel<E> {
             score,
             failure_matches: f,
             success_matches: s,
-            failure_witnesses,
-            success_witnesses,
         }
+    }
+}
+
+/// The ranking order: score descending, then event ascending, then
+/// `Present` before `Absent`. Every `(event, polarity)` pair is unique,
+/// so the order is total and a ranking never depends on the order the
+/// predictors were scored in.
+fn rank_order<E: Ord>(a: &ScoredPredictor<E>, b: &ScoredPredictor<E>) -> Ordering {
+    b.score
+        .total_cmp(&a.score)
+        .then_with(|| a.event.cmp(&b.event))
+        .then_with(|| a.polarity.cmp(&b.polarity))
+}
+
+/// One event's postings: the ascending indexes of the failure profiles
+/// and of the success profiles that contain it.
+#[derive(Debug, Clone)]
+struct Postings<E> {
+    event: E,
+    fail: Vec<u32>,
+    succ: Vec<u32>,
+}
+
+/// The ids of one class's profiles that match a predictor: those listed
+/// in `postings` for a presence predictor, every other profile (in index
+/// order) for an absence predictor.
+fn witnesses(ids: &[String], postings: &[u32], polarity: Polarity) -> Vec<String> {
+    let index = |i: &u32| usize::try_from(*i).expect("a u32 profile index fits in usize");
+    match polarity {
+        Polarity::Present => postings.iter().map(|i| ids[index(i)].clone()).collect(),
+        Polarity::Absent => {
+            let mut present = postings.iter().map(index).peekable();
+            ids.iter()
+                .enumerate()
+                .filter(|(i, _)| present.next_if_eq(i).is_none())
+                .map(|(_, id)| id.clone())
+                .collect()
+        }
+    }
+}
+
+/// Accumulates profiles as per-event postings and ranks events.
+#[derive(Debug, Clone)]
+pub struct RankingModel<E> {
+    /// Failure profile ids, by profile index.
+    failure_ids: Vec<String>,
+    /// Success profile ids, by profile index.
+    success_ids: Vec<String>,
+    /// Each event's slot in `postings`.
+    slots: BTreeMap<E, usize>,
+    /// Per-event postings, in first-seen order.
+    postings: Vec<Postings<E>>,
+}
+
+impl<E: Ord + Clone> RankingModel<E> {
+    /// Creates an empty model.
+    pub fn new() -> Self {
+        RankingModel {
+            failure_ids: Vec::new(),
+            success_ids: Vec::new(),
+            slots: BTreeMap::new(),
+            postings: Vec::new(),
+        }
+    }
+
+    /// Adds one run's profile under an auto-generated id (`F#n` / `S#n`).
+    pub fn add_profile(&mut self, is_failure: bool, events: BTreeSet<E>) {
+        let id = if is_failure {
+            format!("F#{}", self.failure_ids.len())
+        } else {
+            format!("S#{}", self.success_ids.len())
+        };
+        self.add_profile_named(is_failure, id, events);
+    }
+
+    /// Adds one run's profile under an explicit id (e.g. the workload and
+    /// scheduler seed that produced it), so ranked events can name the
+    /// exact runs that voted for them.
+    pub fn add_profile_named(
+        &mut self,
+        is_failure: bool,
+        id: impl Into<String>,
+        events: BTreeSet<E>,
+    ) {
+        let ids = if is_failure {
+            &mut self.failure_ids
+        } else {
+            &mut self.success_ids
+        };
+        let index = u32::try_from(ids.len()).expect("more than u32::MAX profiles of one class");
+        ids.push(id.into());
+        for event in events {
+            let slot = *self.slots.entry(event).or_insert_with_key(|event| {
+                self.postings.push(Postings {
+                    event: event.clone(),
+                    fail: Vec::new(),
+                    succ: Vec::new(),
+                });
+                self.postings.len() - 1
+            });
+            let postings = &mut self.postings[slot];
+            if is_failure {
+                postings.fail.push(index);
+            } else {
+                postings.succ.push(index);
+            }
+        }
+    }
+
+    /// Number of failure profiles collected so far.
+    pub fn failure_count(&self) -> usize {
+        self.failure_ids.len()
+    }
+
+    /// Number of success profiles collected so far.
+    pub fn success_count(&self) -> usize {
+        self.success_ids.len()
+    }
+
+    /// The current ranking from match counts alone, best first: every
+    /// presence predictor and, with `absence`, every absence predictor.
+    /// The order and the scores are those of [`RankingModel::rank`] /
+    /// [`RankingModel::rank_with_absence`], bit for bit.
+    #[must_use = "scoring computes a fresh ranking; use the returned list"]
+    pub fn scores(&self, absence: bool) -> Vec<ScoredPredictor<E>> {
+        let (total_f, total_s) = (self.failure_count(), self.success_count());
+        let mut out = Vec::with_capacity(self.postings.len() * (1 + usize::from(absence)));
+        for p in &self.postings {
+            let (f, s) = (p.fail.len(), p.succ.len());
+            out.push(ScoredPredictor::from_counts(
+                &p.event,
+                Polarity::Present,
+                f,
+                s,
+                total_f,
+            ));
+            if absence {
+                out.push(ScoredPredictor::from_counts(
+                    &p.event,
+                    Polarity::Absent,
+                    total_f - f,
+                    total_s - s,
+                    total_f,
+                ));
+            }
+        }
+        out.sort_unstable_by(rank_order);
+        out
+    }
+
+    /// [`RankingModel::scores`] with each predictor's witness ids read
+    /// from its event's postings.
+    fn ranked(&self, absence: bool) -> Vec<RankedEvent<E>> {
+        self.scores(absence)
+            .into_iter()
+            .map(|p| {
+                let postings = &self.postings[self.slots[&p.event]];
+                RankedEvent {
+                    failure_witnesses: witnesses(&self.failure_ids, &postings.fail, p.polarity),
+                    success_witnesses: witnesses(&self.success_ids, &postings.succ, p.polarity),
+                    event: p.event,
+                    polarity: p.polarity,
+                    precision: p.precision,
+                    recall: p.recall,
+                    score: p.score,
+                    failure_matches: p.failure_matches,
+                    success_matches: p.success_matches,
+                }
+            })
+            .collect()
     }
 
     /// Ranks all presence predictors, best first.
@@ -190,21 +306,12 @@ impl<E: Ord + Clone> RankingModel<E> {
     /// Tie-breaking is deterministic: predictors with equal harmonic score
     /// are ordered by their event's `Ord` order (ascending). Downstream
     /// re-sorts (e.g. the failure-proximity tie-break of
-    /// [`lbra`](crate::diagnose::lbra)) are stable, so rank numbers are
-    /// reproducible run to run for identical profile sets.
+    /// [`CollectedProfiles::lbra`](crate::engine::CollectedProfiles::lbra))
+    /// are stable, so rank numbers are reproducible run to run for
+    /// identical profile sets.
     #[must_use = "ranking computes scores without storing them; use the returned list"]
     pub fn rank(&self) -> Vec<RankedEvent<E>> {
-        let mut ranked: Vec<RankedEvent<E>> = self
-            .universe()
-            .iter()
-            .map(|e| self.score_one(e, Polarity::Present))
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.event.cmp(&b.event))
-        });
-        ranked
+        self.ranked(false)
     }
 
     /// Ranks presence *and* absence predictors, best first.
@@ -212,22 +319,11 @@ impl<E: Ord + Clone> RankingModel<E> {
     /// Tie-breaking is deterministic: equal harmonic scores order by the
     /// event's `Ord` order, then `Present` before `Absent` — so a
     /// presence predictor always precedes its own absence twin when both
-    /// score the same.
+    /// score the same. An absence predictor's witnesses are the profiles
+    /// missing its event, in insertion order.
     #[must_use = "ranking computes scores without storing them; use the returned list"]
     pub fn rank_with_absence(&self) -> Vec<RankedEvent<E>> {
-        let mut ranked: Vec<RankedEvent<E>> = Vec::new();
-        for e in self.universe().iter() {
-            ranked.push(self.score_one(e, Polarity::Present));
-            ranked.push(self.score_one(e, Polarity::Absent));
-        }
-        ranked.sort_by(|a, b| {
-            b.score.total_cmp(&a.score).then_with(|| {
-                a.event
-                    .cmp(&b.event)
-                    .then_with(|| a.polarity.cmp(&b.polarity))
-            })
-        });
-        ranked
+        self.ranked(true)
     }
 
     /// 1-based rank of the first predictor satisfying `pred` in the given
@@ -248,11 +344,209 @@ impl<E: Ord + Clone> Default for RankingModel<E> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::fmt::Debug;
+    use stm_machine::rng::SplitMix64;
 
     fn set(items: &[&str]) -> BTreeSet<String> {
         items.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The brute-force reference the postings store is checked against:
+    /// every profile kept whole, and every predictor re-scanned against
+    /// all of them (`O(P × U)`), with its own copy of the §5.2 float
+    /// expressions and of the ranking order.
+    #[derive(Debug)]
+    pub(crate) struct Oracle<E> {
+        failures: Vec<(String, BTreeSet<E>)>,
+        successes: Vec<(String, BTreeSet<E>)>,
+    }
+
+    impl<E: Ord + Clone> Oracle<E> {
+        pub(crate) fn new() -> Self {
+            Oracle {
+                failures: Vec::new(),
+                successes: Vec::new(),
+            }
+        }
+
+        pub(crate) fn add(&mut self, is_failure: bool, id: impl Into<String>, events: BTreeSet<E>) {
+            let class = if is_failure {
+                &mut self.failures
+            } else {
+                &mut self.successes
+            };
+            class.push((id.into(), events));
+        }
+
+        fn score_one(&self, event: &E, polarity: Polarity) -> RankedEvent<E> {
+            let matches = |(_, events): &&(String, BTreeSet<E>)| match polarity {
+                Polarity::Present => events.contains(event),
+                Polarity::Absent => !events.contains(event),
+            };
+            let failure_witnesses: Vec<String> = self
+                .failures
+                .iter()
+                .filter(matches)
+                .map(|(id, _)| id.clone())
+                .collect();
+            let success_witnesses: Vec<String> = self
+                .successes
+                .iter()
+                .filter(matches)
+                .map(|(id, _)| id.clone())
+                .collect();
+            let f = failure_witnesses.len();
+            let s = success_witnesses.len();
+            let total_f = self.failures.len();
+            let precision = if f + s > 0 {
+                f as f64 / (f + s) as f64
+            } else {
+                0.0
+            };
+            let recall = if total_f > 0 {
+                f as f64 / total_f as f64
+            } else {
+                0.0
+            };
+            let score = if precision + recall > 0.0 {
+                2.0 * precision * recall / (precision + recall)
+            } else {
+                0.0
+            };
+            RankedEvent {
+                event: event.clone(),
+                polarity,
+                precision,
+                recall,
+                score,
+                failure_matches: f,
+                success_matches: s,
+                failure_witnesses,
+                success_witnesses,
+            }
+        }
+
+        /// Every presence predictor (and, with `absence`, every absence
+        /// predictor) over the events seen so far, best first.
+        pub(crate) fn rank(&self, absence: bool) -> Vec<RankedEvent<E>> {
+            let universe: BTreeSet<&E> = self
+                .failures
+                .iter()
+                .chain(&self.successes)
+                .flat_map(|(_, events)| events)
+                .collect();
+            let mut ranked = Vec::new();
+            for event in universe {
+                ranked.push(self.score_one(event, Polarity::Present));
+                if absence {
+                    ranked.push(self.score_one(event, Polarity::Absent));
+                }
+            }
+            ranked.sort_by(|a, b| {
+                b.score.total_cmp(&a.score).then_with(|| {
+                    a.event
+                        .cmp(&b.event)
+                        .then_with(|| a.polarity.cmp(&b.polarity))
+                })
+            });
+            ranked
+        }
+    }
+
+    /// A ranked event without its witness lists.
+    fn counts_only<E: Clone>(r: &RankedEvent<E>) -> ScoredPredictor<E> {
+        ScoredPredictor {
+            event: r.event.clone(),
+            polarity: r.polarity,
+            precision: r.precision,
+            recall: r.recall,
+            score: r.score,
+            failure_matches: r.failure_matches,
+            success_matches: r.success_matches,
+        }
+    }
+
+    /// Asserts that `live` is the oracle ranking without its witness
+    /// lists: same order and polarities, same counts, floats equal bit
+    /// for bit.
+    pub(crate) fn assert_scores_match<E: Clone + PartialEq + Debug>(
+        live: &[ScoredPredictor<E>],
+        oracle: &[RankedEvent<E>],
+        context: &str,
+    ) {
+        let bits = |p: &ScoredPredictor<E>| {
+            let floats = [p.precision, p.recall, p.score].map(f64::to_bits);
+            (
+                p.event.clone(),
+                p.polarity,
+                floats,
+                p.failure_matches,
+                p.success_matches,
+            )
+        };
+        let live: Vec<_> = live.iter().map(bits).collect();
+        let oracle: Vec<_> = oracle.iter().map(|r| bits(&counts_only(r))).collect();
+        assert_eq!(live, oracle, "{context}");
+    }
+
+    /// Asserts that a full ranking is the oracle's: everything
+    /// [`assert_scores_match`] checks, plus both witness id lists.
+    fn assert_rank_matches<E: Clone + PartialEq + Debug>(
+        ranked: &[RankedEvent<E>],
+        oracle: &[RankedEvent<E>],
+        context: &str,
+    ) {
+        let scores: Vec<_> = ranked.iter().map(counts_only).collect();
+        assert_scores_match(&scores, oracle, context);
+        let witnesses =
+            |r: &RankedEvent<E>| (r.failure_witnesses.clone(), r.success_witnesses.clone());
+        assert_eq!(
+            ranked.iter().map(witnesses).collect::<Vec<_>>(),
+            oracle.iter().map(witnesses).collect::<Vec<_>>(),
+            "{context}"
+        );
+    }
+
+    fn assert_model_matches(model: &RankingModel<u64>, oracle: &Oracle<u64>, context: &str) {
+        assert_eq!(model.failure_count(), oracle.failures.len(), "{context}");
+        assert_eq!(model.success_count(), oracle.successes.len(), "{context}");
+        for absence in [false, true] {
+            assert_scores_match(&model.scores(absence), &oracle.rank(absence), context);
+        }
+        assert_rank_matches(&model.rank(), &oracle.rank(false), context);
+        assert_rank_matches(&model.rank_with_absence(), &oracle.rank(true), context);
+    }
+
+    #[test]
+    fn postings_match_the_rescan_oracle_on_random_streams() {
+        // Each stream draws its own universe size and failure rate; the
+        // rates include 0 % and 100 %, so some streams never see one class,
+        // and a profile's density may be zero, so empty profiles occur.
+        // Every prefix, the empty one included, is checked.
+        const STREAMS: u64 = 300;
+        let mut rng = SplitMix64::new(0x5EED_0013);
+        for stream in 0..STREAMS {
+            let universe = 1 + rng.next_below(12);
+            let failure_pct = [0, 100, 50, 20, 80][usize::try_from(stream % 5).unwrap()];
+            let len = rng.next_below(25);
+            let mut model = RankingModel::new();
+            let mut oracle = Oracle::new();
+            assert_model_matches(&model, &oracle, &format!("stream {stream}, empty"));
+            for i in 0..len {
+                let is_failure = rng.next_below(100) < failure_pct;
+                let density = rng.next_below(universe + 1);
+                let events: BTreeSet<u64> = (0..universe)
+                    .filter(|_| rng.next_below(universe) < density)
+                    .collect();
+                let id = format!("s{stream}p{i}");
+                model.add_profile_named(is_failure, id.clone(), events.clone());
+                oracle.add(is_failure, id, events);
+                let context = format!("stream {stream}, prefix {}", i + 1);
+                assert_model_matches(&model, &oracle, &context);
+            }
+        }
     }
 
     #[test]

@@ -37,9 +37,9 @@ use crate::dossier::mesi_transition;
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use stm_core::converge::{LiveRanking, ScoredPredictor, SnapshotIngest};
+use stm_core::converge::{LiveRanking, SnapshotIngest};
 use stm_core::profile::{BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry};
-use stm_core::ranking::{Polarity, RankedEvent};
+use stm_core::ranking::{Polarity, RankedEvent, ScoredPredictor};
 use stm_machine::ir::Program;
 use stm_telemetry::json::Json;
 
