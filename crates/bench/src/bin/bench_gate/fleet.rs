@@ -1,6 +1,5 @@
-//! Fleet-daemon benchmark: sustained sharded ingest throughput, per-
-//! shard time-to-converged, and exact shed accounting under forced
-//! overload. Writes `results/BENCH_fleet.json`.
+//! The `fleet` harness: sustained sharded ingest throughput, per-shard
+//! time-to-converged, and exact shed accounting under forced overload.
 //!
 //! Two phases over the same snapshot pools (sort → LBRA, apache4 →
 //! LCRA Conf2; both batch-collected once, then replayed by simulated
@@ -25,10 +24,13 @@ use std::time::Instant;
 use stm_bench::MetricsEmitter;
 use stm_core::converge::StabilityPolicy;
 use stm_core::diagnose::Quotas;
-use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
+use stm_core::engine::CollectedProfiles;
 use stm_fleet::{FleetDaemon, ShardConfig, ShedPolicy, Snapshot, SubmitOutcome};
-use stm_suite::eval::{default_threads, expand_workloads, lbra_runner, lcra_runner};
+use stm_machine::report::RunReport;
 use stm_telemetry::json::Json;
+
+use crate::subject::Subject;
+use crate::Outcome;
 
 /// Simulated endpoints in the sustained phase (≥1000 per the
 /// acceptance bar; spread across all four shards by the schedule).
@@ -56,30 +58,9 @@ impl Schedule {
 }
 
 /// Batch-collects the replayable snapshot pool for one suite benchmark.
-fn pool(
-    id: &str,
-    lbr: bool,
-) -> (
-    CollectedProfiles,
-    Vec<(bool, String, stm_machine::report::RunReport)>,
-) {
-    let b = stm_suite::by_id(id).expect("benchmark exists");
-    let runner = if lbr {
-        lbra_runner(&b)
-    } else {
-        lcra_runner(&b)
-    };
-    let (failing, passing) = expand_workloads(&b, &runner);
-    let profiles = DiagnosisSession::from_runner(&runner)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(if lbr {
-            ProfileKind::Lbr
-        } else {
-            ProfileKind::Lcr
-        })
-        .threads(default_threads())
+fn pool(id: &str) -> (CollectedProfiles, Vec<(bool, String, RunReport)>) {
+    let profiles = Subject::new(id)
+        .session()
         .collect()
         .expect("pool collection succeeds");
     let mut snaps = Vec::new();
@@ -108,15 +89,16 @@ fn add_shards(
     }
 }
 
-fn main() {
-    // Pools are collected before the emitter exists (telemetry off), so
-    // the gated counter deltas cover only daemon activity.
-    let (sort_profiles, sort_snaps) = pool("sort", true);
-    let (apache_profiles, apache_snaps) = pool("apache4", false);
+pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
+    // Pools are collected with telemetry off, so the gated counter
+    // deltas cover only daemon activity.
+    stm_telemetry::set_enabled(false);
+    let (sort_profiles, sort_snaps) = pool("sort");
+    let (apache_profiles, apache_snaps) = pool("apache4");
+    stm_telemetry::set_enabled(true);
     let pools = [&sort_profiles, &apache_profiles];
     let snaps = [&sort_snaps, &apache_snaps];
 
-    let mut metrics = MetricsEmitter::new("fleet");
     println!("Fleet daemon: sharded ingest with explicit backpressure");
 
     // ---- Phase 1: sustained ingest, no shedding ---------------------
@@ -285,11 +267,5 @@ fn main() {
     metrics.top_level("endpoints", Json::from(ENDPOINTS));
     metrics.top_level("endpoints_per_sec", Json::from(eps));
     metrics.top_level("sustained_ms", Json::from(elapsed.as_secs_f64() * 1e3));
-    match metrics.finish() {
-        Ok(path) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("bench_fleet: could not write results: {e}");
-            std::process::exit(1);
-        }
-    }
+    Outcome::default()
 }

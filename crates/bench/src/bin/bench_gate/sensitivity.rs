@@ -1,14 +1,12 @@
-//! Sweeps diagnosis quality against degraded hardware signals — the
-//! paper's §7 sensitivity analysis (4/8/16-entry LBR capacities, row 1 of
-//! PAPER.md's substitutions table), generalized with the fault-injection
-//! layer (`stm_hardware::perturb`) — and writes
-//! `results/BENCH_sensitivity.json`.
+//! The `sensitivity` harness: diagnosis quality against degraded hardware
+//! signals — the paper's §7 sensitivity analysis (4/8/16-entry LBR
+//! capacities, row 1 of PAPER.md's substitutions table), generalized with
+//! the fault-injection layer (`stm_hardware::perturb`).
 //!
 //! Grid: effective ring size (truncation at read time to 16/8/4/1
-//! records) × random per-record drop rate (0%/25%/50%/100%) on one
-//! sequential benchmark (sort, LBRA, rank of the root-cause branch) and
-//! one concurrency benchmark (apache4, LCRA Conf2, rank of the
-//! failure-predicting event).
+//! records) × random per-record drop rate (0%/25%/50%/100%) on sort
+//! (LBRA, rank of the root-cause branch) and apache4 (LCRA Conf2, rank of
+//! the failure-predicting event).
 //!
 //! Witness workloads are expanded **once** per benchmark at full signal
 //! and reused across every grid cell: perturbations degrade only the
@@ -16,17 +14,18 @@
 //! the sweep isolates signal degradation from workload luck.
 //!
 //! Every metric is a 1-based rank where **higher is worse** and `null`
-//! means the root cause was not ranked at all (total signal loss) —
-//! exactly what `bench_diff` gates: a rank drifting up, or a previously
-//! present rank disappearing, fails CI against
-//! `baselines/BENCH_sensitivity.json`. The simulation is fully seeded, so
-//! these ranks are machine-independent.
+//! means the root cause was not ranked at all (total signal loss): a rank
+//! drifting up, or a previously present rank disappearing, fails the
+//! gate. The simulation is fully seeded, so these ranks are
+//! machine-independent.
 
 use stm_bench::{json_rank, mark, MetricsEmitter};
+use stm_core::ranking::RankingModel;
 use stm_hardware::{HwConfig, PerturbConfig};
-use stm_suite::eval::{
-    expand_workloads, lbra_runner, lcra_runner, run_lbra_with_hw, run_lcra_with_hw,
-};
+use stm_suite::eval::{run_lbra_with_hw, run_lcra_with_hw};
+
+use crate::subject::{Subject, SUBJECTS};
+use crate::Outcome;
 
 /// Effective ring sizes swept (records kept per snapshot, newest first).
 /// 16 = the full Nehalem-sized signal; 8 ≈ Pentium M; 4 ≈ Pentium 4; 1 =
@@ -57,35 +56,25 @@ fn metric_name(ring: usize, drop_pct: u32) -> &'static str {
     Box::leak(format!("rank_r{ring}_d{drop_pct}").into_boxed_str())
 }
 
-fn main() {
-    let mut metrics = MetricsEmitter::new("sensitivity");
+pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     println!("Diagnosis rank under degraded signals (lower is better, - = lost)");
     println!(
         "{:<10} {:<6} {:>8} {:>8} {:>8} {:>8}",
         "bench", "ring", "d0", "d25", "d50", "d100"
     );
 
-    for (id, lbr) in [("sort", true), ("apache4", false)] {
-        let b = stm_suite::by_id(id).expect("benchmark exists");
-        let runner = if lbr {
-            lbra_runner(&b)
-        } else {
-            lcra_runner(&b)
-        };
-        let (failing, passing) = expand_workloads(&b, &runner);
-
+    for id in SUBJECTS {
+        let s = Subject::new(id);
         let rank_with = |hw: HwConfig| -> Option<usize> {
-            if lbr {
-                let target = b.truth.target_branch().expect("sequential target");
-                run_lbra_with_hw(&b, &runner, hw, failing.clone(), passing.clone())
-                    .expect("witness-mode collection cannot fail")
-                    .rank_of_branch(target)
+            let (failing, passing) = (s.failing.clone(), s.passing.clone());
+            if s.lbr() {
+                let d = run_lbra_with_hw(&s.bench, &s.runner, hw, failing, passing)
+                    .expect("witness-mode collection cannot fail");
+                RankingModel::rank_of(&d.ranked, |p| s.is_root_branch(&p.event))
             } else {
-                let fpe = b.truth.fpe.expect("concurrency FPE");
-                let state = fpe.conf2_state.expect("Conf2 state");
-                run_lcra_with_hw(&b, &runner, hw, failing.clone(), passing.clone())
-                    .expect("witness-mode collection cannot fail")
-                    .rank_of_event(fpe.loc, state)
+                let d = run_lcra_with_hw(&s.bench, &s.runner, hw, failing, passing)
+                    .expect("witness-mode collection cannot fail");
+                RankingModel::rank_of(&d.ranked, |p| s.is_root_event(&p.event))
             }
         };
 
@@ -94,7 +83,7 @@ fn main() {
         for ring in RING_SIZES {
             let mut row = Vec::with_capacity(DROP_PCTS.len());
             for drop_pct in DROP_PCTS {
-                let rank = rank_with(perturbed_hw(lbr, ring, drop_pct));
+                let rank = rank_with(perturbed_hw(s.lbr(), ring, drop_pct));
                 if ring == 16 && drop_pct == 0 {
                     // The full-signal grid corner must reproduce today's
                     // unperturbed diagnosis exactly.
@@ -118,13 +107,5 @@ fn main() {
         }
         metrics.checkpoint(id, extras);
     }
-
-    match metrics.finish() {
-        Ok(path) => println!("\nwrote {path}"),
-        Err(e) => stm_telemetry::log::warn(
-            "bench",
-            "metrics.write_failed",
-            vec![("error", e.to_string())],
-        ),
-    }
+    Outcome::default()
 }

@@ -10,15 +10,13 @@
 //! `apache4`). The shared observability flags enable span/metric
 //! collection and export a Chrome trace of the whole emission.
 
-use stm_core::diagnose::failure_profile;
-use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
-use stm_core::profile::{decode_lbr, decode_lcr, DecodedLbrEntry, DecodedLcrEntry};
+use stm_bench::failure_traces;
+use stm_core::engine::{DiagnosisSession, ProfileKind};
 use stm_core::runner::Runner;
 use stm_core::transform::instrument;
 use stm_forensics::{CausalChain, FailureDossier, ForensicReport, RankingReport};
 use stm_machine::events::LcrConfig;
 use stm_machine::interp::Machine;
-use stm_machine::report::ProfileData;
 use stm_suite::eval::{default_threads, expand_workloads, reactive_options};
 use stm_suite::{Benchmark, BugClass};
 use stm_telemetry::json::Json;
@@ -58,11 +56,10 @@ fn report_for(b: &Benchmark, top_k: usize) -> Result<ForensicReport, String> {
         ProfileKind::Lbr => {
             let mut d = profiles.lbra();
             d.exclude_site_guards(program, &b.truth.spec);
-            let traces = lbr_traces(&profiles, &b.truth.spec);
             let chain = CausalChain::from_lbra(
                 Some(program),
                 &d.ranked,
-                &traces,
+                &failure_traces(&profiles),
                 d.stats.failure_runs_used,
                 d.stats.success_runs_used,
             );
@@ -73,11 +70,10 @@ fn report_for(b: &Benchmark, top_k: usize) -> Result<ForensicReport, String> {
         }
         ProfileKind::Lcr => {
             let d = profiles.lcra();
-            let traces = lcr_traces(&profiles, &b.truth.spec);
             let chain = CausalChain::from_lcra(
                 Some(program),
                 &d.ranked,
-                &traces,
+                &failure_traces(&profiles),
                 d.stats.failure_runs_used,
                 d.stats.success_runs_used,
             );
@@ -102,48 +98,6 @@ fn report_for(b: &Benchmark, top_k: usize) -> Result<ForensicReport, String> {
         ranking,
         chain,
     })
-}
-
-/// Decodes every failing witness's LBR failure-site snapshot.
-fn lbr_traces(
-    profiles: &CollectedProfiles,
-    spec: &stm_core::runner::FailureSpec,
-) -> Vec<(String, Vec<DecodedLbrEntry>)> {
-    let layout = profiles.runner().machine().layout();
-    profiles
-        .failure_runs()
-        .iter()
-        .filter_map(|run| {
-            let p = failure_profile(&run.report, spec)?;
-            match &p.data {
-                ProfileData::Lbr(records) => {
-                    Some((run.witness.clone(), decode_lbr(layout, records)))
-                }
-                ProfileData::Lcr(_) => None,
-            }
-        })
-        .collect()
-}
-
-/// Decodes every failing witness's LCR failure-site snapshot.
-fn lcr_traces(
-    profiles: &CollectedProfiles,
-    spec: &stm_core::runner::FailureSpec,
-) -> Vec<(String, Vec<DecodedLcrEntry>)> {
-    let layout = profiles.runner().machine().layout();
-    profiles
-        .failure_runs()
-        .iter()
-        .filter_map(|run| {
-            let p = failure_profile(&run.report, spec)?;
-            match &p.data {
-                ProfileData::Lcr(records) => {
-                    Some((run.witness.clone(), decode_lcr(layout, records)))
-                }
-                ProfileData::Lbr(_) => None,
-            }
-        })
-        .collect()
 }
 
 fn main() {

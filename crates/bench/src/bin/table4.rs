@@ -2,47 +2,16 @@
 //!
 //! Paper columns (KLOC, log points) describe the original applications;
 //! the "model" columns describe our IR reproductions. Also writes
-//! `results/BENCH_table4.json` with the per-benchmark model sizes.
+//! `results/BENCH_table4.json` with the per-benchmark model sizes (the
+//! same document `bench_gate table4` writes and gates).
 
 use stm_bench::{MetricsEmitter, TelemetryCli};
-use stm_telemetry::json::Json;
 
 fn main() {
     let (tele, _) = TelemetryCli::from_env();
     let _metrics = tele.apply();
     let mut metrics = MetricsEmitter::new("table4");
-    println!("Table 4: Features of real-world failures evaluated");
-    println!(
-        "{:<12} {:>8} {:>10} {:>14} {:>8} {:>10} {:>11} {:>11}",
-        "Program",
-        "Version",
-        "KLOC(pap)",
-        "RootCause",
-        "Symptom",
-        "LogPts(pap)",
-        "LogPts(our)",
-        "Stmts(our)"
-    );
-    for b in stm_suite::all() {
-        println!(
-            "{:<12} {:>8} {:>10} {:>14} {:>8} {:>10} {:>11} {:>11}",
-            b.info.id,
-            b.info.version,
-            b.info.paper.kloc,
-            b.info.root_cause.short(),
-            b.info.symptom.describe(),
-            b.info.paper.log_points,
-            b.log_points(),
-            b.program.stmt_count(),
-        );
-        metrics.checkpoint(
-            b.info.id,
-            vec![
-                ("log_points", Json::from(b.log_points() as u64)),
-                ("stmts", Json::from(b.program.stmt_count() as u64)),
-            ],
-        );
-    }
+    stm_bench::table4(&mut metrics);
     match metrics.finish() {
         Ok(path) => println!("\nwrote {path}"),
         Err(e) => stm_telemetry::log::warn(

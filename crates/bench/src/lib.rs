@@ -2,20 +2,27 @@
 //!
 //! One binary per evaluation artifact (see DESIGN.md's experiment index):
 //! `table4`, `table5`, `table6`, `table7`, `latency`, `logging_latency`,
-//! `capacity`, `bts_overhead`. This library holds the pieces they share:
-//! CBI evaluation over suite benchmarks, wall-clock overhead measurement,
+//! `capacity`, `bts_overhead`, plus the `bench_gate` regression driver.
+//! This library holds the pieces they share: CBI evaluation over suite
+//! benchmarks, wall-clock overhead measurement, failing-trace decoding,
 //! and table rendering helpers.
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 use stm_baselines::cbi::{cbi, instrument_cbi, CbiConfig};
+use stm_core::diagnose::failure_profile;
+use stm_core::engine::CollectedProfiles;
+use stm_core::profile::{decode_lbr, decode_lcr, DecodedLbrEntry, DecodedLcrEntry};
 use stm_core::runner::Runner;
 use stm_core::transform::{instrument, InstrumentOptions};
 use stm_hardware::HwConfig;
 use stm_machine::interp::{Machine, RunConfig};
+use stm_machine::layout::Layout;
+use stm_machine::report::ProfileData;
 use stm_suite::eval::{expand_workloads, lbrlog_runner, reactive_options};
 use stm_suite::{Benchmark, Language};
+use stm_telemetry::json::Json;
 
 /// Renders an optional rank/position as the tables do (`Y n` / `-`).
 pub fn mark(v: Option<usize>) -> String {
@@ -34,11 +41,91 @@ pub fn dist(v: Option<u32>) -> String {
 }
 
 /// Renders an optional rank/distance as JSON (`null` when absent).
-pub fn json_rank(v: Option<usize>) -> stm_telemetry::json::Json {
+pub fn json_rank(v: Option<usize>) -> Json {
     match v {
-        Some(n) => stm_telemetry::json::Json::from(n),
-        None => stm_telemetry::json::Json::Null,
+        Some(n) => Json::from(n),
+        None => Json::Null,
     }
+}
+
+/// Prints Table 4 (features of the real-world failures evaluated) and
+/// checkpoints each benchmark's model size — log points and IR
+/// statements — into `metrics`. Paper columns (KLOC, log points)
+/// describe the original applications; the "our" columns describe the
+/// IR reproductions.
+pub fn table4(metrics: &mut MetricsEmitter) {
+    println!("Table 4: Features of real-world failures evaluated");
+    println!(
+        "{:<12} {:>8} {:>10} {:>14} {:>8} {:>10} {:>11} {:>11}",
+        "Program",
+        "Version",
+        "KLOC(pap)",
+        "RootCause",
+        "Symptom",
+        "LogPts(pap)",
+        "LogPts(our)",
+        "Stmts(our)"
+    );
+    for b in stm_suite::all() {
+        println!(
+            "{:<12} {:>8} {:>10} {:>14} {:>8} {:>10} {:>11} {:>11}",
+            b.info.id,
+            b.info.version,
+            b.info.paper.kloc,
+            b.info.root_cause.short(),
+            b.info.symptom.describe(),
+            b.info.paper.log_points,
+            b.log_points(),
+            b.program.stmt_count(),
+        );
+        metrics.checkpoint(
+            b.info.id,
+            vec![
+                ("log_points", Json::from(b.log_points() as u64)),
+                ("stmts", Json::from(b.program.stmt_count() as u64)),
+            ],
+        );
+    }
+}
+
+/// A decoded ring-snapshot entry: which ring's snapshot it reads, and how.
+pub trait TraceEntry: Sized {
+    /// Decodes `data` when it is this entry's ring, `None` otherwise.
+    fn decode(layout: &Layout, data: &ProfileData) -> Option<Vec<Self>>;
+}
+
+impl TraceEntry for DecodedLbrEntry {
+    fn decode(layout: &Layout, data: &ProfileData) -> Option<Vec<Self>> {
+        match data {
+            ProfileData::Lbr(records) => Some(decode_lbr(layout, records)),
+            ProfileData::Lcr(_) => None,
+        }
+    }
+}
+
+impl TraceEntry for DecodedLcrEntry {
+    fn decode(layout: &Layout, data: &ProfileData) -> Option<Vec<Self>> {
+        match data {
+            ProfileData::Lcr(records) => Some(decode_lcr(layout, records)),
+            ProfileData::Lbr(_) => None,
+        }
+    }
+}
+
+/// Decodes the failure-site snapshot of every failing witness a
+/// collection kept, as `(witness id, entries)` in consumption order — the
+/// traces a `CausalChain` is reconstructed from. Witnesses whose snapshot
+/// is of the other ring are skipped.
+pub fn failure_traces<T: TraceEntry>(profiles: &CollectedProfiles) -> Vec<(String, Vec<T>)> {
+    let layout = profiles.runner().machine().layout();
+    profiles
+        .failure_runs()
+        .iter()
+        .filter_map(|run| {
+            let p = failure_profile(&run.report, profiles.spec())?;
+            Some((run.witness.clone(), T::decode(layout, &p.data)?))
+        })
+        .collect()
 }
 
 /// Runs CBI on a benchmark (its default 1/100 sampling) with the given run
@@ -192,8 +279,9 @@ impl MetricsEmitter {
     }
 
     /// Records a harness-wide headline field at the top level of the
-    /// document — *outside* `benchmarks`, which `bench_diff` gates, so
-    /// informational values (throughput headlines) never fail a
+    /// document — *outside* `benchmarks`. Only top-level keys the
+    /// committed baseline also carries are gated, so informational values
+    /// (throughput headlines) left out of the baseline never fail a
     /// regression gate.
     pub fn top_level(&mut self, key: &'static str, value: stm_telemetry::json::Json) {
         self.top_level.push((key, value));

@@ -23,9 +23,9 @@ use stm_machine::ir::{ProfileRole, SourceLoc};
 use stm_machine::report::{ProfileData, ProfileEvent, RunReport};
 
 /// How many profiles of each class a collection keeps — the one quota
-/// surface shared by [`SessionConfig`](crate::engine::SessionConfig),
-/// the [`DiagnosisSession`](crate::engine::DiagnosisSession) builder and
-/// the fleet daemon's per-shard configuration.
+/// surface shared by the
+/// [`DiagnosisSession`](crate::engine::DiagnosisSession) builder and the
+/// fleet daemon's per-shard configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quotas {
     /// Failure-run profiles to collect (the paper uses 10).
@@ -369,7 +369,9 @@ mod tests {
             .failing(failing.to_vec())
             .passing(passing.to_vec())
             .profile_kind(ProfileKind::Lbr)
-            .quotas(*config)
+            .failure_profiles(config.failure_profiles)
+            .success_profiles(config.success_profiles)
+            .max_runs(config.max_runs)
             .collect()
             .expect("witness-mode collection succeeds")
             .lbra()

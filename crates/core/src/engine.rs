@@ -116,105 +116,6 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// Unified configuration for a diagnosis session: the shared profile
-/// [`Quotas`], the interpreter's [`RunConfig`], the simulated-hardware
-/// [`HwConfig`], and the engine's parallelism knobs, behind one
-/// `Default` + builder-setter surface.
-#[derive(Debug, Clone)]
-pub struct SessionConfig {
-    /// Profile quotas — failure/success profile counts and the per-phase
-    /// run cap. The paper diagnoses from 10 failure occurrences (§5.2;
-    /// §7.2 contrasts this diagnosis latency with CBI's ~1000). The same
-    /// [`Quotas`] type configures the fleet daemon's per-shard caps.
-    pub quotas: Quotas,
-    /// Worker threads for profile collection; `1` keeps the sequential
-    /// driver, `0` asks the OS for the available parallelism. Runs are
-    /// independent production executions (§2's per-run short-term memory
-    /// snapshots), so sharding them changes no result.
-    pub threads: usize,
-    /// Speculation window: how many jobs may be dispatched beyond the
-    /// consumed prefix (`0` = `threads × 4`). Bounds the work discarded
-    /// when the quota early-stop triggers.
-    pub chunk: usize,
-    /// Interpreter configuration — step budget, cores, scheduler,
-    /// sampling (the §6 evaluation machine model).
-    pub run: RunConfig,
-    /// Simulated monitoring-hardware geometry — 16-entry Nehalem-style
-    /// LBR, LCR size/configuration (§3, §4.2.1).
-    pub hw: HwConfig,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig {
-            quotas: Quotas::default(),
-            threads: 1,
-            chunk: 0,
-            run: RunConfig::default(),
-            hw: HwConfig::default(),
-        }
-    }
-}
-
-impl SessionConfig {
-    /// Replaces the profile quotas.
-    pub fn quotas(mut self, quotas: Quotas) -> Self {
-        self.quotas = quotas;
-        self
-    }
-
-    /// Sets the failure-profile quota.
-    pub fn failure_profiles(mut self, n: usize) -> Self {
-        self.quotas.failure_profiles = n;
-        self
-    }
-
-    /// Sets the success-profile quota.
-    pub fn success_profiles(mut self, n: usize) -> Self {
-        self.quotas.success_profiles = n;
-        self
-    }
-
-    /// Sets the per-phase run cap.
-    pub fn max_runs(mut self, n: usize) -> Self {
-        self.quotas.max_runs = n;
-        self
-    }
-
-    /// Sets the worker-thread count (`0` = available parallelism).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Sets the speculation window (`0` = `threads × 4`).
-    pub fn chunk(mut self, n: usize) -> Self {
-        self.chunk = n;
-        self
-    }
-
-    /// Sets the interpreter configuration.
-    pub fn run(mut self, run: RunConfig) -> Self {
-        self.run = run;
-        self
-    }
-
-    /// Sets the simulated-hardware configuration.
-    pub fn hw(mut self, hw: HwConfig) -> Self {
-        self.hw = hw;
-        self
-    }
-}
-
-impl From<Quotas> for SessionConfig {
-    fn from(quotas: Quotas) -> Self {
-        SessionConfig {
-            quotas,
-            ..SessionConfig::default()
-        }
-    }
-}
-
 /// One profile-bearing run kept by a collection: the witness id the
 /// forensic report names, the exact (seed-perturbed) workload that was
 /// replayed, and its full run report (ring snapshots included).
@@ -341,7 +242,15 @@ pub struct DiagnosisSession {
     bases: Vec<Workload>,
     seeds: Option<Range<u64>>,
     kind: Option<ProfileKind>,
-    config: SessionConfig,
+    /// The paper diagnoses from 10 failure occurrences (§5.2; §7.2
+    /// contrasts this diagnosis latency with CBI's ~1000).
+    quotas: Quotas,
+    /// `1` keeps the sequential driver, `0` asks the OS. Runs are
+    /// independent production executions (§2's per-run short-term memory
+    /// snapshots), so sharding them changes no result.
+    threads: usize,
+    run: RunConfig,
+    hw: HwConfig,
     policy: Option<StabilityPolicy>,
 }
 
@@ -352,8 +261,7 @@ impl DiagnosisSession {
         DiagnosisSession::with_machine(Machine::new(program.clone()))
     }
 
-    /// Starts a session on an already-built machine.
-    pub fn with_machine(machine: Machine) -> Self {
+    fn with_machine(machine: Machine) -> Self {
         DiagnosisSession {
             machine,
             spec: None,
@@ -362,7 +270,10 @@ impl DiagnosisSession {
             bases: Vec::new(),
             seeds: None,
             kind: None,
-            config: SessionConfig::default(),
+            quotas: Quotas::default(),
+            threads: 1,
+            run: RunConfig::default(),
+            hw: HwConfig::default(),
             policy: None,
         }
     }
@@ -371,8 +282,8 @@ impl DiagnosisSession {
     /// the migration path for callers that already hold a [`Runner`].
     pub fn from_runner(runner: &Runner) -> Self {
         let mut s = DiagnosisSession::with_machine(runner.machine().clone());
-        s.config.run = runner.run_config().clone();
-        s.config.hw = *runner.hw_config();
+        s.run = runner.run_config().clone();
+        s.hw = *runner.hw_config();
         s
     }
 
@@ -429,45 +340,39 @@ impl DiagnosisSession {
 
     /// Sets the worker-thread count (`0` = available parallelism).
     pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = n;
-        self
-    }
-
-    /// Sets the speculation window (`0` = `threads × 4`).
-    pub fn chunk(mut self, n: usize) -> Self {
-        self.config.chunk = n;
+        self.threads = n;
         self
     }
 
     /// Sets the failure-profile quota (scan mode: failing witnesses to
     /// find).
     pub fn failure_profiles(mut self, n: usize) -> Self {
-        self.config.quotas.failure_profiles = n;
+        self.quotas.failure_profiles = n;
         self
     }
 
     /// Sets the success-profile quota (scan mode: passing witnesses to
     /// find).
     pub fn success_profiles(mut self, n: usize) -> Self {
-        self.config.quotas.success_profiles = n;
+        self.quotas.success_profiles = n;
         self
     }
 
     /// Sets the per-phase run cap.
     pub fn max_runs(mut self, n: usize) -> Self {
-        self.config.quotas.max_runs = n;
+        self.quotas.max_runs = n;
         self
     }
 
     /// Sets the interpreter configuration.
     pub fn run_config(mut self, run: RunConfig) -> Self {
-        self.config.run = run;
+        self.run = run;
         self
     }
 
     /// Sets the simulated-hardware configuration.
     pub fn hw_config(mut self, hw: HwConfig) -> Self {
-        self.config.hw = hw;
+        self.hw = hw;
         self
     }
 
@@ -494,19 +399,6 @@ impl DiagnosisSession {
     /// [`CollectedProfiles::convergence`].
     pub fn converge(mut self, policy: StabilityPolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Replaces the whole configuration at once.
-    pub fn config(mut self, config: SessionConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Replaces the profile quotas, keeping the session's run/hw configs
-    /// and parallelism knobs.
-    pub fn quotas(mut self, quotas: Quotas) -> Self {
-        self.config.quotas = quotas;
         self
     }
 
@@ -570,23 +462,19 @@ impl DiagnosisSession {
 
     fn collect_inner(self) -> Result<(CollectedProfiles, SessionLoss), SessionError> {
         let spec = self.spec.ok_or(SessionError::MissingFailureSpec)?;
-        self.config
-            .hw
-            .validate()
-            .map_err(SessionError::InvalidHardware)?;
+        self.hw.validate().map_err(SessionError::InvalidHardware)?;
         let scan = !self.bases.is_empty();
         if scan && (!self.failing.is_empty() || !self.passing.is_empty()) {
             return Err(SessionError::ConflictingWorkloads);
         }
         let runner = Runner::new(self.machine)
-            .with_run_config(self.config.run.clone())
-            .with_hw_config(self.config.hw);
-        let threads = resolve_threads(self.config.threads);
-        let window = if self.config.chunk == 0 {
-            threads.saturating_mul(16).max(1)
-        } else {
-            self.config.chunk
-        };
+            .with_run_config(self.run.clone())
+            .with_hw_config(self.hw);
+        let threads = resolve_threads(self.threads);
+        // Speculation window: how many jobs may be dispatched beyond the
+        // consumed prefix. Bounds the work discarded when the quota
+        // early-stop triggers.
+        let window = threads.saturating_mul(16).max(1);
         let _span = stm_telemetry::span_cat("engine.collect", "engine");
 
         let mut sink = Sink::default();
@@ -604,12 +492,9 @@ impl DiagnosisSession {
             .map(|p| ConvergenceMonitor::new(runner.machine().layout(), spec.clone(), p));
         let mut loss = SessionLoss::default();
         if scan {
-            let seeds = self.seeds.unwrap_or(0..self.config.quotas.max_runs as u64);
+            let seeds = self.seeds.unwrap_or(0..self.quotas.max_runs as u64);
             let plan = JobPlan::scan(self.bases, seeds);
-            let mut quota = Quota::scan(
-                self.config.quotas.failure_profiles,
-                self.config.quotas.success_profiles,
-            );
+            let mut quota = Quota::scan(self.quotas.failure_profiles, self.quotas.success_profiles);
             run_plan(
                 &plan,
                 threads,
@@ -622,8 +507,8 @@ impl DiagnosisSession {
             )?;
             loss.absorb(&quota);
         } else {
-            let plan = JobPlan::cycle(self.failing, self.config.quotas.max_runs as u64);
-            let mut quota = Quota::witness_fail(self.config.quotas.failure_profiles, self.kind);
+            let plan = JobPlan::cycle(self.failing, self.quotas.max_runs as u64);
+            let mut quota = Quota::witness_fail(self.quotas.failure_profiles, self.kind);
             run_plan(
                 &plan,
                 threads,
@@ -635,8 +520,8 @@ impl DiagnosisSession {
                 &factory,
             )?;
             loss.absorb(&quota);
-            let plan = JobPlan::cycle(self.passing, self.config.quotas.max_runs as u64);
-            let mut quota = Quota::witness_pass(self.config.quotas.success_profiles, self.kind);
+            let plan = JobPlan::cycle(self.passing, self.quotas.max_runs as u64);
+            let mut quota = Quota::witness_pass(self.quotas.success_profiles, self.kind);
             run_plan(
                 &plan,
                 threads,

@@ -76,7 +76,7 @@ pub mod transform;
 /// Convenient re-exports for downstream users.
 ///
 /// This is the blessed public surface: the [`DiagnosisSession`] engine,
-/// its [`SessionConfig`]/[`Quotas`] configuration, and the whole
+/// the [`Quotas`] it and the fleet daemon share, and the whole
 /// [`converge`] module (convergence tracking, stability policies, the
 /// snapshot-level [`SnapshotIngest`] entry
 /// point). The PR-3 era free functions (`lbra`, `lcra`,
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::converge::*;
     pub use crate::diagnose::{DiagnosisStats, LbraDiagnosis, LcraDiagnosis, Quotas};
     pub use crate::engine::{
-        CollectedProfiles, CollectedRun, DiagnosisSession, ProfileKind, SessionConfig, SessionError,
+        CollectedProfiles, CollectedRun, DiagnosisSession, ProfileKind, SessionError,
     };
     pub use crate::logging::{
         failure_log, render_failure_log, run_and_log, FailureLog, LogPayload,

@@ -7,7 +7,7 @@
 //! metric by metric under a uniform **higher-is-worse** convention —
 //! ranks, ring positions, overhead percentages and telemetry counters all
 //! degrade upward — with a configurable relative tolerance. The
-//! `bench_diff` binary wraps it as the CI regression gate.
+//! `bench_gate` binary runs it as the CI regression gate.
 //!
 //! Two extensions to that convention:
 //!
@@ -19,7 +19,7 @@
 //! * numeric metrics at the **document top level** (outside `harness`,
 //!   `benchmarks` and `totals`) are compared too, under the pseudo
 //!   benchmark name `(top-level)` — that is where harnesses put
-//!   whole-document headlines like `bench_scaling`'s best runs/sec.
+//!   whole-document headlines like the scaling harness's best runs/sec.
 
 use stm_telemetry::json::Json;
 
@@ -127,7 +127,7 @@ impl BenchDiff {
         use std::fmt::Write as _;
         let regressions = self.regressions().count();
         let mut out = format!(
-            "bench_diff: harness `{}`: {} metrics compared, {} regression(s), {} improvement(s)\n",
+            "harness `{}`: {} metrics compared, {} regression(s), {} improvement(s)\n",
             self.harness,
             self.compared,
             regressions,

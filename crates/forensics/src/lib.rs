@@ -21,7 +21,7 @@
 //!   precision/recall support score against the passing population);
 //! * [`diff`] — the **regression tracker**: structural comparison of two
 //!   `results/BENCH_*.json` generations with configurable tolerance,
-//!   behind the `bench_diff` binary the CI gate runs.
+//!   behind the `bench_gate` binary the CI gate runs.
 //!
 //! Everything serializes through [`stm_telemetry::json`] — the build is
 //! offline, so no serde.

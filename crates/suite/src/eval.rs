@@ -5,9 +5,10 @@
 use crate::benchmark::{Benchmark, BugClass};
 use stm_core::diagnose::{LbraDiagnosis, LcraDiagnosis};
 use stm_core::engine::{DiagnosisSession, ProfileKind};
-use stm_core::logging::failure_log_for;
+use stm_core::logging::{failure_log_for, FailureLog};
 use stm_core::runner::{FailureSpec, RunClass, Runner, Workload};
 use stm_core::transform::{instrument, InstrumentOptions};
+use stm_hardware::HwConfig;
 use stm_machine::events::LcrConfig;
 use stm_machine::interp::Machine;
 use stm_machine::ir::SourceLoc;
@@ -110,43 +111,37 @@ pub fn expand_workloads(b: &Benchmark, runner: &Runner) -> (Vec<Workload>, Vec<W
     }
 }
 
+/// The failure log of the first expanded failing workload that
+/// reproduces the target failure — the log a developer reads in a Table
+/// 6/7 LBRLOG/LCRLOG cell. `None` when no workload reproduces it, or the
+/// first reproduction logged no ring snapshot.
+fn first_failure_log(b: &Benchmark, runner: &Runner) -> Option<FailureLog> {
+    let (failing, _) = expand_workloads(b, runner);
+    let report = failing.iter().find_map(|w| {
+        let (report, class) = runner.run_classified(w, &b.truth.spec);
+        (class == RunClass::TargetFailure).then_some(report)
+    })?;
+    failure_log_for(runner, &report, &b.truth.spec)
+}
+
 /// Runs the benchmark under LBRLOG and returns the ring position of the
 /// target (root-cause or related) branch in the first reproduced failure —
 /// a Table 6 "LBRLOG" cell.
 pub fn lbrlog_position(b: &Benchmark, toggling: bool) -> Option<usize> {
-    let runner = lbrlog_runner(b, toggling);
-    let (failing, _) = expand_workloads(b, &runner);
     let target = b.truth.target_branch()?;
-    for w in &failing {
-        let (report, class) = runner.run_classified(w, &b.truth.spec);
-        if class != RunClass::TargetFailure {
-            continue;
-        }
-        let log = failure_log_for(&runner, &report, &b.truth.spec)?;
-        return log.lbr_position_of_branch(target);
-    }
-    None
+    first_failure_log(b, &lbrlog_runner(b, toggling))?.lbr_position_of_branch(target)
 }
 
 /// Like [`lbrlog_position`], but with a custom LBR capacity — the E7
 /// capacity-sensitivity experiment (4 entries on Pentium 4, 8 on
 /// Pentium M, 16 on Nehalem, §2.1).
 pub fn lbrlog_position_with_entries(b: &Benchmark, entries: usize) -> Option<usize> {
-    let runner = lbrlog_runner(b, true).with_hw_config(stm_hardware::HwConfig {
-        lbr_entries: entries,
-        ..stm_hardware::HwConfig::default()
-    });
-    let (failing, _) = expand_workloads(b, &runner);
     let target = b.truth.target_branch()?;
-    for w in &failing {
-        let (report, class) = runner.run_classified(w, &b.truth.spec);
-        if class != RunClass::TargetFailure {
-            continue;
-        }
-        let log = failure_log_for(&runner, &report, &b.truth.spec)?;
-        return log.lbr_position_of_branch(target);
-    }
-    None
+    let runner = lbrlog_runner(b, true).with_hw_config(HwConfig {
+        lbr_entries: entries,
+        ..HwConfig::default()
+    });
+    first_failure_log(b, &runner)?.lbr_position_of_branch(target)
 }
 
 /// Measured patch distances (Table 6's "Patch distance" columns):
@@ -163,46 +158,27 @@ pub fn patch_distances(b: &Benchmark) -> (Option<u32>, Option<u32>) {
         .filter_map(|p| dist(b.truth.failure_site_loc, *p))
         .min();
 
-    let runner = lbrlog_runner(b, true);
-    let (failing, _) = expand_workloads(b, &runner);
     let mut lbr_dist: Option<u32> = None;
-    for w in &failing {
-        let (report, class) = runner.run_classified(w, &b.truth.spec);
-        if class != RunClass::TargetFailure {
-            continue;
-        }
-        if let Some(log) = failure_log_for(&runner, &report, &b.truth.spec) {
-            for e in &log.lbr {
-                if let Some(stm_machine::layout::Decoded::SourceBranch { loc, .. }) = e.decoded {
-                    for p in &b.truth.patch_locs {
-                        if let Some(d) = dist(loc, *p) {
-                            lbr_dist = Some(lbr_dist.map_or(d, |x| x.min(d)));
-                        }
+    if let Some(log) = first_failure_log(b, &lbrlog_runner(b, true)) {
+        for e in &log.lbr {
+            if let Some(stm_machine::layout::Decoded::SourceBranch { loc, .. }) = e.decoded {
+                for p in &b.truth.patch_locs {
+                    if let Some(d) = dist(loc, *p) {
+                        lbr_dist = Some(lbr_dist.map_or(d, |x| x.min(d)));
                     }
                 }
             }
         }
-        break;
     }
     (fail_dist, lbr_dist)
 }
 
 /// Runs LBRA (reactive scheme, 10 + 10 runs) and returns the diagnosis.
 pub fn run_lbra(b: &Benchmark) -> LbraDiagnosis {
-    let opts = reactive_options(b, true, None);
-    let runner = Runner::new(Machine::new(instrument(&b.program, &opts)));
+    let runner = lbra_runner(b);
     let (failing, passing) = expand_workloads(b, &runner);
-    let profiles = DiagnosisSession::from_runner(&runner)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(ProfileKind::Lbr)
-        .threads(default_threads())
-        .collect()
-        .expect("witness-mode collection cannot fail");
-    let mut d = profiles.lbra();
-    d.exclude_site_guards(runner.machine().program(), &b.truth.spec);
-    d
+    run_lbra_with_hw(b, &runner, HwConfig::default(), failing, passing)
+        .expect("witness-mode collection cannot fail")
 }
 
 /// The LBRA rank of the benchmark's target branch — a Table 6 "LBRA" cell.
@@ -233,7 +209,7 @@ pub fn lcra_runner(b: &Benchmark) -> Runner {
 pub fn run_lbra_with_hw(
     b: &Benchmark,
     runner: &Runner,
-    hw: stm_hardware::HwConfig,
+    hw: HwConfig,
     failing: Vec<Workload>,
     passing: Vec<Workload>,
 ) -> Result<LbraDiagnosis, stm_core::engine::SessionError> {
@@ -255,7 +231,7 @@ pub fn run_lbra_with_hw(
 pub fn run_lcra_with_hw(
     b: &Benchmark,
     runner: &Runner,
-    hw: stm_hardware::HwConfig,
+    hw: HwConfig,
     failing: Vec<Workload>,
     passing: Vec<Workload>,
 ) -> Result<LcraDiagnosis, stm_core::engine::SessionError> {
@@ -317,33 +293,15 @@ pub fn lcrlog_position(b: &Benchmark, space_saving: bool) -> Option<usize> {
         }
         return None;
     }
-    let runner = lcrlog_runner(b, config);
-    let (failing, _) = expand_workloads(b, &runner);
-    for w in &failing {
-        let (report, class) = runner.run_classified(w, &b.truth.spec);
-        if class != RunClass::TargetFailure {
-            continue;
-        }
-        let log = failure_log_for(&runner, &report, &b.truth.spec)?;
-        return log.lcr_position_of_event(fpe.loc, state);
-    }
-    None
+    first_failure_log(b, &lcrlog_runner(b, config))?.lcr_position_of_event(fpe.loc, state)
 }
 
 /// Runs LCRA (reactive, Conf2, 10 + 10 runs) and returns the diagnosis.
 pub fn run_lcra(b: &Benchmark) -> LcraDiagnosis {
-    let opts = reactive_options(b, false, Some(LcrConfig::SPACE_CONSUMING));
-    let runner = Runner::new(Machine::new(instrument(&b.program, &opts)));
+    let runner = lcra_runner(b);
     let (failing, passing) = expand_workloads(b, &runner);
-    DiagnosisSession::from_runner(&runner)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(ProfileKind::Lcr)
-        .threads(default_threads())
-        .collect()
+    run_lcra_with_hw(b, &runner, HwConfig::default(), failing, passing)
         .expect("witness-mode collection cannot fail")
-        .lcra()
 }
 
 /// The LCRA rank of the benchmark's FPE — a Table 7 "LCRA" cell.
