@@ -4,17 +4,16 @@
 //!
 //! CBI instruments every source conditional with a sampled probe. A run's
 //! report says, per branch, whether the probe fired at all and which
-//! outcomes it saw; the [`CbiModel`] ranks `(branch, outcome)` predicates
-//! by Importance. Because the probes are sampled at 1/100, a predicate must
+//! outcomes it saw; the shared scoring model ranks `(branch, outcome)`
+//! predicates by Importance. Because the probes are sampled at 1/100, a predicate must
 //! fire in many failing runs to become rankable — hence CBI's ~1000-run
 //! diagnosis latency, versus LBRA's 10.
 
-use crate::scoring::{CbiModel, ScoredPredicate};
-use std::collections::BTreeMap;
-use stm_core::runner::{FailureSpec, RunClass, Runner, Workload};
+use crate::scoring::{collect, Diagnosis};
+use stm_core::diagnose::Quotas;
+use stm_core::runner::{FailureSpec, Runner, Workload};
 use stm_machine::ids::{BranchId, SampleId};
 use stm_machine::ir::{Instr, Program, Stmt, Terminator};
-use stm_machine::report::RunReport;
 
 /// A CBI branch predicate: "branch `branch` evaluated `taken`".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -54,134 +53,30 @@ pub fn instrument_cbi(program: &Program) -> Program {
     p
 }
 
-/// Per-run predicate report extraction: which branches were sampled and
-/// which outcomes were seen.
-fn run_observations(report: &RunReport) -> BTreeMap<BranchPredicate, bool> {
-    let mut obs: BTreeMap<BranchPredicate, bool> = BTreeMap::new();
-    for s in &report.samples {
-        let branch = BranchId::new(s.id.raw());
-        let taken = s.value != 0;
-        for outcome in [true, false] {
-            let pred = BranchPredicate {
-                branch,
-                taken: outcome,
-            };
-            let held = taken == outcome;
-            obs.entry(pred).and_modify(|w| *w |= held).or_insert(held);
-        }
-    }
-    obs
-}
-
-/// CBI collection parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CbiConfig {
-    /// Failing runs to collect (the CBI default workload is 1000).
-    pub failing_runs: usize,
-    /// Successful runs to collect.
-    pub successful_runs: usize,
-    /// Hard cap on runs per phase.
-    pub max_runs: usize,
-}
-
-impl Default for CbiConfig {
-    fn default() -> Self {
-        CbiConfig {
-            failing_runs: 1000,
-            successful_runs: 1000,
-            max_runs: 20_000,
-        }
-    }
-}
-
-/// The result of a CBI diagnosis.
-#[derive(Debug, Clone)]
-pub struct CbiDiagnosis {
-    /// Ranked predicates, best first (only those with positive Increase).
-    pub ranked: Vec<ScoredPredicate<BranchPredicate>>,
-    /// Failing runs consumed.
-    pub failing_runs: usize,
-    /// Successful runs consumed.
-    pub successful_runs: usize,
-}
-
-impl CbiDiagnosis {
-    /// 1-based rank of the first predicate involving `branch`.
-    pub fn rank_of_branch(&self, branch: BranchId) -> Option<usize> {
-        CbiModel::rank_of(&self.ranked, |r| r.predicate.branch == branch)
-    }
-
-    /// The best predicate.
-    pub fn top(&self) -> Option<&ScoredPredicate<BranchPredicate>> {
-        self.ranked.first()
-    }
-}
-
 /// Runs CBI: executes failing and passing workloads under sampling and
 /// ranks branch predicates.
 ///
 /// `runner` must wrap a program instrumented with [`instrument_cbi`]; its
-/// `RunConfig::sample_mean` sets the sampling rate (100 ⇒ 1/100).
+/// `RunConfig::sample_mean` sets the sampling rate (100 ⇒ 1/100). Each
+/// sampled probe is one sighting of both outcome predicates of its
+/// branch, holding for the outcome it saw.
 pub fn cbi(
     runner: &Runner,
     failing: &[Workload],
     passing: &[Workload],
     spec: &FailureSpec,
-    config: &CbiConfig,
-) -> CbiDiagnosis {
-    let mut model = CbiModel::new();
-    let mut failing_used = 0;
-    let mut success_used = 0;
-
-    let replay = |workloads: &[Workload],
-                  want_failure: bool,
-                  needed: usize,
-                  used: &mut usize,
-                  model: &mut CbiModel<BranchPredicate>| {
-        let mut i = 0usize;
-        while *used < needed && i < config.max_runs && !workloads.is_empty() {
-            let base = &workloads[i % workloads.len()];
-            let lap = (i / workloads.len()) as u64;
-            let mut w = base.clone();
-            w.seed = base.seed.wrapping_add(lap.wrapping_mul(0x9E37_79B9));
-            // Vary the sampling stream run to run, as wall-clock skew does
-            // in a real deployment.
-            i += 1;
-            let (report, class) = runner.run_classified_with_sample_seed(&w, spec, i as u64);
-            match (class, want_failure) {
-                (RunClass::TargetFailure, true) => {
-                    model.add_run(true, run_observations(&report));
-                    *used += 1;
-                }
-                (RunClass::Success, false) => {
-                    model.add_run(false, run_observations(&report));
-                    *used += 1;
-                }
-                _ => {}
-            }
-        }
-    };
-
-    replay(
-        failing,
-        true,
-        config.failing_runs,
-        &mut failing_used,
-        &mut model,
-    );
-    replay(
-        passing,
-        false,
-        config.successful_runs,
-        &mut success_used,
-        &mut model,
-    );
-
-    CbiDiagnosis {
-        ranked: model.rank(),
-        failing_runs: failing_used,
-        successful_runs: success_used,
-    }
+    quotas: &Quotas,
+) -> Diagnosis<BranchPredicate> {
+    collect(failing, passing, quotas, |w, index| {
+        // Vary the sampling stream run to run, as wall-clock skew does in
+        // a real deployment.
+        let (report, class) = runner.run_classified_with_sample_seed(w, spec, index + 1);
+        let sightings = report.samples.into_iter().flat_map(|s| {
+            let branch = BranchId::new(s.id.raw());
+            [true, false].map(|taken| (BranchPredicate { branch, taken }, (s.value != 0) == taken))
+        });
+        (class, sightings)
+    })
 }
 
 #[cfg(test)]
@@ -244,9 +139,9 @@ mod tests {
         });
         let failing: Vec<Workload> = (0..4).map(|i| Workload::new(vec![-1 - i])).collect();
         let passing: Vec<Workload> = (0..4).map(|i| Workload::new(vec![1 + i])).collect();
-        let cfg = CbiConfig {
-            failing_runs: 40,
-            successful_runs: 40,
+        let cfg = Quotas {
+            failure_profiles: 40,
+            success_profiles: 40,
             max_runs: 200,
         };
         let d = cbi(
@@ -274,9 +169,9 @@ mod tests {
         });
         let failing = vec![Workload::new(vec![-5])];
         let passing = vec![Workload::new(vec![5])];
-        let cfg = CbiConfig {
-            failing_runs: 5,
-            successful_runs: 5,
+        let cfg = Quotas {
+            failure_profiles: 5,
+            success_profiles: 5,
             max_runs: 50,
         };
         let d = cbi(
@@ -286,6 +181,43 @@ mod tests {
             &FailureSpec::ErrorLogAt(site),
             &cfg,
         );
-        assert_eq!(d.rank_of_branch(root), None, "{:?}", d.ranked);
+        assert_eq!(d.rank_of(|p| p.branch == root), None, "{:?}", d.ranked);
+    }
+
+    #[test]
+    fn pinned_result_at_one_in_three_sampling() {
+        // Exact pin of the collection loop: the per-run sample seed
+        // (index + 1, restarting per phase) decides which probes fire, so
+        // any change to it moves the importance bits.
+        let (p, site, root) = guarded_program();
+        let runner = Runner::new(Machine::new(instrument_cbi(&p))).with_run_config(RunConfig {
+            sample_mean: 3,
+            ..RunConfig::default()
+        });
+        let failing: Vec<Workload> = (0..3).map(|i| Workload::new(vec![-1 - i])).collect();
+        let passing: Vec<Workload> = (0..3).map(|i| Workload::new(vec![1 + i])).collect();
+        let cfg = Quotas {
+            failure_profiles: 12,
+            success_profiles: 12,
+            max_runs: 100,
+        };
+        let d = cbi(
+            &runner,
+            &failing,
+            &passing,
+            &FailureSpec::ErrorLogAt(site),
+            &cfg,
+        );
+        assert_eq!(
+            (d.failing_runs, d.successful_runs, d.ranked.len()),
+            (12, 12, 1)
+        );
+        let top = d.top().expect("a ranked predicate");
+        let want = BranchPredicate {
+            branch: root,
+            taken: true,
+        };
+        assert_eq!(top.predicate, want);
+        assert_eq!(top.importance.to_bits(), 0x3fd6_eb2e_fbd2_c1ac);
     }
 }

@@ -8,15 +8,15 @@
 //! [`Hardware`]-side tracker so the predicate stream is exact, and apply
 //! the sampling at collection time.
 
-use crate::scoring::{CbiModel, ScoredPredicate};
-use std::collections::{BTreeMap, HashMap};
-use stm_core::runner::{classify, FailureSpec, RunClass, Workload};
+use crate::scoring::{collect, run_uninstrumented, Diagnosis};
+use std::collections::HashMap;
+use stm_core::diagnose::Quotas;
+use stm_core::runner::{FailureSpec, Workload};
 use stm_machine::events::{AccessEvent, BranchEvent, CtlResponse, Hardware, HwCtlOp};
 use stm_machine::ids::{CoreId, ThreadId};
-use stm_machine::interp::{Machine, RunConfig};
+use stm_machine::interp::Machine;
 use stm_machine::ir::SourceLoc;
 use stm_machine::rng::SplitMix64;
-use stm_machine::sched::SchedPolicy;
 
 /// A CCI-Prev predicate: "at `loc`, the previous access to the same
 /// location was by a different thread" (`remote = true`) or by the same
@@ -67,131 +67,30 @@ impl Hardware for CciTracker {
     }
 }
 
-/// CCI collection parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CciConfig {
-    /// Failing runs to collect.
-    pub failing_runs: usize,
-    /// Successful runs to collect.
-    pub successful_runs: usize,
-    /// Hard cap on runs per phase.
-    pub max_runs: usize,
-    /// Sampling rate denominator (100 ⇒ 1/100).
-    pub sampling_rate: u32,
-}
-
-impl Default for CciConfig {
-    fn default() -> Self {
-        CciConfig {
-            failing_runs: 1000,
-            successful_runs: 1000,
-            max_runs: 20_000,
-            sampling_rate: 100,
-        }
-    }
-}
-
-/// The result of a CCI diagnosis.
-#[derive(Debug, Clone)]
-pub struct CciDiagnosis {
-    /// Ranked predicates, best first.
-    pub ranked: Vec<ScoredPredicate<PrevPredicate>>,
-    /// Failing runs consumed.
-    pub failing_runs: usize,
-    /// Successful runs consumed.
-    pub successful_runs: usize,
-}
-
-impl CciDiagnosis {
-    /// 1-based rank of the first remote-communication predicate at `loc`.
-    pub fn rank_of_remote(&self, loc: SourceLoc) -> Option<usize> {
-        CbiModel::rank_of(&self.ranked, |r| {
-            r.predicate.loc == loc && r.predicate.remote
-        })
-    }
-
-    /// The best predicate.
-    pub fn top(&self) -> Option<&ScoredPredicate<PrevPredicate>> {
-        self.ranked.first()
-    }
-}
-
-/// Runs CCI on an uninstrumented machine.
+/// Runs CCI on an uninstrumented machine, sampling one access in
+/// `sampling_rate` (100 ⇒ 1/100). Each sampled access is one sighting of
+/// both predicates at its location, holding for the side it saw.
 pub fn cci(
     machine: &Machine,
     failing: &[Workload],
     passing: &[Workload],
     spec: &FailureSpec,
-    config: &CciConfig,
-) -> CciDiagnosis {
-    let mut model = CbiModel::new();
-    let mut failing_used = 0;
-    let mut success_used = 0;
+    quotas: &Quotas,
+    sampling_rate: u32,
+) -> Diagnosis<PrevPredicate> {
     let layout = machine.layout();
-
-    let replay = |workloads: &[Workload],
-                  want_failure: bool,
-                  needed: usize,
-                  used: &mut usize,
-                  model: &mut CbiModel<PrevPredicate>| {
-        let mut i = 0usize;
-        while *used < needed && i < config.max_runs && !workloads.is_empty() {
-            let base = &workloads[i % workloads.len()];
-            let lap = (i / workloads.len()) as u64;
-            let mut w = base.clone();
-            w.seed = base.seed.wrapping_add(lap.wrapping_mul(0x9E37_79B9));
-            let mut hw = CciTracker::new(config.sampling_rate, 0xCC1 + i as u64);
-            i += 1;
-            let run_cfg = RunConfig {
-                scheduler: SchedPolicy::Random { seed: w.seed },
-                ..RunConfig::default()
-            };
-            let report = machine.run(&w.inputs, &run_cfg, &mut hw);
-            let class = classify(machine.program(), &report, &w, spec);
-            let wanted = matches!(
-                (class, want_failure),
-                (RunClass::TargetFailure, true) | (RunClass::Success, false)
-            );
-            if !wanted {
-                continue;
-            }
-            let mut obs: BTreeMap<PrevPredicate, bool> = BTreeMap::new();
-            for (pc, remote) in hw.samples.drain(..) {
-                let loc = layout
-                    .decode_stmt(pc)
-                    .map(|s| s.loc)
-                    .unwrap_or(SourceLoc::UNKNOWN);
-                for value in [true, false] {
-                    let pred = PrevPredicate { loc, remote: value };
-                    let held = remote == value;
-                    obs.entry(pred).and_modify(|t| *t |= held).or_insert(held);
-                }
-            }
-            model.add_run(want_failure, obs);
-            *used += 1;
-        }
-    };
-
-    replay(
-        failing,
-        true,
-        config.failing_runs,
-        &mut failing_used,
-        &mut model,
-    );
-    replay(
-        passing,
-        false,
-        config.successful_runs,
-        &mut success_used,
-        &mut model,
-    );
-
-    CciDiagnosis {
-        ranked: model.rank(),
-        failing_runs: failing_used,
-        successful_runs: success_used,
-    }
+    collect(failing, passing, quotas, |w, index| {
+        let mut hw = CciTracker::new(sampling_rate, 0xCC1 + index);
+        let class = run_uninstrumented(machine, w, spec, &mut hw);
+        let sightings = hw.samples.into_iter().flat_map(|(pc, remote)| {
+            let loc = layout
+                .decode_stmt(pc)
+                .map(|s| s.loc)
+                .unwrap_or(SourceLoc::UNKNOWN);
+            [true, false].map(|value| (PrevPredicate { loc, remote: value }, remote == value))
+        });
+        (class, sightings)
+    })
 }
 
 #[cfg(test)]
@@ -254,15 +153,16 @@ mod tests {
         let workloads: Vec<Workload> = (0..50)
             .map(|s| Workload::new(vec![]).with_seed(s))
             .collect();
-        let cfg = CciConfig {
-            failing_runs: 30,
-            successful_runs: 30,
+        let cfg = Quotas {
+            failure_profiles: 30,
+            success_profiles: 30,
             max_runs: 3000,
-            sampling_rate: 1,
         };
-        let d = cci(&machine, &workloads, &workloads, &spec, &cfg);
+        let d = cci(&machine, &workloads, &workloads, &spec, &cfg, 1);
         assert!(d.failing_runs > 0);
-        let rank = d.rank_of_remote(check_loc).expect("predicate ranked");
+        let rank = d
+            .rank_of(|p| p.loc == check_loc && p.remote)
+            .expect("predicate ranked");
         assert!(
             rank <= 2,
             "rank {rank}: {:?}",
@@ -277,13 +177,40 @@ mod tests {
         let workloads: Vec<Workload> = (0..20)
             .map(|s| Workload::new(vec![]).with_seed(s))
             .collect();
-        let cfg = CciConfig {
-            failing_runs: 4,
-            successful_runs: 4,
+        let cfg = Quotas {
+            failure_profiles: 4,
+            success_profiles: 4,
             max_runs: 400,
-            sampling_rate: 10_000,
         };
-        let d = cci(&machine, &workloads, &workloads, &spec, &cfg);
-        assert_eq!(d.rank_of_remote(check_loc), None);
+        let d = cci(&machine, &workloads, &workloads, &spec, &cfg, 10_000);
+        assert_eq!(d.rank_of(|p| p.loc == check_loc && p.remote), None);
+    }
+
+    #[test]
+    fn pinned_result_at_one_in_two_sampling() {
+        // Exact pin of the collection loop: the tracker seed (0xCC1 +
+        // run index, restarting per phase) picks the sampled accesses.
+        let (machine, site, check_loc) = racy_machine();
+        let spec = FailureSpec::ErrorLogAt(site);
+        let workloads: Vec<Workload> = (0..20)
+            .map(|s| Workload::new(vec![]).with_seed(s))
+            .collect();
+        let cfg = Quotas {
+            failure_profiles: 10,
+            success_profiles: 10,
+            max_runs: 400,
+        };
+        let d = cci(&machine, &workloads, &workloads, &spec, &cfg, 2);
+        assert_eq!(
+            (d.failing_runs, d.successful_runs, d.ranked.len()),
+            (10, 10, 1)
+        );
+        let top = d.top().expect("a ranked predicate");
+        let want = PrevPredicate {
+            loc: check_loc,
+            remote: true,
+        };
+        assert_eq!(top.predicate, want);
+        assert_eq!(top.importance.to_bits(), 0x3fe0_e88d_fb63_39c0);
     }
 }

@@ -9,14 +9,13 @@
 //! by the sampling rate: rare one-shot predicates need hundreds to
 //! thousands of failing runs.
 
-use crate::scoring::{CbiModel, ScoredPredicate};
-use std::collections::BTreeMap;
-use stm_core::runner::{classify, FailureSpec, RunClass, Workload};
+use crate::scoring::{collect, run_uninstrumented, Diagnosis};
+use stm_core::diagnose::Quotas;
+use stm_core::runner::{FailureSpec, Workload};
 use stm_hardware::{HardwareCtx, HwConfig};
 use stm_machine::events::{AccessKind, CoherenceState};
-use stm_machine::interp::{Machine, RunConfig};
+use stm_machine::interp::Machine;
 use stm_machine::ir::SourceLoc;
-use stm_machine::sched::SchedPolicy;
 
 /// A PBI predicate: "the access at `loc` observed `state`".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,148 +28,52 @@ pub struct CoherencePredicate {
     pub state: CoherenceState,
 }
 
-/// PBI collection parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PbiConfig {
-    /// Failing runs to collect.
-    pub failing_runs: usize,
-    /// Successful runs to collect.
-    pub successful_runs: usize,
-    /// Hard cap on runs per phase.
-    pub max_runs: usize,
-    /// Sampling period of the counter interrupt.
-    pub sampling_period: u64,
-}
-
-impl Default for PbiConfig {
-    fn default() -> Self {
-        PbiConfig {
-            failing_runs: 1000,
-            successful_runs: 1000,
-            max_runs: 20_000,
-            sampling_period: 100,
-        }
-    }
-}
-
-/// The result of a PBI diagnosis.
-#[derive(Debug, Clone)]
-pub struct PbiDiagnosis {
-    /// Ranked predicates, best first.
-    pub ranked: Vec<ScoredPredicate<CoherencePredicate>>,
-    /// Failing runs consumed.
-    pub failing_runs: usize,
-    /// Successful runs consumed.
-    pub successful_runs: usize,
-}
-
-impl PbiDiagnosis {
-    /// 1-based rank of the first predicate at `loc` observing `state`.
-    pub fn rank_of_event(&self, loc: SourceLoc, state: CoherenceState) -> Option<usize> {
-        CbiModel::rank_of(&self.ranked, |r| {
-            r.predicate.loc == loc && r.predicate.state == state
-        })
-    }
-
-    /// The best predicate.
-    pub fn top(&self) -> Option<&ScoredPredicate<CoherencePredicate>> {
-        self.ranked.first()
-    }
-}
-
-/// Runs PBI on an **uninstrumented** machine.
+/// Runs PBI on an **uninstrumented** machine, latching every
+/// `sampling_period`-th coherence event. Each latched event is one
+/// sighting of all four MESI-state predicates of its access, holding for
+/// the state it observed.
 pub fn pbi(
     machine: &Machine,
     failing: &[Workload],
     passing: &[Workload],
     spec: &FailureSpec,
-    config: &PbiConfig,
-) -> PbiDiagnosis {
-    let mut model = CbiModel::new();
-    let mut failing_used = 0;
-    let mut success_used = 0;
+    quotas: &Quotas,
+    sampling_period: u64,
+) -> Diagnosis<CoherencePredicate> {
     let layout = machine.layout();
-
-    let replay = |workloads: &[Workload],
-                  want_failure: bool,
-                  needed: usize,
-                  used: &mut usize,
-                  model: &mut CbiModel<CoherencePredicate>| {
-        let mut i = 0usize;
-        while *used < needed && i < config.max_runs && !workloads.is_empty() {
-            let base = &workloads[i % workloads.len()];
-            let lap = (i / workloads.len()) as u64;
-            let mut w = base.clone();
-            w.seed = base.seed.wrapping_add(lap.wrapping_mul(0x9E37_79B9));
-            let mut hw = HardwareCtx::new(HwConfig {
-                sampler_period: Some(config.sampling_period),
-                ..HwConfig::default()
-            });
-            // Vary the interrupt phase run to run, as timing skew does on
-            // real machines.
-            if let Some(s) = hw.sampler_mut() {
-                s.set_countdown((i as u64 % config.sampling_period) + 1);
-            }
-            i += 1;
-            let run_cfg = RunConfig {
-                scheduler: SchedPolicy::Random { seed: w.seed },
-                ..RunConfig::default()
-            };
-            let report = machine.run(&w.inputs, &run_cfg, &mut hw);
-            let class = classify(machine.program(), &report, &w, spec);
-            let wanted = matches!(
-                (class, want_failure),
-                (RunClass::TargetFailure, true) | (RunClass::Success, false)
-            );
-            if !wanted {
-                continue;
-            }
-            let mut obs: BTreeMap<CoherencePredicate, bool> = BTreeMap::new();
-            for rec in hw.take_coherence_samples() {
-                let loc = layout
-                    .decode_stmt(rec.pc)
-                    .map(|s| s.loc)
-                    .unwrap_or(SourceLoc::UNKNOWN);
-                for state in [
-                    CoherenceState::Invalid,
-                    CoherenceState::Shared,
-                    CoherenceState::Exclusive,
-                    CoherenceState::Modified,
-                ] {
-                    let pred = CoherencePredicate {
-                        loc,
-                        access: rec.access,
-                        state,
-                    };
-                    let held = rec.state == state;
-                    obs.entry(pred).and_modify(|t| *t |= held).or_insert(held);
-                }
-            }
-            model.add_run(want_failure, obs);
-            *used += 1;
+    collect(failing, passing, quotas, |w, index| {
+        let mut hw = HardwareCtx::new(HwConfig {
+            sampler_period: Some(sampling_period),
+            ..HwConfig::default()
+        });
+        // Vary the interrupt phase run to run, as timing skew does on
+        // real machines.
+        if let Some(s) = hw.sampler_mut() {
+            s.set_countdown(index % sampling_period + 1);
         }
-    };
-
-    replay(
-        failing,
-        true,
-        config.failing_runs,
-        &mut failing_used,
-        &mut model,
-    );
-    replay(
-        passing,
-        false,
-        config.successful_runs,
-        &mut success_used,
-        &mut model,
-    );
-
-    PbiDiagnosis {
-        ranked: model.rank(),
-        failing_runs: failing_used,
-        successful_runs: success_used,
-    }
+        let class = run_uninstrumented(machine, w, spec, &mut hw);
+        let sightings = hw.take_coherence_samples().into_iter().flat_map(|rec| {
+            let loc = layout
+                .decode_stmt(rec.pc)
+                .map(|s| s.loc)
+                .unwrap_or(SourceLoc::UNKNOWN);
+            [
+                CoherenceState::Invalid,
+                CoherenceState::Shared,
+                CoherenceState::Exclusive,
+                CoherenceState::Modified,
+            ]
+            .map(|state| {
+                let pred = CoherencePredicate {
+                    loc,
+                    access: rec.access,
+                    state,
+                };
+                (pred, rec.state == state)
+            })
+        });
+        (class, sightings)
+    })
 }
 
 #[cfg(test)]
@@ -234,15 +137,14 @@ mod tests {
             .map(|s| Workload::new(vec![]).with_seed(s))
             .collect();
         let passing = failing.clone();
-        let cfg = PbiConfig {
-            failing_runs: 30,
-            successful_runs: 30,
+        let cfg = Quotas {
+            failure_profiles: 30,
+            success_profiles: 30,
             max_runs: 3000,
-            sampling_period: 1, // dense: capability test, not latency test
         };
-        let d = pbi(&machine, &failing, &passing, &spec, &cfg);
+        let d = pbi(&machine, &failing, &passing, &spec, &cfg, 1); // dense: capability test, not latency test
         assert!(d.failing_runs > 0, "no failing interleaving found");
-        let rank = d.rank_of_event(check_loc, CoherenceState::Invalid);
+        let rank = d.rank_of(|p| p.loc == check_loc && p.state == CoherenceState::Invalid);
         assert_eq!(rank, Some(1), "{:?}", &d.ranked[..d.ranked.len().min(4)]);
     }
 
@@ -254,13 +156,45 @@ mod tests {
             .map(|s| Workload::new(vec![]).with_seed(s))
             .collect();
         let passing = failing.clone();
-        let cfg = PbiConfig {
-            failing_runs: 5,
-            successful_runs: 5,
+        let cfg = Quotas {
+            failure_profiles: 5,
+            success_profiles: 5,
             max_runs: 500,
-            sampling_period: 1000, // sparse: the racy read is almost never latched
         };
-        let d = pbi(&machine, &failing, &passing, &spec, &cfg);
-        assert_eq!(d.rank_of_event(check_loc, CoherenceState::Invalid), None);
+        let d = pbi(&machine, &failing, &passing, &spec, &cfg, 1000); // sparse: the racy read is almost never latched
+        assert_eq!(
+            d.rank_of(|p| p.loc == check_loc && p.state == CoherenceState::Invalid),
+            None
+        );
+    }
+
+    #[test]
+    fn pinned_result_at_period_two() {
+        // Exact pin of the collection loop: the sampler's initial
+        // countdown (run index % period + 1, restarting per phase) sets
+        // which coherence events get latched.
+        let (machine, site, check_loc) = racy_machine();
+        let spec = FailureSpec::ErrorLogAt(site);
+        let workloads: Vec<Workload> = (0..20)
+            .map(|s| Workload::new(vec![]).with_seed(s))
+            .collect();
+        let cfg = Quotas {
+            failure_profiles: 10,
+            success_profiles: 10,
+            max_runs: 400,
+        };
+        let d = pbi(&machine, &workloads, &workloads, &spec, &cfg, 2);
+        assert_eq!(
+            (d.failing_runs, d.successful_runs, d.ranked.len()),
+            (10, 10, 1)
+        );
+        let top = d.top().expect("a ranked predicate");
+        let want = CoherencePredicate {
+            loc: check_loc,
+            access: AccessKind::Load,
+            state: CoherenceState::Invalid,
+        };
+        assert_eq!(top.predicate, want);
+        assert_eq!(top.importance.to_bits(), 0x3fe1_635b_04e3_506a);
     }
 }

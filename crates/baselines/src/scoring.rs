@@ -1,5 +1,5 @@
-//! The CBI statistical-debugging scoring model (Liblit et al., PLDI'05),
-//! shared by the CBI, CCI and PBI baselines.
+//! The CBI statistical-debugging scoring model (Liblit et al., PLDI'05)
+//! and the one collection loop shared by the CBI, CCI and PBI baselines.
 //!
 //! Each run reports, for every predicate `P`, whether `P` was *observed*
 //! (its site was sampled at least once) and whether it was *true* at least
@@ -15,6 +15,11 @@
 //!   log-recall term `log(F(P)) / log(NumF)`.
 
 use std::collections::BTreeMap;
+use stm_core::diagnose::Quotas;
+use stm_core::runner::{classify, FailureSpec, RunClass, Workload};
+use stm_machine::events::Hardware;
+use stm_machine::interp::{Machine, RunConfig};
+use stm_machine::sched::SchedPolicy;
 
 /// Per-predicate observation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,7 +51,7 @@ pub struct ScoredPredicate<P> {
 
 /// Accumulates per-run predicate reports and ranks by Importance.
 #[derive(Debug, Clone)]
-pub struct CbiModel<P> {
+pub(crate) struct CbiModel<P> {
     predicates: BTreeMap<P, Counts>,
     failing_runs: usize,
     successful_runs: usize,
@@ -152,20 +157,98 @@ impl<P: Ord + Clone> CbiModel<P> {
         });
         out
     }
+}
+
+/// The result of a CBI, CCI or PBI diagnosis.
+#[derive(Debug, Clone)]
+pub struct Diagnosis<P> {
+    /// Ranked predicates, best first (only those with positive Increase).
+    pub ranked: Vec<ScoredPredicate<P>>,
+    /// Failing runs consumed.
+    pub failing_runs: usize,
+    /// Successful runs consumed.
+    pub successful_runs: usize,
+}
+
+impl<P> Diagnosis<P> {
+    /// The best predicate.
+    pub fn top(&self) -> Option<&ScoredPredicate<P>> {
+        self.ranked.first()
+    }
 
     /// 1-based rank of the first predicate satisfying `pred`.
-    pub fn rank_of(
-        ranked: &[ScoredPredicate<P>],
-        pred: impl FnMut(&ScoredPredicate<P>) -> bool,
-    ) -> Option<usize> {
-        ranked.iter().position(pred).map(|i| i + 1)
+    pub fn rank_of(&self, mut pred: impl FnMut(&P) -> bool) -> Option<usize> {
+        self.ranked
+            .iter()
+            .position(|r| pred(&r.predicate))
+            .map(|i| i + 1)
     }
 }
 
-impl<P: Ord + Clone> Default for CbiModel<P> {
-    fn default() -> Self {
-        CbiModel::new()
+/// The collection loop of every baseline: a failing phase, then a passing
+/// phase. Each phase cycles its workload list ([`Workload::lap`]) for at
+/// most `quotas.max_runs` attempts and keeps runs of its class until the
+/// quota is met. `run` executes one attempt, given the workload and the
+/// attempt's 0-based index within its phase, and returns the run's class
+/// with its `(predicate, held)` sightings; a kept run's sightings are
+/// OR-ed into one report per predicate and scored by [`CbiModel`].
+pub(crate) fn collect<P, S>(
+    failing: &[Workload],
+    passing: &[Workload],
+    quotas: &Quotas,
+    mut run: impl FnMut(&Workload, u64) -> (RunClass, S),
+) -> Diagnosis<P>
+where
+    P: Ord + Clone,
+    S: IntoIterator<Item = (P, bool)>,
+{
+    let mut model = CbiModel::new();
+    let phases = [
+        (failing, RunClass::TargetFailure, quotas.failure_profiles),
+        (passing, RunClass::Success, quotas.success_profiles),
+    ];
+    for (workloads, want, quota) in phases {
+        let mut kept = 0;
+        let attempts = workloads.iter().cycle().take(quotas.max_runs);
+        for (index, base) in attempts.enumerate() {
+            if kept == quota {
+                break;
+            }
+            let lap = (index / workloads.len()) as u64;
+            let (class, sightings) = run(&base.lap(lap), index as u64);
+            if class != want {
+                continue;
+            }
+            let mut report = BTreeMap::new();
+            for (p, held) in sightings {
+                *report.entry(p).or_insert(false) |= held;
+            }
+            model.add_run(want == RunClass::TargetFailure, report);
+            kept += 1;
+        }
     }
+    Diagnosis {
+        ranked: model.rank(),
+        failing_runs: model.failing_runs(),
+        successful_runs: model.successful_runs(),
+    }
+}
+
+/// Runs `w` once on the uninstrumented `machine` with `hw` attached,
+/// under the workload's random schedule, and classifies the run — the run
+/// step of the baselines that need no instrumentation (CCI and PBI).
+pub(crate) fn run_uninstrumented(
+    machine: &Machine,
+    w: &Workload,
+    spec: &FailureSpec,
+    hw: &mut impl Hardware,
+) -> RunClass {
+    let config = RunConfig {
+        scheduler: SchedPolicy::Random { seed: w.seed },
+        ..RunConfig::default()
+    };
+    let report = machine.run(&w.inputs, &config, hw);
+    classify(machine.program(), &report, w, spec)
 }
 
 #[cfg(test)]
@@ -219,9 +302,8 @@ mod tests {
             m.add_run(false, obs(&[("perfect", false), ("partial", false)]));
         }
         let ranked = m.rank();
-        let perfect = CbiModel::rank_of(&ranked, |r| r.predicate == "perfect").unwrap();
-        let partial = CbiModel::rank_of(&ranked, |r| r.predicate == "partial").unwrap();
-        assert!(perfect < partial);
+        let pos = |name: &str| ranked.iter().position(|r| r.predicate == name);
+        assert!(pos("perfect").unwrap() < pos("partial").unwrap());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Runs one suite benchmark's full diagnosis under telemetry and exports
 //! a Chrome `trace_event` JSON — load it at chrome://tracing or
-//! https://ui.perfetto.dev to see the interpreter runs, ring snapshots,
+//! <https://ui.perfetto.dev> to see the interpreter runs, ring snapshots,
 //! diagnosis phases and per-job flow arrows on a timeline.
 //!
 //! Usage: `trace_run <benchmark-id> [--trace-out FILE] [--threads N]`

@@ -10,8 +10,8 @@
 #![warn(missing_docs)]
 
 use std::time::Instant;
-use stm_baselines::cbi::{cbi, instrument_cbi, CbiConfig};
-use stm_core::diagnose::failure_profile;
+use stm_baselines::cbi::{cbi, instrument_cbi};
+use stm_core::diagnose::{failure_profile, Quotas};
 use stm_core::engine::CollectedProfiles;
 use stm_core::profile::{decode_lbr, decode_lcr, DecodedLbrEntry, DecodedLcrEntry};
 use stm_core::runner::Runner;
@@ -142,13 +142,13 @@ pub fn cbi_rank(b: &Benchmark, failing_runs: usize, successful_runs: usize) -> O
         ..RunConfig::default()
     });
     let (failing, passing) = expand_workloads(b, &runner);
-    let cfg = CbiConfig {
-        failing_runs,
-        successful_runs,
+    let quotas = Quotas {
+        failure_profiles: failing_runs,
+        success_profiles: successful_runs,
         max_runs: failing_runs.max(successful_runs) * 20,
     };
-    let d = cbi(&runner, &failing, &passing, &b.truth.spec, &cfg);
-    d.rank_of_branch(target)
+    let d = cbi(&runner, &failing, &passing, &b.truth.spec, &quotas);
+    d.rank_of(|p| p.branch == target)
 }
 
 /// Wall-clock time of `iters` runs of the benchmark's performance workload
@@ -197,12 +197,10 @@ pub struct OverheadRow {
 /// sub-millisecond simulated workloads. The paper measures wall time on
 /// real hardware; in this simulator every extra instrumentation
 /// instruction costs one interpreter step, so the step ratio is the
-/// faithful analogue (wall-clock micro-benchmarks live in
-/// `benches/overhead.rs`).
+/// faithful analogue.
 pub fn measure_overheads(b: &Benchmark, iters: u32) -> OverheadRow {
     let baseline_runner = Runner::new(Machine::new(b.program.clone()));
     let base = step_runs(&baseline_runner, b, iters) as f64;
-    let _ = time_runs(&baseline_runner, b, 1); // keep the wall-clock path exercised
     let run_variant = |runner: &Runner| {
         let t = step_runs(runner, b, iters) as f64;
         ((t - base) / base * 100.0).max(0.0)
@@ -487,45 +485,6 @@ pub fn write_trace(spans: &[stm_telemetry::SpanRecord], out: &str) -> Result<(),
     Ok(())
 }
 
-/// A dependency-free micro-benchmark harness for the `benches/` targets
-/// (`harness = false`): calibrates the iteration count until a sample
-/// takes long enough to time reliably, then reports the best of several
-/// samples as ns/iter.
-pub mod microbench {
-    pub use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    const TARGET: Duration = Duration::from_millis(20);
-    const SAMPLES: usize = 5;
-
-    /// Times one closure and prints `name  ns/iter`; returns the ns/iter.
-    pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> f64 {
-        // Grow the per-sample iteration count until one sample reaches the
-        // timing target (or the loop is clearly slow enough already).
-        let mut iters: u64 = 1;
-        loop {
-            let t = sample(iters, &mut f);
-            if t >= TARGET || iters >= 1 << 24 {
-                break;
-            }
-            iters = iters.saturating_mul(4);
-        }
-        let best = (0..SAMPLES)
-            .map(|_| sample(iters, &mut f).as_nanos() as f64 / iters as f64)
-            .fold(f64::INFINITY, f64::min);
-        println!("{name:<44} {best:>14.1} ns/iter  ({iters} iters/sample)");
-        best
-    }
-
-    fn sample<T>(iters: u64, f: &mut impl FnMut() -> T) -> Duration {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        start.elapsed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,6 +543,16 @@ mod tests {
     fn cbi_is_na_for_cpp() {
         let b = stm_suite::by_id("cppcheck2").unwrap();
         assert_eq!(cbi_rank(&b, 10, 10), None);
+    }
+
+    #[test]
+    fn table6_cbi_cells_at_100_runs() {
+        // Two Table 6 CBI cells, pinned exactly: lighttpd's flips to
+        // `Some(1)` if CBI's per-run sample seed shifts by one.
+        let ln = stm_suite::by_id("ln").unwrap();
+        assert_eq!(cbi_rank(&ln, 100, 100), Some(2));
+        let lighttpd = stm_suite::by_id("lighttpd").unwrap();
+        assert_eq!(cbi_rank(&lighttpd, 100, 100), None);
     }
 
     #[test]

@@ -672,16 +672,10 @@ impl JobPlan {
             JobPlan::Cycle { workloads, .. } => {
                 let n = workloads.len() as u64;
                 let widx = (index % n) as usize;
-                let lap = index / n;
-                let base = &workloads[widx];
-                let mut workload = base.clone();
-                // Later laps explore fresh interleavings (same constant
-                // the sequential driver used, so witnesses match).
-                workload.seed = base.seed.wrapping_add(lap.wrapping_mul(0x9E37_79B9));
                 Job {
                     index,
                     widx,
-                    workload,
+                    workload: workloads[widx].lap(index / n),
                     flow: 0,
                 }
             }

@@ -73,6 +73,15 @@ impl Workload {
         self.expected = Some(expected);
         self
     }
+
+    /// This workload on its `n`-th pass through a cycled workload list:
+    /// later laps shift the scheduler seed so they explore fresh
+    /// interleavings. Lap 0 is the workload itself.
+    pub fn lap(&self, n: u64) -> Workload {
+        let mut w = self.clone();
+        w.seed = self.seed.wrapping_add(n.wrapping_mul(0x9E37_79B9));
+        w
+    }
 }
 
 /// Describes the failure being diagnosed.
@@ -244,7 +253,7 @@ impl Runner {
 
     /// Runs one workload on (logically) fresh hardware; returns the
     /// report. The hardware context and interpreter scratch come from the
-    /// thread-local [`RUN_CACHE`], so the hot collection path allocates
+    /// thread-local `RUN_CACHE`, so the hot collection path allocates
     /// no per-run state.
     pub fn run(&self, workload: &Workload) -> RunReport {
         self.run_cached(workload, None)
@@ -371,6 +380,17 @@ mod tests {
             f.finish();
         }
         (pb.finish(main), site)
+    }
+
+    #[test]
+    fn lap_shifts_only_the_seed() {
+        let w = Workload::new(vec![3]).with_seed(7).with_expected(vec![3]);
+        assert_eq!(w.lap(0), w);
+        let lap1 = w.lap(1);
+        assert_eq!(lap1.seed, 7 + 0x9E37_79B9);
+        assert_eq!((lap1.inputs, lap1.expected), (w.inputs, w.expected));
+        let edge = Workload::new(vec![]).with_seed(u64::MAX - 1);
+        assert_eq!(edge.lap(1).seed, 0x9E37_79B9 - 2);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! bounded memory. This crate is that daemon:
 //!
 //! * **Sharding** — every snapshot names a shard (one per workload
-//!   population); each shard owns a
-//!   [`SnapshotIngest`](stm_core::converge::SnapshotIngest) — the same
+//!   population); each shard owns a [`SnapshotIngest`] — the same
 //!   incremental ranking + [`StabilityPolicy`] machinery the session run
 //!   loop uses — and early-stops independently of its siblings.
 //! * **Backpressure** — each shard has a *bounded* ingest queue with an
@@ -28,11 +27,11 @@
 //! how many threads submit. For a fixed endpoint schedule the per-shard
 //! final ranking is bit-identical to a batch
 //! [`RankingModel`](stm_core::RankingModel) over the same (kept)
-//! snapshots — the [`SnapshotIngest`](stm_core::converge::SnapshotIngest)
-//! contract, pinned in `tests/fleet_determinism.rs`. Shedding is equally
-//! deterministic: with a paused shard and a seeded schedule, exactly the
-//! queued-beyond-capacity snapshots are shed, and which ones depends
-//! only on the [`ShedPolicy`].
+//! snapshots — the [`SnapshotIngest`] contract, pinned in
+//! `tests/fleet_determinism.rs`. Shedding is equally deterministic: with
+//! a paused shard and a seeded schedule, exactly the queued-beyond-
+//! capacity snapshots are shed, and which ones depends only on the
+//! [`ShedPolicy`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

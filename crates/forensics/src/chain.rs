@@ -267,7 +267,9 @@ impl TraceRecord for DecodedLcrEntry {
     }
 }
 
-fn branch_label(program: Option<&Program>, e: &BranchOutcome) -> String {
+/// Renders a branch predictor for chains and ranking reports: with its
+/// source location when the program is known, its display form otherwise.
+pub(crate) fn branch_label(program: Option<&Program>, e: &BranchOutcome) -> String {
     match program {
         Some(p) => {
             let loc = p
@@ -287,7 +289,8 @@ fn branch_label(program: Option<&Program>, e: &BranchOutcome) -> String {
     }
 }
 
-fn coherence_label(program: Option<&Program>, e: &CoherenceEvent) -> String {
+/// Renders a coherence predictor the same way as `branch_label`.
+pub(crate) fn coherence_label(program: Option<&Program>, e: &CoherenceEvent) -> String {
     match program {
         Some(p) => format!(
             "{} at {} observed {}",

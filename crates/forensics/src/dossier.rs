@@ -2,14 +2,13 @@
 //! decoded and bundled into a single shippable artifact.
 //!
 //! A [`FailureDossier`] is assembled at diagnosis time from a
-//! [`RunReport`](stm_machine::report::RunReport): the failure symptom and
-//! site, the LBR ring decoded to source branches, the LCR ring decoded to
-//! MESI state transitions, the log calls the run executed, and the
-//! per-thread last-instruction context (which instruction each thread was
-//! about to retire, and why it was not running, when the run ended). It
-//! renders as strict JSON — round-trippable through
-//! [`stm_telemetry::json::Json::parse`] — and as developer-facing
-//! markdown.
+//! [`RunReport`]: the failure symptom and site, the LBR ring decoded to
+//! source branches, the LCR ring decoded to MESI state transitions, the
+//! log calls the run executed, and the per-thread last-instruction
+//! context (which instruction each thread was about to retire, and why it
+//! was not running, when the run ended). It renders as strict JSON —
+//! round-trippable through [`stm_telemetry::json::Json::parse`] — and as
+//! developer-facing markdown.
 
 use stm_core::logging::{failure_log, failure_log_for, FailureLog};
 use stm_core::runner::{FailureSpec, Runner, Workload};

@@ -8,12 +8,11 @@
 //! as strict JSON and as markdown with a "why ranked here" section.
 
 use stm_core::diagnose::{DiagnosisStats, LbraDiagnosis, LcraDiagnosis};
-use stm_core::profile::{BranchOutcome, CoherenceEvent};
 use stm_core::ranking::{Polarity, RankedEvent};
 use stm_machine::ir::Program;
 use stm_telemetry::json::Json;
 
-use crate::chain::CausalChain;
+use crate::chain::{branch_label, coherence_label, CausalChain};
 use crate::dossier::FailureDossier;
 
 /// One ranked predictor with its full evidence trail.
@@ -137,30 +136,6 @@ pub struct RankingReport {
     pub rows: Vec<EvidenceRow>,
 }
 
-fn branch_label(program: &Program, e: &BranchOutcome) -> String {
-    let loc = program
-        .branches
-        .iter()
-        .find(|b| b.id == e.branch)
-        .map(|b| program.render_loc(b.loc))
-        .unwrap_or_else(|| "<unknown>".to_string());
-    format!(
-        "branch {} at {} taken {}",
-        e.branch,
-        loc,
-        if e.outcome { "TRUE" } else { "FALSE" }
-    )
-}
-
-fn coherence_label(program: &Program, e: &CoherenceEvent) -> String {
-    format!(
-        "{} at {} observed {}",
-        e.access,
-        program.render_loc(e.loc),
-        e.state
-    )
-}
-
 impl RankingReport {
     fn build<E>(
         system: &str,
@@ -198,7 +173,7 @@ impl RankingReport {
         top_k: usize,
     ) -> RankingReport {
         RankingReport::build("LBRA", benchmark, &d.ranked, d.stats, top_k, |e| {
-            branch_label(program, e)
+            branch_label(Some(program), e)
         })
     }
 
@@ -210,7 +185,7 @@ impl RankingReport {
         top_k: usize,
     ) -> RankingReport {
         RankingReport::build("LCRA", benchmark, &d.ranked, d.stats, top_k, |e| {
-            coherence_label(program, e)
+            coherence_label(Some(program), e)
         })
     }
 

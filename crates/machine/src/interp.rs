@@ -12,7 +12,7 @@
 //! ## The hot path
 //!
 //! Loading a program pre-lowers the block-structured IR into a flat
-//! instruction stream (see [`crate::flat`]): per-step dispatch is a single
+//! instruction stream (the private `flat` module): per-step dispatch is a single
 //! indexed fetch plus one `match` over pre-decoded operands, with branch
 //! targets, call entry addresses and const-folded rvalues resolved at load
 //! time. Hardware events are buffered and pushed in batches

@@ -4,9 +4,9 @@
 //! Routes:
 //!
 //! * `GET /metrics` — the registry as Prometheus text ([`crate::prom`]);
-//! * `GET /health` — one [`HealthEngine`](crate::HealthEngine)
-//!   observation as JSON (runs/sec derived from the `engine.runs`
-//!   counter delta since the previous `/health` poll);
+//! * `GET /health` — one [`HealthEngine`] observation as JSON (runs/sec
+//!   derived from the `engine.runs` counter delta since the previous
+//!   `/health` poll);
 //! * `GET /events` — the most recent structured log events as JSONL
 //!   (`?tail=N` overrides the default tail of 64; invalid or oversized
 //!   values are rejected with 400);
