@@ -18,6 +18,18 @@
 //!   with one `fleet`/`shed` event per shed snapshot. The exact counts
 //!   gate; a shed going missing (or an extra one appearing) is a
 //!   backpressure accounting bug.
+//!
+//! Counter baselines are higher-is-worse, so a diff alone would read an
+//! under-count as an improvement. Three harness checks close that hole;
+//! each prints its reason and fails the gate:
+//!
+//! * after the sustained phase drains, the live `"fleet"` status
+//!   document (what `/diagnosis` serves) lists every shard, each with a
+//!   causal chain of at least one link;
+//! * after the overload phase, `fleet.shed_total` equals the shards'
+//!   summed `shed`;
+//! * and each `fleet.shed{shard="…"}` series equals its own shard's
+//!   `shed`.
 
 use std::time::Instant;
 
@@ -132,6 +144,8 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     }
     fleet.drain();
     let elapsed = started.elapsed();
+    let mut outcome = Outcome::default();
+    let live_links = live_chain_links(&mut outcome);
     let reports = fleet.finish();
     let eps = ENDPOINTS as f64 / elapsed.as_secs_f64().max(1e-9);
     println!(
@@ -139,15 +153,15 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
         elapsed.as_secs_f64() * 1e3
     );
     println!(
-        "  {:<12} {:>10} {:>12} {:>10} {:>10}",
-        "shard", "verdict", "to-verdict", "ingested", "after-stop"
+        "  {:<12} {:>10} {:>12} {:>10} {:>10} {:>11}",
+        "shard", "verdict", "to-verdict", "ingested", "after-stop", "live-links"
     );
-    for name in SHARDS {
+    for (name, links) in SHARDS.into_iter().zip(live_links) {
         let r = &reports[name];
         let witnesses = r.report.as_ref().map(|c| c.evidence.witnesses).unwrap_or(0);
         println!(
-            "  {:<12} {:>10} {:>12} {:>10} {:>10}",
-            name, r.verdict, witnesses, r.ingested, r.after_stop
+            "  {:<12} {:>10} {:>12} {:>10} {:>10} {:>11}",
+            name, r.verdict, witnesses, r.ingested, r.after_stop, links
         );
         metrics.checkpoint(
             name,
@@ -170,6 +184,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     // the table. The structured events still land in the buffer.
     stm_telemetry::log::set_stderr_level(None);
     let _ = stm_telemetry::log::take_events();
+    let before_overload = stm_telemetry::metrics_snapshot();
     let mut fleet = FleetDaemon::new();
     add_shards(&mut fleet, &pools, |i| {
         ShardConfig::default()
@@ -220,6 +235,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
         .filter(|e| e.component == "fleet" && e.event == "shed")
         .count();
     let reports = fleet.finish();
+    let shed_counters = stm_telemetry::metrics_snapshot().delta_since(&before_overload);
     stm_telemetry::log::set_stderr_level(Some(stm_telemetry::log::Level::Warn));
     println!(
         "  overload: {} submissions/shard against capacity {CAPACITY} \
@@ -242,6 +258,15 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
             name, policy, r.shed, r.ingested
         );
         assert_eq!(r.shed, shed_outcomes[i], "{name}: counter vs outcomes");
+        let series = stm_telemetry::series_name("fleet.shed", "shard", name);
+        let counted = shed_counters.counter(&series).unwrap_or(0);
+        if counted != r.shed {
+            eprintln!(
+                "{name}: {series} counted {counted} sheds, the shard shed {}",
+                r.shed
+            );
+            outcome.failed = true;
+        }
         metrics.checkpoint(
             &format!("{name}-overload"),
             vec![
@@ -256,6 +281,11 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
         );
     }
     let total_shed: u64 = reports.values().map(|r| r.shed).sum();
+    let counted = shed_counters.counter("fleet.shed_total").unwrap_or(0);
+    if counted != total_shed {
+        eprintln!("fleet: fleet.shed_total counted {counted} sheds, the shards shed {total_shed}");
+        outcome.failed = true;
+    }
     metrics.checkpoint(
         "overload-events",
         vec![(
@@ -267,5 +297,24 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     metrics.top_level("endpoints", Json::from(ENDPOINTS));
     metrics.top_level("endpoints_per_sec", Json::from(eps));
     metrics.top_level("sustained_ms", Json::from(elapsed.as_secs_f64() * 1e3));
-    Outcome::default()
+    outcome
+}
+
+/// Link counts of each shard's live causal chain, read from the
+/// `"fleet"` status document the running daemon publishes. A shard the
+/// document does not list, or lists without a chain, fails the gate.
+fn live_chain_links(outcome: &mut Outcome) -> [usize; 4] {
+    let doc = stm_telemetry::status::get("fleet");
+    SHARDS.map(|name| {
+        let links = doc
+            .as_ref()
+            .and_then(|d| d.get("shards")?.get(name)?.get("chain")?.get("links"))
+            .and_then(Json::as_array)
+            .map_or(0, <[Json]>::len);
+        if links == 0 {
+            eprintln!("{name}: no causal chain in the live fleet status document");
+            outcome.failed = true;
+        }
+        links
+    })
 }

@@ -12,32 +12,16 @@
 
 use stm_bench::failure_traces;
 use stm_core::engine::{DiagnosisSession, ProfileKind};
-use stm_core::runner::Runner;
-use stm_core::transform::instrument;
 use stm_forensics::{CausalChain, FailureDossier, ForensicReport, RankingReport};
-use stm_machine::events::LcrConfig;
-use stm_machine::interp::Machine;
-use stm_suite::eval::{default_threads, expand_workloads, reactive_options};
+use stm_suite::eval::{default_threads, expand_workloads, lbra_runner, lcra_runner};
 use stm_suite::{Benchmark, BugClass};
 use stm_telemetry::json::Json;
 
 /// Builds the forensic report for one benchmark, or says why it cannot.
 fn report_for(b: &Benchmark, top_k: usize) -> Result<ForensicReport, String> {
     let (runner, kind) = match b.info.bug_class {
-        BugClass::Sequential => {
-            let opts = reactive_options(b, true, None);
-            (
-                Runner::new(Machine::new(instrument(&b.program, &opts))),
-                ProfileKind::Lbr,
-            )
-        }
-        BugClass::Concurrency => {
-            let opts = reactive_options(b, false, Some(LcrConfig::SPACE_CONSUMING));
-            (
-                Runner::new(Machine::new(instrument(&b.program, &opts))),
-                ProfileKind::Lcr,
-            )
-        }
+        BugClass::Sequential => (lbra_runner(b), ProfileKind::Lbr),
+        BugClass::Concurrency => (lcra_runner(b), ProfileKind::Lcr),
     };
     let (failing, passing) = expand_workloads(b, &runner);
     if failing.is_empty() {

@@ -27,12 +27,9 @@
 
 use stm_bench::{write_trace, TelemetryCli};
 use stm_core::engine::{DiagnosisSession, ProfileKind};
-use stm_core::runner::Runner;
-use stm_core::transform::instrument;
-use stm_machine::events::LcrConfig;
-use stm_machine::interp::{Machine, RunConfig};
+use stm_machine::interp::RunConfig;
 use stm_profiler::{CriticalPathReport, GuestProfile, DEFAULT_PERIOD};
-use stm_suite::eval::{default_threads, expand_workloads, reactive_options};
+use stm_suite::eval::{default_threads, expand_workloads, lbra_runner, lcra_runner};
 use stm_suite::BugClass;
 use stm_telemetry::json::Json;
 
@@ -84,20 +81,8 @@ fn main() {
 
     // Same reactive deployments the Table 6/7 harnesses use.
     let (runner, kind) = match b.info.bug_class {
-        BugClass::Sequential => {
-            let opts = reactive_options(&b, true, None);
-            (
-                Runner::new(Machine::new(instrument(&b.program, &opts))),
-                ProfileKind::Lbr,
-            )
-        }
-        BugClass::Concurrency => {
-            let opts = reactive_options(&b, false, Some(LcrConfig::SPACE_CONSUMING));
-            (
-                Runner::new(Machine::new(instrument(&b.program, &opts))),
-                ProfileKind::Lcr,
-            )
-        }
+        BugClass::Sequential => (lbra_runner(&b), ProfileKind::Lbr),
+        BugClass::Concurrency => (lcra_runner(&b), ProfileKind::Lcr),
     };
     let (failing, passing) = expand_workloads(&b, &runner);
     if failing.is_empty() {
@@ -194,8 +179,8 @@ fn main() {
         );
     }
 
-    if tele.trace_out.is_some() {
-        if let Err(e) = write_trace(&spans, tele.trace_out.as_deref().unwrap()) {
+    if let Some(out) = &tele.trace_out {
+        if let Err(e) = write_trace(&spans, out) {
             stm_telemetry::log::warn("bench", "trace.write_failed", vec![("error", e)]);
         }
     }

@@ -22,12 +22,9 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use stm_core::engine::DiagnosisSession;
-use stm_core::runner::Runner;
-use stm_core::transform::instrument;
-use stm_machine::interp::Machine;
 use stm_observatory::watch::{http_get, render_board, Sample};
 use stm_observatory::MetricsServer;
-use stm_suite::eval::reactive_options;
+use stm_suite::eval::lbra_runner;
 use stm_telemetry::json::Json;
 
 const HTTP_TIMEOUT: Duration = Duration::from_secs(2);
@@ -103,8 +100,7 @@ fn smoke() -> i32 {
     println!("smoke: metrics endpoint on http://{addr}");
 
     let b = stm_suite::by_id("sort").expect("suite benchmark");
-    let opts = reactive_options(&b, true, None);
-    let runner = Runner::new(Machine::new(instrument(&b.program, &opts)));
+    let runner = lbra_runner(&b);
     let base = b.workloads.failing[0].clone();
     let spec = b.truth.spec.clone();
 
@@ -189,24 +185,6 @@ fn smoke() -> i32 {
         failures.push("board is missing the convergence panel".to_string());
     }
     println!("\n{board}");
-
-    // The fleet chain panel must render a chain-bearing shard's
-    // storyline and fall back to `warming` for a chain-less shard —
-    // the same fallback the verdict column uses, never a panic.
-    let fleet_doc = r#"{"verdict":"idle","fleet":{"shed_total":0,"shards":{"with-chain":{"verdict":"converged","chain":{"kind":"lbr","links":[{"role":"root-cause","event":"br1=true"},{"role":"failure","event":"br2=false"}]}},"brand-new":{}}}}"#;
-    let fleet_board = match sample.clone().with_diagnosis(fleet_doc) {
-        Ok(s) => render_board(&s, None),
-        Err(e) => {
-            failures.push(format!("synthetic fleet doc rejected: {e}"));
-            String::new()
-        }
-    };
-    if !fleet_board.contains("chain: br1=true → br2=false") {
-        failures.push("fleet panel did not render the chain storyline".to_string());
-    }
-    if !fleet_board.lines().any(|l| l.trim() == "chain: warming") {
-        failures.push("chain-less shard did not fall back to a warming chain row".to_string());
-    }
 
     if let Err(e) = std::fs::create_dir_all("results")
         .and_then(|()| std::fs::write("results/HEALTH_smoke.json", sample.health.encode() + "\n"))

@@ -351,8 +351,8 @@ impl MetricsEmitter {
 /// JSON when the harness exits, and `--metrics-addr <addr>` serves the
 /// live registry over HTTP (`/metrics`, `/health`, `/events`) for the
 /// process's lifetime — both imply `--telemetry`. One parser, one
-/// behaviour — `table4`…`table7`, `diagnose_report`, `trace_run` and
-/// `profile_run` all route through here instead of hand-rolling flags.
+/// behaviour — `table4`…`table7`, `diagnose_report` and `profile_run`
+/// all route through here instead of hand-rolling flags.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetryCli {
     /// Collection requested (`--telemetry`, or implied by the others).
@@ -445,16 +445,23 @@ impl TelemetryCli {
         }
     }
 
-    /// Finishes the harness: writes the Chrome trace when `--trace-out`
-    /// was given (round-tripped through the strict JSON parser first —
-    /// never ship a malformed trace) and prints the metrics summary when
-    /// telemetry was on. Returns the trace path if one was written.
+    /// Finishes the harness: prints the metrics summary when telemetry
+    /// was on, then writes the Chrome trace when `--trace-out` was given
+    /// (round-tripped through the strict JSON parser first — never ship
+    /// a malformed trace). Returns the trace path if one was written.
     ///
     /// # Errors
     ///
     /// Returns an error when the trace fails validation or the write
     /// fails.
     pub fn finish(&self) -> Result<Option<String>, String> {
+        if self.enabled {
+            println!();
+            print!(
+                "{}",
+                stm_telemetry::export::summary(&stm_telemetry::metrics_snapshot())
+            );
+        }
         let Some(out) = &self.trace_out else {
             return Ok(None);
         };

@@ -1,7 +1,9 @@
-//! Golden-file test for the `trace_run` export path: a full LBRA
-//! diagnosis must yield a valid Chrome `trace_event` JSON document whose
-//! spans cover the interpreter, the ring snapshots and all three
-//! diagnosis phases, and whose flow events form well-ordered chains.
+//! Golden-file test for the `--trace-out` export path: a full LBRA
+//! diagnosis, written through [`stm_bench::write_trace`] (the function
+//! every harness's `--trace-out` reaches), must yield a valid Chrome
+//! `trace_event` JSON file whose spans cover the interpreter, the ring
+//! snapshots and all three diagnosis phases, and whose flow events form
+//! well-ordered chains.
 
 use std::collections::BTreeMap;
 use stm_telemetry::json::Json;
@@ -18,15 +20,12 @@ const EXPECTED_SPANS: &[&str] = &[
 ];
 
 #[test]
-fn trace_run_export_is_valid_chrome_trace() {
+fn trace_out_export_is_valid_chrome_trace() {
     stm_telemetry::set_enabled(true);
     let before = stm_telemetry::metrics_snapshot();
     let b = stm_suite::by_id("sort").expect("sort benchmark");
-    {
-        let _run = stm_telemetry::span_cat("trace_run", "harness");
-        let d = stm_suite::eval::run_lbra(&b);
-        assert!(d.stats.failure_runs_used > 0, "no failing runs collected");
-    }
+    let d = stm_suite::eval::run_lbra(&b);
+    assert!(d.stats.failure_runs_used > 0, "no failing runs collected");
     let spans = stm_telemetry::take_spans();
     let discarded = stm_telemetry::metrics_snapshot()
         .delta_since(&before)
@@ -34,7 +33,11 @@ fn trace_run_export_is_valid_chrome_trace() {
         .unwrap_or(0);
     stm_telemetry::set_enabled(false);
 
-    let text = stm_telemetry::export::chrome_trace(&spans);
+    let path = std::env::temp_dir().join(format!("stm-chrome-trace-{}.json", std::process::id()));
+    let out = path.to_str().expect("UTF-8 temp path");
+    stm_bench::write_trace(&spans, out).expect("trace written");
+    let text = std::fs::read_to_string(&path).expect("trace file readable");
+    let _ = std::fs::remove_file(&path);
     let doc = Json::parse(&text).expect("trace parses as JSON");
 
     // Top-level Chrome trace shape.

@@ -192,8 +192,8 @@ pub struct ShardReport {
 }
 
 impl ShardReport {
-    /// The report as a JSON object (the per-shard entry of
-    /// `FLEET_smoke.json`).
+    /// The report as a JSON object (the shard's entry in the terminal
+    /// `"fleet"` status document that [`FleetDaemon::finish`] publishes).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("verdict", Json::from(self.verdict.as_str())),
@@ -438,11 +438,6 @@ impl FleetDaemon {
             shed: AtomicU64::new(0),
         };
         self.shards.insert(name, Arc::new(shard));
-    }
-
-    /// Shard names, sorted.
-    pub fn shard_names(&self) -> Vec<String> {
-        self.shards.keys().cloned().collect()
     }
 
     /// Spawns one worker thread per shard and publishes the initial

@@ -13,7 +13,8 @@
 //!
 //! The crate reads the process-global telemetry registry; it never
 //! writes metrics of its own, so enabling the endpoint cannot perturb
-//! the measurements it reports (see `telemetry_overhead --server`).
+//! the measurements it reports (`telemetry_overhead` times a workload
+//! while an endpoint serves scrapes).
 //!
 //! ```
 //! use stm_observatory::{HealthEngine, HealthState, Observation};
