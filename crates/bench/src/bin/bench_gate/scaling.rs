@@ -6,14 +6,21 @@
 //! executes exactly the same set of runs and `runs/sec` is comparable
 //! across thread counts.
 //!
-//! The result carries three kinds of numbers:
+//! The result carries four kinds of numbers:
 //!
 //! * informational throughput (`runs_per_sec_t{1,2,4,8}`,
 //!   `speedup_t{2,4,8}_x1000`, `available_parallelism`, and the
 //!   top-level `runs_per_sec` headline — the best throughput any case
-//!   reached at any thread count) — machine-dependent and deliberately
+//!   reached at any thread count) and the median time of the paper's
+//!   10 + 10 witness session at one and two threads
+//!   (`witness_session_us_t{1,2}`) — machine-dependent and deliberately
 //!   kept out of the committed baseline, so the gate never checks the
 //!   exact speed of the box;
+//! * a host-independent work counter, the top-level `pool_spawns`
+//!   (**higher is worse**, baseline 0): collection-pool threads spawned
+//!   during the sweep. One warm-up session at the widest sweep width runs
+//!   first, so every later session must find its workers already alive;
+//!   a session that spawns threads again pays that fixed cost per call;
 //! * scale-free ratio gates where **higher is worse**:
 //!   `inv_speedup_t4_x1000` (time at 4 threads relative to 1 thread,
 //!   ×1000 — parallel overhead must not blow up) and
@@ -30,6 +37,13 @@
 //! 4-thread sweep timeshares and lands around 0.7–0.9× of sequential.
 //! On such a host the harness reports the floor as not measurable
 //! (`null`) and the driver skips it, saying why.
+//!
+//! The witness-session row has no floor at all. A 10 + 10 session lasts
+//! a few hundred microseconds, so its two-thread time swings with
+//! whatever else the host runs: on a 2-vCPU VM, three gate runs of one
+//! build printed t2/t1 ratios of 0.94–1.17 on sort and 1.27–1.89 on
+//! apache4. A wall-clock bound tight enough to catch a regression would
+//! flake there; the spawn counter gates the fixed cost instead.
 
 use std::time::Instant;
 
@@ -49,6 +63,8 @@ const REPS: usize = 3;
 /// Scan seeds per measurement — sized so one sweep stays under a few
 /// seconds even on a single core.
 const RUNS: u64 = 400;
+/// Witness sessions timed per thread count; the median is reported.
+const SESSION_REPS: usize = 101;
 
 /// Runs one scan sweep and returns the wall-clock seconds it took.
 /// Quotas are set above the job count so no early stop ever triggers:
@@ -95,6 +111,33 @@ fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
     (0..REPS).map(|_| f()).fold(f64::INFINITY, f64::min)
 }
 
+/// Median wall-clock microseconds of the subject's 10 + 10 witness
+/// session at `threads`.
+fn witness_session_us(s: &Subject, threads: usize) -> f64 {
+    let mut us: Vec<f64> = (0..SESSION_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            let profiles = s
+                .session()
+                .threads(threads)
+                .collect()
+                .expect("witness collection cannot fail");
+            let us = start.elapsed().as_secs_f64() * 1e6;
+            std::hint::black_box(profiles);
+            us
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[us.len() / 2]
+}
+
+/// Collection-pool threads spawned so far (telemetry is on in a gate).
+fn pool_spawns() -> u64 {
+    stm_telemetry::metrics_snapshot()
+        .counter("engine.pool_spawns")
+        .unwrap_or(0)
+}
+
 pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let floor_measurable = cores >= 4;
@@ -109,8 +152,18 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
         "bench", "runs", "t1 runs/s", "t2 runs/s", "t4 runs/s", "t8 runs/s", "raw/s"
     );
 
-    for id in SUBJECTS {
-        let s = Subject::new(id);
+    let subjects = SUBJECTS.map(Subject::new);
+    // Grow the collection pool to the widest sweep point once; nothing
+    // after this may spawn a thread.
+    let widest = THREADS[THREADS.len() - 1];
+    timed_sweep(
+        &subjects[0].runner,
+        &subjects[0].bench,
+        RUNS.min(50),
+        widest,
+    );
+    let spawns_before = pool_spawns();
+    for (id, s) in SUBJECTS.into_iter().zip(&subjects) {
         let (runner, b) = (&s.runner, &s.bench);
 
         // Warm up allocators and page in the program before timing.
@@ -162,6 +215,17 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
             }
         }
 
+        // Informational: the paper's short diagnosis session (§5.2).
+        let session_us = [1, 2].map(|t| witness_session_us(s, t));
+        // Those sessions' spans are not attributed; drop them.
+        let _ = stm_telemetry::take_spans();
+        println!(
+            "  witness session (10 + 10): t1 {:.0} us | t2 {:.0} us | t2/t1 {:.2}",
+            session_us[0],
+            session_us[1],
+            session_us[1] / session_us[0],
+        );
+
         let x1000 = |ratio: f64| Json::from((ratio * 1000.0).round());
         if !floor_measurable {
             outcome.skipped.push(Skip {
@@ -196,9 +260,16 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
                 ("speedup_t4_x1000", x1000(secs[0] / secs[2])),
                 ("speedup_t8_x1000", x1000(secs[0] / secs[3])),
                 ("available_parallelism", Json::from(cores as u64)),
+                ("witness_session_us_t1", Json::from(session_us[0].round())),
+                ("witness_session_us_t2", Json::from(session_us[1].round())),
             ],
         );
     }
+
+    // Gated: a host-independent count, zero once the pool is warm.
+    let spawns = pool_spawns() - spawns_before;
+    println!("collection-pool threads spawned after warm-up: {spawns}");
+    metrics.top_level("pool_spawns", Json::from(spawns));
 
     println!("\nheadline runs/sec (best case × thread count): {headline:.0}");
     metrics.top_level("runs_per_sec", Json::from(headline.round()));

@@ -4,9 +4,11 @@
 //! independent simulated execution: a (workload, seed) pair replayed on a
 //! fresh [`HardwareCtx`](stm_hardware::HardwareCtx), classified against the
 //! failure spec, and mined for a ring snapshot. Nothing couples one run to
-//! the next, so collection is embarrassingly parallel — this module shards
-//! those runs across a fixed pool of `std::thread` workers fed by a channel
-//! work queue, with **zero new dependencies**.
+//! the next, so collection is embarrassingly parallel. `threads(1)` runs
+//! every job inline on the calling thread — the reference path — and
+//! `threads(n)` shards the jobs across the first `n` workers of one
+//! process-wide pool of `std::thread` workers, with **zero new
+//! dependencies**.
 //!
 //! ## Job model
 //!
@@ -16,21 +18,48 @@
 //! exactly as the sequential driver did; scan-mode plans enumerate
 //! `bases × seeds` (the retired `find_workloads` seed scan). Because the plan is a
 //! function of the index, jobs need no shared state and can be regenerated
-//! anywhere — which is exactly what the transport exploits: the driver
-//! sends workers contiguous **index chunks** (two integers per message),
-//! and each worker regenerates its jobs from the shared plan and answers
-//! with one result message per chunk. On the paper's short workloads the
-//! old job-per-message queue spent more time in channel sends, queue-mutex
-//! traffic and thread wakes than in the runs themselves; chunking divides
-//! that fixed cost by the chunk size.
+//! anywhere — which is exactly what the transport exploits: the
+//! coordinator sends each worker a contiguous **index chunk** (two
+//! integers), the worker regenerates its jobs from the shared plan and
+//! answers with one result message per chunk, and the coordinator hands
+//! that worker its next chunk. A chunk is the number of profiles the
+//! quota still owes split across the session's threads — or, on a scan
+//! that keeps missing, the runs the plan has already consumed, so long
+//! scans grow their chunks geometrically — capped at 16 jobs. A 10-witness phase at two threads
+//! is two 5-job chunks, not one 16-job chunk that runs 6 jobs too many
+//! while the other worker idles. Dispatch never runs more than
+//! `threads × 16` jobs ahead of consumption.
+//!
+//! ## The warm pool
+//!
+//! The paper diagnoses from 10 failing and 10 passing runs (§5.2), so a
+//! diagnosis is a short session whose fixed costs, not its runs, set its
+//! latency. The pool pays those costs once per process:
+//!
+//! * Workers are spawned on first use and never exit. The pool only
+//!   grows, to the widest session seen, and each worker has its own
+//!   channel, so a session at or below that width spawns nothing and a
+//!   `threads(n)` session runs on exactly `n` threads.
+//! * Workers outlive phases and sessions, so each keeps its thread-local
+//!   run cache (hardware context and interpreter scratch, see
+//!   `crate::runner`) warm.
+//! * A chunk task carries `Arc`s of the plan and of the executor, which
+//!   holds a [`Runner`] whose machine is itself shared: dispatch copies
+//!   no program.
+//! * Each plan has a cancel flag. When the quota fills, the coordinator
+//!   raises it and workers stop the plan's remaining chunks at their next
+//!   job.
+//!   The coordinator then waits for every chunk it handed out, so every
+//!   `engine.job` span ends inside its `engine.collect`. Workers flush
+//!   their telemetry spans at the end of each chunk, before answering.
 //!
 //! ## Merge determinism
 //!
-//! Workers finish out of order, but the driver **consumes results strictly
-//! in job-index order**: completed jobs park in a `BTreeMap` until every
-//! lower-indexed job has been consumed. Quota checks (how many failure /
-//! success profiles are still needed) and the early-stop decision happen
-//! only at consumption time, on that ordered prefix. Speculatively executed
+//! Workers finish out of order, but the coordinator **consumes results
+//! strictly in job-index order**: completed jobs park in a `BTreeMap`
+//! until every lower-indexed job has been consumed. Quota checks (how
+//! many failure / success profiles are still needed) and the early-stop
+//! decision happen only at consumption time, on that ordered prefix. Speculatively executed
 //! jobs past the stopping point are discarded. The consumed prefix is
 //! therefore *identical* to what a sequential loop would have executed —
 //! same witnesses, same profile order, same `DiagnosisStats` — so
@@ -38,14 +67,15 @@
 //!
 //! ## Thread-safety argument
 //!
-//! Each worker owns a deep clone of the [`Runner`] (machine + configs, all
-//! plain data — compile-time `Send + Sync` assertions live in the machine
-//! and hardware crates) and runs on its own thread-local hardware context
-//! and interpreter scratch (reset to the exactly-fresh state between runs
-//! — see `crate::runner`), so workers share nothing mutable. A run that
-//! panics is caught with `catch_unwind`, reported over the results
-//! channel, and surfaces as [`SessionError::WorkerPanicked`] instead of a
-//! hang.
+//! All workers of a plan share one executor around one [`Runner`]
+//! (machine + configs, immutable plain data — compile-time `Send + Sync`
+//! assertions live in the machine and hardware crates), and each runs on
+//! its own thread-local hardware context and interpreter scratch (reset to
+//! the exactly-fresh state between runs — see `crate::runner`), so workers
+//! share nothing mutable. A run that panics is caught with `catch_unwind`,
+//! reported in its chunk's answer, and surfaces as
+//! [`SessionError::WorkerPanicked`] instead of a hang; the worker itself
+//! survives and serves the next chunk.
 
 use crate::converge::{ConvergenceMonitor, ConvergenceReport, StabilityPolicy};
 use crate::diagnose::{failure_profile, success_profile, DiagnosisStats, Quotas};
@@ -54,6 +84,7 @@ use crate::transform::{instrument, InstrumentOptions};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use stm_hardware::HwConfig;
@@ -145,8 +176,8 @@ pub struct CollectedProfiles {
 }
 
 impl CollectedProfiles {
-    /// The runner the profiles were collected with (same machine and
-    /// configs each worker cloned).
+    /// The runner the profiles were collected with: the machine every
+    /// worker ran, shared, and the session's configs.
     pub fn runner(&self) -> &Runner {
         &self.runner
     }
@@ -235,7 +266,7 @@ impl CollectedProfiles {
 /// ```
 #[derive(Debug)]
 pub struct DiagnosisSession {
-    machine: Machine,
+    machine: Arc<Machine>,
     spec: Option<FailureSpec>,
     failing: Vec<Workload>,
     passing: Vec<Workload>,
@@ -258,10 +289,10 @@ impl DiagnosisSession {
     /// Starts a session on `program` as-is (assumed already instrumented;
     /// call [`DiagnosisSession::instrument`] otherwise).
     pub fn new(program: &Program) -> Self {
-        DiagnosisSession::with_machine(Machine::new(program.clone()))
+        DiagnosisSession::with_machine(Arc::new(Machine::new(program.clone())))
     }
 
-    fn with_machine(machine: Machine) -> Self {
+    fn with_machine(machine: Arc<Machine>) -> Self {
         DiagnosisSession {
             machine,
             spec: None,
@@ -279,9 +310,10 @@ impl DiagnosisSession {
     }
 
     /// Starts a session with a runner's machine and both of its configs —
-    /// the migration path for callers that already hold a [`Runner`].
+    /// the migration path for callers that already hold a [`Runner`]. The
+    /// session shares the runner's machine rather than copying it.
     pub fn from_runner(runner: &Runner) -> Self {
-        let mut s = DiagnosisSession::with_machine(runner.machine().clone());
+        let mut s = DiagnosisSession::with_machine(Arc::clone(runner.shared_machine()));
         s.run = runner.run_config().clone();
         s.hw = *runner.hw_config();
         s
@@ -291,7 +323,7 @@ impl DiagnosisSession {
     /// program and infers the profile kind from it (LCR wins when both
     /// rings are deployed, matching LCRA's use of the richer ring).
     pub fn instrument(mut self, opts: &InstrumentOptions) -> Self {
-        self.machine = Machine::new(instrument(self.machine.program(), opts));
+        self.machine = Arc::new(Machine::new(instrument(self.machine.program(), opts)));
         self.kind = if opts.lcr {
             Some(ProfileKind::Lcr)
         } else if opts.lbr {
@@ -474,14 +506,13 @@ impl DiagnosisSession {
         // Speculation window: how many jobs may be dispatched beyond the
         // consumed prefix. Bounds the work discarded when the quota
         // early-stop triggers.
-        let window = threads.saturating_mul(16).max(1);
+        let window = threads.saturating_mul(MAX_CHUNK as usize).max(1);
         let _span = stm_telemetry::span_cat("engine.collect", "engine");
 
         let mut sink = Sink::default();
-        let factory = |_w: usize| {
-            let r = runner.clone();
-            let spec = spec.clone();
-            move |job: &Job| r.run_classified(&job.workload, &spec)
+        let exec: Arc<Exec> = {
+            let (r, spec) = (runner.clone(), spec.clone());
+            Arc::new(move |job: &Job| r.run_classified(&job.workload, &spec))
         };
         // The monitor ingests witnesses at the ordered consumption seam,
         // one incremental ranking update per kept run; it persists across
@@ -496,41 +527,41 @@ impl DiagnosisSession {
             let plan = JobPlan::scan(self.bases, seeds);
             let mut quota = Quota::scan(self.quotas.failure_profiles, self.quotas.success_profiles);
             run_plan(
-                &plan,
+                plan,
                 threads,
                 window,
                 &mut quota,
                 &spec,
                 &mut sink,
                 &mut monitor,
-                &factory,
+                &exec,
             )?;
             loss.absorb(&quota);
         } else {
             let plan = JobPlan::cycle(self.failing, self.quotas.max_runs as u64);
             let mut quota = Quota::witness_fail(self.quotas.failure_profiles, self.kind);
             run_plan(
-                &plan,
+                plan,
                 threads,
                 window,
                 &mut quota,
                 &spec,
                 &mut sink,
                 &mut monitor,
-                &factory,
+                &exec,
             )?;
             loss.absorb(&quota);
             let plan = JobPlan::cycle(self.passing, self.quotas.max_runs as u64);
             let mut quota = Quota::witness_pass(self.quotas.success_profiles, self.kind);
             run_plan(
-                &plan,
+                plan,
                 threads,
                 window,
                 &mut quota,
                 &spec,
                 &mut sink,
                 &mut monitor,
-                &factory,
+                &exec,
             )?;
             loss.absorb(&quota);
         }
@@ -768,6 +799,14 @@ impl Quota {
         self.got_fail >= self.want_fail && self.got_pass >= self.want_pass
     }
 
+    /// Profiles still owed; an unbounded (`usize::MAX`) quota owes
+    /// `usize::MAX`.
+    fn owed(&self) -> usize {
+        self.want_fail
+            .saturating_sub(self.got_fail)
+            .saturating_add(self.want_pass.saturating_sub(self.got_pass))
+    }
+
     fn consider(
         &mut self,
         class: RunClass,
@@ -818,13 +857,51 @@ fn profile_matches(profile: Option<&ProfileEvent>, kind: Option<ProfileKind>) ->
     }
 }
 
-/// A contiguous slab of job indices handed to a worker in one channel
-/// message. Workers regenerate the jobs themselves from the shared
-/// [`JobPlan`], so the transport moves two integers (plus flow ids when
-/// tracing) instead of a workload clone per run — the per-job channel
-/// send, queue-mutex acquisition and thread wake were the dominant cost
-/// of parallel collection on the paper's short workloads.
-struct Chunk {
+/// Replays one job and classifies the run. One executor serves every
+/// worker of a session, so it must be `Sync`; tests inject hostile ones
+/// (e.g. a panicking run) without a real machine.
+type Exec = dyn Fn(&Job) -> (RunReport, RunClass) + Send + Sync;
+
+/// The largest chunk a worker is handed, and each thread's share of the
+/// speculation window.
+const MAX_CHUNK: u64 = 16;
+
+/// A chunk's results coming back from a worker in one message. Reports
+/// are boxed so the vector moves pointers, not full profile payloads.
+struct ChunkResult {
+    /// First job index of the chunk this answers.
+    start: u64,
+    /// The chunk's dispatched length (for queue-depth accounting; `runs`
+    /// is shorter when a job panicked or the plan was cancelled).
+    len: u32,
+    /// The session-local worker slot that ran the chunk, free again.
+    slot: usize,
+    /// Per-job outcomes for jobs `start..start + runs.len()`, in order.
+    runs: Vec<(Job, Box<RunReport>, RunClass)>,
+    /// The job that panicked, when one did; the worker stops its chunk
+    /// there.
+    panicked: Option<(u64, String)>,
+}
+
+/// What every chunk of one pooled plan shares.
+struct PlanShare {
+    plan: JobPlan,
+    exec: Arc<Exec>,
+    /// Raised once the consumed prefix no longer needs the plan's
+    /// remaining jobs; workers check it before each job. It publishes no
+    /// data, so `Relaxed` suffices: a worker that sees it late only runs
+    /// a job whose result is discarded anyway.
+    cancel: AtomicBool,
+}
+
+/// One unit of pool work: a contiguous slab of a plan's job indices,
+/// and where to answer. Workers regenerate the jobs themselves from the
+/// shared [`JobPlan`], so the transport moves two integers (plus flow ids
+/// when tracing) instead of a workload clone per run, and a worker wakes
+/// once per chunk: on the paper's microsecond-scale runs, a channel send
+/// and a thread wake per job would cost more than the job.
+struct ChunkTask {
+    share: Arc<PlanShare>,
     /// First job index in the slab.
     start: u64,
     /// Number of consecutive jobs.
@@ -834,21 +911,84 @@ struct Chunk {
     flows: Vec<u64>,
     /// Enqueue timestamp for the queue-wait histogram.
     enqueued: Option<std::time::Instant>,
+    /// The session-local worker slot the chunk was handed to.
+    slot: usize,
+    results: mpsc::Sender<ChunkResult>,
 }
 
-/// A chunk's results coming back from a worker in one message. Reports
-/// are boxed so the vector moves pointers, not full profile payloads.
-struct ChunkResult {
-    /// First job index of the chunk this answers.
-    start: u64,
-    /// The chunk's dispatched length (for queue-depth accounting; `runs`
-    /// is shorter when a job panicked).
-    len: u32,
-    /// Per-job outcomes for jobs `start..start + runs.len()`, in order.
-    runs: Vec<(Job, Box<RunReport>, RunClass)>,
-    /// The job that panicked, when one did; the worker stops its chunk
-    /// there.
-    panicked: Option<(u64, String)>,
+impl ChunkTask {
+    /// Runs the chunk's jobs in index order, stopping at a panic or a
+    /// cancelled plan, and answers with one message.
+    fn run(self) {
+        let ChunkTask {
+            share,
+            start,
+            len,
+            flows,
+            enqueued,
+            slot,
+            results,
+        } = self;
+        if let Some(at) = enqueued {
+            stm_telemetry::histogram!("engine.queue_wait_us")
+                .record(at.elapsed().as_micros() as u64);
+        }
+        // Net-zero across add(+1)/add(-1), so the shared static needs no
+        // reset between sessions.
+        let busy = stm_telemetry::gauge!("engine.workers_busy");
+        busy.add(1);
+        let mut runs = Vec::with_capacity(len as usize);
+        let mut index = start;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            for i in 0..u64::from(len) {
+                if share.cancel.load(Ordering::Relaxed) {
+                    break;
+                }
+                index = start + i;
+                let mut job = share.plan.job_at(index);
+                job.flow = flows.get(i as usize).copied().unwrap_or(0);
+                let _span = stm_telemetry::span_cat("engine.job", "engine")
+                    .with_flow(job.flow, stm_telemetry::FlowPhase::Step);
+                stm_telemetry::counter!("engine.runs").incr();
+                let (report, class) = (share.exec)(&job);
+                runs.push((job, Box::new(report), class));
+            }
+        }));
+        busy.add(-1);
+        // The coordinator returns once every chunk has answered, so the spans
+        // must reach the global sink before the answer does.
+        stm_telemetry::flush_thread();
+        let _ = results.send(ChunkResult {
+            start,
+            len,
+            slot,
+            runs,
+            panicked: outcome.err().map(|p| (index, panic_message(p))),
+        });
+    }
+}
+
+/// The process-wide collection pool: one channel per long-lived worker.
+static POOL: Mutex<Vec<mpsc::Sender<ChunkTask>>> = Mutex::new(Vec::new());
+
+/// The queues of the pool's first `n` workers, spawning any that do not
+/// exist yet. Workers never exit, so the pool only grows.
+fn pool_workers(n: usize) -> Vec<mpsc::Sender<ChunkTask>> {
+    // A queue is pushed only once its worker runs, so the list is valid
+    // even if a spawn panicked while the lock was held.
+    let mut pool = POOL.lock().unwrap_or_else(|p| p.into_inner());
+    while pool.len() < n {
+        let (tx, rx) = mpsc::channel::<ChunkTask>();
+        // Detached on purpose: the worker lives as long as the process,
+        // and `ChunkTask::run` catches every panic a job can raise.
+        std::thread::Builder::new()
+            .name(format!("stm-collect-{}", pool.len()))
+            .spawn(move || rx.into_iter().for_each(ChunkTask::run))
+            .expect("spawn a collection worker");
+        stm_telemetry::counter!("engine.pool_spawns").incr();
+        pool.push(tx);
+    }
+    pool[..n].to_vec()
 }
 
 /// Where consumed runs accumulate: the run accounting plus the collected
@@ -917,32 +1057,23 @@ fn converged(monitor: &Option<ConvergenceMonitor>) -> bool {
 
 /// Executes one plan, sequentially or on the pool, consuming results in
 /// strict index order until the quota is met or the plan is exhausted.
-///
-/// The worker body is injected (`factory` builds one executor per
-/// worker), so tests can drive the pool with hostile executors — e.g. a
-/// panicking run — without a real machine.
 #[allow(clippy::too_many_arguments)] // the engine's one internal seam
-fn run_plan<W, F>(
-    plan: &JobPlan,
+fn run_plan(
+    plan: JobPlan,
     threads: usize,
     window: usize,
     quota: &mut Quota,
     spec: &FailureSpec,
     sink: &mut Sink,
     monitor: &mut Option<ConvergenceMonitor>,
-    factory: &F,
-) -> Result<(), SessionError>
-where
-    F: Fn(usize) -> W + Sync,
-    W: FnMut(&Job) -> (RunReport, RunClass) + Send,
-{
+    exec: &Arc<Exec>,
+) -> Result<(), SessionError> {
     let limit = plan.len();
     if limit == 0 || quota.done() || converged(monitor) {
         return Ok(());
     }
 
     if threads <= 1 {
-        let mut exec = factory(0);
         let mut index = 0u64;
         while index < limit && !quota.done() && !converged(monitor) {
             let job = plan.job_at(index);
@@ -965,184 +1096,131 @@ where
     }
 
     let depth = stm_telemetry::gauge!("engine.queue_depth");
-    // Pool-size gauge: one call site for both `set`s (snapshots sum
+    // Session-width gauge: one call site for both `set`s (snapshots sum
     // same-name gauges across call sites, so a second site could not
     // zero this one).
     let workers = stm_telemetry::gauge!("engine.workers");
     workers.set(threads as i64);
-    // Chunk size: the speculation window split across the pool, so a
-    // full window keeps every worker holding exactly one chunk while the
-    // next one is in flight.
-    let chunk_size = (window / threads).max(1) as u64;
-    let outcome = std::thread::scope(|s| -> Result<(), SessionError> {
-        let (job_tx, job_rx) = mpsc::channel::<Chunk>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (res_tx, res_rx) = mpsc::channel::<ChunkResult>();
-        for w in 0..threads {
-            let job_rx = Arc::clone(&job_rx);
-            let res_tx = res_tx.clone();
-            let mut exec = factory(w);
-            s.spawn(move || {
-                {
-                    let _worker_span = stm_telemetry::span_cat("engine.worker", "engine");
-                    // Net-zero across add(+1)/add(-1), so the shared
-                    // static needs no reset between sessions.
-                    let busy = stm_telemetry::gauge!("engine.workers_busy");
-                    loop {
-                        // Hold the lock only to dequeue, never while running.
-                        let chunk = {
-                            let rx = job_rx.lock().unwrap_or_else(|p| p.into_inner());
-                            match rx.recv() {
-                                Ok(chunk) => chunk,
-                                Err(_) => break, // queue closed: drain done
-                            }
-                        };
-                        if let Some(at) = chunk.enqueued {
-                            stm_telemetry::histogram!("engine.queue_wait_us")
-                                .record(at.elapsed().as_micros() as u64);
-                        }
-                        let mut runs = Vec::with_capacity(chunk.len as usize);
-                        let mut panicked = None;
-                        busy.add(1);
-                        for i in 0..chunk.len as u64 {
-                            let index = chunk.start + i;
-                            let mut job = plan.job_at(index);
-                            job.flow = chunk.flows.get(i as usize).copied().unwrap_or(0);
-                            let _span = stm_telemetry::span_cat("engine.job", "engine")
-                                .with_flow(job.flow, stm_telemetry::FlowPhase::Step);
-                            stm_telemetry::counter!("engine.runs").incr();
-                            match catch_unwind(AssertUnwindSafe(|| exec(&job))) {
-                                Ok((report, class)) => {
-                                    runs.push((job, Box::new(report), class));
-                                }
-                                Err(p) => {
-                                    panicked = Some((index, panic_message(p)));
-                                    break;
-                                }
-                            }
-                        }
-                        busy.add(-1);
-                        let poisoned = panicked.is_some();
-                        let _ = res_tx.send(ChunkResult {
-                            start: chunk.start,
-                            len: chunk.len,
-                            runs,
-                            panicked,
-                        });
-                        if poisoned {
-                            break; // a panicked executor is not reusable
-                        }
-                    }
-                }
-                // `scope` can see this thread as finished before its TLS
-                // destructors flush the span buffer; push the spans to
-                // the global sink while still ahead of the join.
-                stm_telemetry::flush_thread();
-            });
-        }
-        drop(res_tx);
-
-        let mut dispatched = 0u64;
-        let mut consumed = 0u64;
-        // Each parked result remembers when it arrived, so ordered
-        // consumption can report how long speculation held it back.
-        type Parked = (Job, RunReport, RunClass, Option<std::time::Instant>);
-        let mut pending: BTreeMap<u64, Parked> = BTreeMap::new();
-        let mut failure: Option<SessionError> = None;
-        while consumed < limit && !quota.done() && !converged(monitor) && failure.is_none() {
-            // Keep the queue primed up to the speculation window, one
-            // chunk per send.
-            while dispatched < limit && dispatched < consumed + window as u64 {
-                let cap = (consumed + window as u64 - dispatched).min(limit - dispatched);
-                let len = chunk_size.min(cap);
-                let mut flows = Vec::new();
-                if stm_telemetry::enabled() {
-                    // Stamp the causal chain per job: enqueue → worker
-                    // execution → ordered consumption share one flow id.
-                    flows.reserve(len as usize);
-                    for i in 0..len {
-                        let flow = stm_telemetry::new_flow_id();
-                        if stm_telemetry::log::would_log(stm_telemetry::log::Level::Debug) {
-                            let job = plan.job_at(dispatched + i);
-                            stm_telemetry::log::emit(
-                                stm_telemetry::log::Level::Debug,
-                                "engine",
-                                "job.enqueue",
-                                flow,
-                                vec![
-                                    ("job", job.index.to_string()),
-                                    ("seed", job.workload.seed.to_string()),
-                                ],
-                            );
-                        }
-                        let _enq = stm_telemetry::span_cat("engine.enqueue", "engine")
-                            .with_flow(flow, stm_telemetry::FlowPhase::Start);
-                        flows.push(flow);
-                    }
-                }
-                let chunk = Chunk {
-                    start: dispatched,
-                    len: len as u32,
-                    flows,
-                    enqueued: stm_telemetry::enabled().then(std::time::Instant::now),
-                };
-                if job_tx.send(chunk).is_err() {
-                    break;
-                }
-                stm_telemetry::counter!("engine.jobs").add(len);
-                depth.add(len as i64);
-                dispatched += len;
-            }
-            let msg = match res_rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break, // all workers gone
-            };
-            depth.add(-(msg.len as i64));
-            let arrived = stm_telemetry::enabled().then(std::time::Instant::now);
-            for (i, (job, report, class)) in msg.runs.into_iter().enumerate() {
-                pending.insert(msg.start + i as u64, (job, *report, class, arrived));
-            }
-            if let Some((job, message)) = msg.panicked {
-                stm_telemetry::log::error(
-                    "engine",
-                    "worker.panic",
-                    vec![("job", job.to_string()), ("message", message.clone())],
-                );
-                failure = Some(SessionError::WorkerPanicked { job, message });
-            }
-            // Consume the ready prefix, in order, re-checking the quota
-            // (and the convergence stop) after each job exactly as the
-            // sequential loop does.
-            while !quota.done() && !converged(monitor) {
-                let Some((job, report, class, arrived)) = pending.remove(&consumed) else {
-                    break;
-                };
-                if let Some(at) = arrived {
-                    stm_telemetry::histogram!("engine.result_holdback_us")
-                        .record(at.elapsed().as_micros() as u64);
-                }
-                let _span = stm_telemetry::span_cat("engine.consume", "engine")
-                    .with_flow(job.flow, stm_telemetry::FlowPhase::End);
-                consume(job, report, class, quota, spec, sink, monitor);
-                consumed += 1;
-            }
-        }
-
-        // Stop feeding; let the workers drain the queue and exit, then
-        // account the speculative overshoot.
-        drop(job_tx);
-        for msg in res_rx.iter() {
-            depth.add(-(msg.len as i64));
-        }
-        stm_telemetry::counter!("engine.jobs_discarded").add(dispatched.saturating_sub(consumed));
-        depth.set(0);
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+    let queues = pool_workers(threads);
+    let share = Arc::new(PlanShare {
+        plan,
+        exec: Arc::clone(exec),
+        cancel: AtomicBool::new(false),
     });
+    let (res_tx, res_rx) = mpsc::channel::<ChunkResult>();
+    // Worker slots without a chunk; each holds at most one at a time.
+    let mut idle: Vec<usize> = (0..threads).rev().collect();
+    let mut dispatched = 0u64;
+    let mut consumed = 0u64;
+    // Each parked result remembers when it arrived, so ordered
+    // consumption can report how long speculation held it back.
+    type Parked = (Job, RunReport, RunClass, Option<std::time::Instant>);
+    let mut pending: BTreeMap<u64, Parked> = BTreeMap::new();
+    let mut failure: Option<SessionError> = None;
+    while consumed < limit && !quota.done() && !converged(monitor) && failure.is_none() {
+        // Hand every idle worker a chunk, within the speculation window.
+        // The chunk is the quota's remaining need split across the
+        // threads; on a scan whose runs keep missing, the need grows
+        // with the runs already consumed.
+        while dispatched < limit && dispatched < consumed + window as u64 {
+            let Some(slot) = idle.pop() else { break };
+            let need = quota.owed().max(consumed as usize).div_ceil(threads) as u64;
+            let len = need
+                .clamp(1, MAX_CHUNK)
+                .min(limit - dispatched)
+                .min(consumed + window as u64 - dispatched);
+            let mut flows = Vec::new();
+            if stm_telemetry::enabled() {
+                // Stamp the causal chain per job: enqueue → worker
+                // execution → ordered consumption share one flow id.
+                flows.reserve(len as usize);
+                for i in 0..len {
+                    let flow = stm_telemetry::new_flow_id();
+                    if stm_telemetry::log::would_log(stm_telemetry::log::Level::Debug) {
+                        let job = share.plan.job_at(dispatched + i);
+                        stm_telemetry::log::emit(
+                            stm_telemetry::log::Level::Debug,
+                            "engine",
+                            "job.enqueue",
+                            flow,
+                            vec![
+                                ("job", job.index.to_string()),
+                                ("seed", job.workload.seed.to_string()),
+                            ],
+                        );
+                    }
+                    let _enq = stm_telemetry::span_cat("engine.enqueue", "engine")
+                        .with_flow(flow, stm_telemetry::FlowPhase::Start);
+                    flows.push(flow);
+                }
+            }
+            let task = ChunkTask {
+                share: Arc::clone(&share),
+                start: dispatched,
+                len: len as u32,
+                flows,
+                enqueued: stm_telemetry::enabled().then(std::time::Instant::now),
+                slot,
+                results: res_tx.clone(),
+            };
+            if queues[slot].send(task).is_err() {
+                unreachable!("collection workers never exit");
+            }
+            stm_telemetry::counter!("engine.jobs").add(len);
+            depth.add(len as i64);
+            dispatched += len;
+        }
+        if idle.len() == threads {
+            break; // nothing in flight, so nothing more can arrive
+        }
+        let msg = res_rx
+            .recv()
+            .expect("the coordinator holds a result sender");
+        depth.add(-(msg.len as i64));
+        idle.push(msg.slot);
+        let arrived = stm_telemetry::enabled().then(std::time::Instant::now);
+        for (i, (job, report, class)) in msg.runs.into_iter().enumerate() {
+            pending.insert(msg.start + i as u64, (job, *report, class, arrived));
+        }
+        if let Some((job, message)) = msg.panicked {
+            stm_telemetry::log::error(
+                "engine",
+                "worker.panic",
+                vec![("job", job.to_string()), ("message", message.clone())],
+            );
+            failure = Some(SessionError::WorkerPanicked { job, message });
+        }
+        // Consume the ready prefix, in order, re-checking the quota
+        // (and the convergence stop) after each job exactly as the
+        // sequential loop does.
+        while !quota.done() && !converged(monitor) {
+            let Some((job, report, class, arrived)) = pending.remove(&consumed) else {
+                break;
+            };
+            if let Some(at) = arrived {
+                stm_telemetry::histogram!("engine.result_holdback_us")
+                    .record(at.elapsed().as_micros() as u64);
+            }
+            let _span = stm_telemetry::span_cat("engine.consume", "engine")
+                .with_flow(job.flow, stm_telemetry::FlowPhase::End);
+            consume(job, report, class, quota, spec, sink, monitor);
+            consumed += 1;
+        }
+    }
+
+    // Stop the plan's outstanding chunks at their next job and wait for
+    // their answers, then account the speculative overshoot.
+    share.cancel.store(true, Ordering::Relaxed);
+    for msg in res_rx.iter().take(threads - idle.len()) {
+        depth.add(-(msg.len as i64));
+    }
+    stm_telemetry::counter!("engine.jobs_discarded").add(dispatched.saturating_sub(consumed));
+    depth.set(0);
     workers.set(0);
-    outcome
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -1331,27 +1409,56 @@ mod tests {
         let mut quota = Quota::scan(64, 0);
         let spec = FailureSpec::AnyCrash;
         let mut sink = Sink::default();
-        let factory = |_w: usize| {
-            |job: &Job| -> (RunReport, RunClass) {
-                if job.index >= 2 {
-                    panic!("poisoned run");
-                }
-                // Never returns a report before the poison triggers: the
-                // first two jobs produce a real (trivial) run.
-                let (p, _) = guarded_program();
-                let runner = Runner::new(Machine::new(p));
-                runner.run_classified(&job.workload, &FailureSpec::AnyCrash)
+        let exec: Arc<Exec> = Arc::new(|job: &Job| -> (RunReport, RunClass) {
+            if job.index >= 2 {
+                panic!("poisoned run");
             }
-        };
-        let err = run_plan(
-            &plan, 4, 8, &mut quota, &spec, &mut sink, &mut None, &factory,
-        )
-        .unwrap_err();
+            // Never returns a report before the poison triggers: the
+            // first two jobs produce a real (trivial) run.
+            let (p, _) = guarded_program();
+            let runner = Runner::new(Machine::new(p));
+            runner.run_classified(&job.workload, &FailureSpec::AnyCrash)
+        });
+        let err = run_plan(plan, 4, 8, &mut quota, &spec, &mut sink, &mut None, &exec).unwrap_err();
         match err {
             SessionError::WorkerPanicked { message, .. } => {
                 assert!(message.contains("poisoned run"), "{message}");
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+        // The panic cost the pool nothing: its workers caught it, and a
+        // session in the same process still matches the inline path.
+        let (seq, par) = (session(1).unwrap(), session(4).unwrap());
+        assert_eq!(par.stats(), seq.stats());
+        assert_eq!(par.lbra().ranked, seq.lbra().ranked);
+    }
+
+    #[test]
+    fn from_runner_sessions_share_the_runners_machine() {
+        let (p, site) = guarded_program();
+        let runner =
+            Runner::instrumented(&p, &InstrumentOptions::lbra_reactive(vec![site], vec![]));
+        let profiles = DiagnosisSession::from_runner(&runner)
+            .failure(FailureSpec::ErrorLogAt(site))
+            .failing(vec![Workload::new(vec![-1])])
+            .passing(vec![Workload::new(vec![1])])
+            .threads(2)
+            .collect()
+            .expect("collection succeeds");
+        assert!(std::ptr::eq(profiles.runner().machine(), runner.machine()));
+    }
+
+    #[test]
+    fn warm_pool_spawns_no_thread_at_or_below_its_width() {
+        // No test in this crate asks for more than 8 threads, so once the
+        // pool is 8 wide, concurrently running tests cannot grow it either.
+        session(8).expect("warm-up session");
+        let width = || POOL.lock().unwrap_or_else(|p| p.into_inner()).len();
+        let warmed = width();
+        assert!(warmed >= 8);
+        for threads in [2, 4, 8] {
+            session(threads).expect("warm session");
+            assert_eq!(width(), warmed, "a threads({threads}) session spawned");
         }
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::transform::{instrument, InstrumentOptions};
 use std::cell::RefCell;
+use std::sync::Arc;
 use stm_hardware::{HardwareCtx, HwConfig};
 use stm_machine::ids::LogSiteId;
 use stm_machine::interp::{Machine, RunConfig, RunScratch};
@@ -20,16 +21,19 @@ use stm_machine::sched::SchedPolicy;
 thread_local! {
     /// Per-thread run cache. The collection engine calls [`Runner::run`]
     /// once per replay, and on the paper's short workloads building the
-    /// run state costs more than running it: a fresh [`HardwareCtx`]
-    /// allocates one `Vec` per cache set per core (~2k allocations) and a
-    /// fresh interpreter scratch re-grows memory, thread and register
-    /// buffers from zero. The cache keeps one hardware context (keyed by
-    /// its [`HwConfig`]) and one [`RunScratch`] per thread and recycles
-    /// their capacity across runs. [`HardwareCtx::reset`] restores the
-    /// exact fresh state (pinned by the hardware crate's
-    /// `reset_restores_the_fresh_state` test) and every run re-seeds the
-    /// perturbation stream from its workload seed, so reuse is invisible
-    /// in results — only in allocator traffic.
+    /// run state is a large share of running it: a fresh [`HardwareCtx`]
+    /// makes 10 allocations and then grows each cache set the run first
+    /// touches, and a fresh interpreter scratch re-grows memory, thread
+    /// and register buffers from zero — 33 allocation calls for sort's
+    /// first failing witness on a fresh thread. The cache keeps one
+    /// hardware context (keyed by its [`HwConfig`]) and one
+    /// [`RunScratch`] per thread and recycles their capacity across runs,
+    /// so a warm run allocates only the buffers of the report it returns
+    /// (5 calls for that witness, pinned by `tests/allocations.rs`).
+    /// [`HardwareCtx::reset`] restores the exact fresh state (pinned by
+    /// the hardware crate's `reset_restores_the_fresh_state` test) and
+    /// every run re-seeds the perturbation stream from its workload seed,
+    /// so reuse is invisible in results — only in allocator traffic.
     static RUN_CACHE: RefCell<RunCache> = RefCell::new(RunCache::default());
 }
 
@@ -199,12 +203,15 @@ pub fn classify(
 /// [`HardwareCtx`] because it hands the final hardware state back to the
 /// caller.
 ///
-/// `Runner` is `Clone + Send + Sync`: the machine and both configs are
-/// plain data, so the collection engine can hand each worker thread its
-/// own copy (see `crate::engine`).
+/// `Runner` is `Clone + Send + Sync`. The machine is immutable once built
+/// and shared behind an [`Arc`], and both configs are small plain data,
+/// so a clone is a reference-count bump: the collection engine's
+/// executor and every session built with
+/// [`DiagnosisSession::from_runner`](crate::engine::DiagnosisSession::from_runner)
+/// run the same machine, not a copy of it.
 #[derive(Debug, Clone)]
 pub struct Runner {
-    machine: Machine,
+    machine: Arc<Machine>,
     run_config: RunConfig,
     hw_config: HwConfig,
 }
@@ -215,10 +222,11 @@ impl Runner {
         Runner::new(Machine::new(instrument(program, opts)))
     }
 
-    /// Wraps an already-built machine.
-    pub fn new(machine: Machine) -> Self {
+    /// Wraps an already-built machine, or shares one another runner or
+    /// session already holds.
+    pub fn new(machine: impl Into<Arc<Machine>>) -> Self {
         Runner {
-            machine,
+            machine: machine.into(),
             run_config: RunConfig::default(),
             hw_config: HwConfig::default(),
         }
@@ -238,6 +246,11 @@ impl Runner {
 
     /// The machine being run.
     pub fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// The shared handle to the machine, for sessions that run it too.
+    pub(crate) fn shared_machine(&self) -> &Arc<Machine> {
         &self.machine
     }
 

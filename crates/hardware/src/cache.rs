@@ -121,9 +121,10 @@ impl CacheSystem {
     }
 
     /// Restores the exactly-fresh state (every line invalid, statistics
-    /// zeroed) while keeping all per-set allocations — rebuilding a cache
-    /// system allocates one `Vec` per set per core, which dominates run
-    /// setup when runs are short.
+    /// zeroed) while keeping all per-set allocations. A fresh cache system
+    /// allocates one set table per core, and each set allocates again on
+    /// its first fill, so a rebuilt system pays per run for every set the
+    /// run touches; a reset one pays nothing.
     pub fn reset(&mut self) {
         for core in &mut self.cores {
             for set in &mut core.sets {

@@ -160,9 +160,9 @@ impl HardwareCtx {
     /// Restores the unit to the exact state a fresh
     /// [`HardwareCtx::new`] with the same configuration would produce,
     /// while keeping every internal allocation (rings, cache sets,
-    /// sample buffers). Building a paper-default context allocates one
-    /// `Vec` per cache set per core — thousands of allocations that used
-    /// to be paid per run; a runner that resets instead pays none.
+    /// sample buffers). Building a paper-default context makes 10
+    /// allocations, and its cache sets then allocate as a run first fills
+    /// each one; a runner that resets instead pays neither per run.
     ///
     /// Callers that inject perturbations must still call
     /// [`HardwareCtx::seed_perturbations`] per run, exactly as they must
@@ -416,9 +416,10 @@ impl Hardware for HardwareCtx {
     }
 }
 
-// Send/Sync audit: each collection-engine worker owns a fresh
-// `HardwareCtx` per run, so the simulated hardware must be safe to build
-// and move across threads. Compile-time check that no thread-bound state
+// Send/Sync audit: each collection-engine worker builds and keeps its own
+// `HardwareCtx` on whichever thread runs it, and `Runner::run_with_hw`
+// hands one back to its caller, so the simulated hardware must be safe to
+// build and move across threads. Compile-time check that no thread-bound state
 // sneaks into the rings or cache model.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

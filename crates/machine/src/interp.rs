@@ -1215,8 +1215,9 @@ fn fault_to_failure(f: MemFault) -> FailureKind {
     }
 }
 
-// Send/Sync audit: the parallel collection engine (stm-core) clones a
-// `Machine` per worker thread and moves run reports back over channels.
+// Send/Sync audit: the parallel collection engine (stm-core) shares one
+// `Machine` across its worker threads and moves run reports back over
+// channels.
 // These assertions fail to compile if anyone introduces interior
 // mutability or thread-bound state (Rc, RefCell, raw pointers) into the
 // interpreter's plain-data types.

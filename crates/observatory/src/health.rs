@@ -87,7 +87,8 @@ pub struct Observation {
     pub runs_per_sec: Option<f64>,
     /// `engine.workers_busy` gauge: workers currently executing a job.
     pub workers_busy: i64,
-    /// `engine.workers` gauge: live pool size (0 outside a session).
+    /// `engine.workers` gauge: the running session's worker count (0
+    /// outside a session; idle pool workers do not count).
     pub workers: i64,
 }
 

@@ -1,9 +1,9 @@
 //! Critical-path attribution over the diagnosis pipeline's span DAG.
 //!
 //! A [`DiagnosisSession::collect`] leaves a well-shaped trace in the
-//! telemetry collector: one `engine.collect` root, `engine.enqueue` →
-//! `engine.job` → `engine.consume` chains tied per job by flow ids, and
-//! one `engine.worker` span per worker thread. [`CriticalPathReport`]
+//! telemetry collector: one `engine.collect` root, and `engine.enqueue` →
+//! `engine.job` → `engine.consume` chains tied per job by flow ids, each
+//! `engine.job` on the thread of the worker that ran it. [`CriticalPathReport`]
 //! walks that DAG and tiles the root's wall-clock **exactly** — every
 //! microsecond between session start and end lands in exactly one
 //! labeled [`PathSegment`] — so phase durations always sum to the
@@ -26,7 +26,7 @@
 //!
 //! [`DiagnosisSession::collect`]: ../stm_core/engine/struct.DiagnosisSession.html
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use stm_telemetry::json::Json;
 use stm_telemetry::SpanRecord;
@@ -57,7 +57,7 @@ impl PathSegment {
 pub struct CriticalPathReport {
     /// Session wall-clock, microseconds.
     pub wall_us: u64,
-    /// Worker threads observed (1 for a sequential session).
+    /// Threads that ran the session's jobs (1 for a sequential session).
     pub workers: usize,
     /// `engine.job` executions inside the session window.
     pub jobs: usize,
@@ -92,33 +92,23 @@ impl CriticalPathReport {
         let mut consumes: Vec<Iv> = vec![];
         let mut jobs: Vec<Iv> = vec![];
         let mut enqueues: BTreeMap<u64, Iv> = BTreeMap::new();
-        let mut worker_edges: Vec<(u64, i64)> = vec![];
+        // The threads that ran the session's jobs: its pool workers, or
+        // the caller's thread alone for a sequential session.
+        let mut job_threads = BTreeSet::new();
         for s in spans {
             let Some(iv) = interval(s) else { continue };
             match s.name {
                 "engine.consume" if inside(&iv) => consumes.push(iv),
-                "engine.job" if inside(&iv) => jobs.push(iv),
+                "engine.job" if inside(&iv) => {
+                    jobs.push(iv);
+                    job_threads.insert(s.tid);
+                }
                 "engine.enqueue" if iv.2 != 0 => {
                     enqueues.insert(iv.2, iv);
-                }
-                "engine.worker" if inside(&iv) => {
-                    worker_edges.push((iv.0, 1));
-                    worker_edges.push((iv.1, -1));
                 }
                 _ => {}
             }
         }
-        // A session runs one worker fleet per plan, sequentially (witness
-        // mode: a failing plan then a passing one) — the fleet size is the
-        // *peak* number of concurrently live workers, not the span count.
-        worker_edges.sort_unstable();
-        let mut live = 0i64;
-        let mut workers = 0i64;
-        for (_, d) in worker_edges {
-            live += d;
-            workers = workers.max(live);
-        }
-        let workers = workers as usize;
         consumes.sort_unstable();
         jobs.sort_unstable();
         let job_by_flow: BTreeMap<u64, Iv> = jobs
@@ -128,7 +118,7 @@ impl CriticalPathReport {
             .collect();
 
         let busy_us: u64 = jobs.iter().map(|(s, e, _)| e - s).sum();
-        let workers = workers.max(1);
+        let workers = job_threads.len().max(1);
         let wall_us = w_end - w_start;
         let parallel_efficiency_pct = if wall_us == 0 {
             0.0
@@ -329,8 +319,6 @@ mod tests {
     fn parallel_session_tiles_exactly() {
         let spans = vec![
             span("engine.collect", 0, 100, 0, 1),
-            span("engine.worker", 0, 95, 0, 2),
-            span("engine.worker", 0, 95, 0, 3),
             span("engine.enqueue", 1, 2, 1, 1),
             span("engine.enqueue", 2, 3, 2, 1),
             span("engine.job", 3, 40, 1, 2),
@@ -340,7 +328,7 @@ mod tests {
         ];
         let r = CriticalPathReport::analyze(&spans).expect("collect span present");
         assert_eq!(r.wall_us, 100);
-        assert_eq!(r.workers, 2);
+        assert_eq!(r.workers, 2, "jobs ran on threads 2 and 3");
         assert_eq!(r.jobs, 2);
         assert_eq!(r.busy_us, 37 + 56);
         assert!((r.coverage_pct() - 100.0).abs() < 1e-9);
@@ -399,11 +387,13 @@ mod tests {
         assert!(CriticalPathReport::analyze(&only_open).is_none());
         let spans = vec![
             span("engine.collect", 0, 10, 0, 1),
+            span("engine.job", 2, 8, 0, 7),
             span("engine.collect", 20, 30, 0, 1),
             span("engine.job", 21, 29, 0, 1),
         ];
         let r = CriticalPathReport::analyze(&spans).unwrap();
         assert_eq!(r.wall_us, 10);
         assert_eq!(r.jobs, 1);
+        assert_eq!(r.workers, 1, "thread 7 ran only the earlier session");
     }
 }

@@ -895,7 +895,9 @@ pub fn labeled_gauge_set(name: &str, label: &str, value: &str, level: i64) {
 /// destructors — including the buffer's exit flush — are still running,
 /// so spans left to the destructor may land *after* the joining thread's
 /// [`take_spans`]. Flushing as the last act inside the closure puts the
-/// spans in the sink before the join completes.
+/// spans in the sink before the join completes. Long-lived workers need
+/// it too, since they never reach thread exit: the collection engine's
+/// pool workers flush at the end of every chunk, before they answer it.
 pub fn flush_thread() {
     flush_local_spans();
 }
