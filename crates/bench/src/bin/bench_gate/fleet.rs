@@ -20,24 +20,28 @@
 //!   backpressure accounting bug.
 //!
 //! Counter baselines are higher-is-worse, so a diff alone would read an
-//! under-count as an improvement. Three harness checks close that hole;
+//! under-count as an improvement. Four harness checks close that hole;
 //! each prints its reason and fails the gate:
 //!
 //! * after the sustained phase drains, the live `"fleet"` status
 //!   document (what `/diagnosis` serves) lists every shard, each with a
 //!   causal chain of at least one link;
+//! * after either phase's `finish`, the terminal `"fleet"` document lists
+//!   every shard with its live entry's key set, and with the `verdict`,
+//!   `ingested`, `skipped`, `after_stop` and `shed` of its `ShardReport`;
 //! * after the overload phase, `fleet.shed_total` equals the shards'
 //!   summed `shed`;
 //! * and each `fleet.shed{shard="…"}` series equals its own shard's
 //!   `shed`.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use stm_bench::MetricsEmitter;
 use stm_core::converge::StabilityPolicy;
 use stm_core::diagnose::Quotas;
 use stm_core::engine::CollectedProfiles;
-use stm_fleet::{FleetDaemon, ShardConfig, ShedPolicy, Snapshot, SubmitOutcome};
+use stm_fleet::{FleetDaemon, ShardConfig, ShardReport, ShedPolicy, Snapshot, SubmitOutcome};
 use stm_machine::report::RunReport;
 use stm_telemetry::json::Json;
 
@@ -145,8 +149,10 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     fleet.drain();
     let elapsed = started.elapsed();
     let mut outcome = Outcome::default();
-    let live_links = live_chain_links(&mut outcome);
+    let live = fleet_entries();
+    let live_links = live_chain_links(&live, &mut outcome);
     let reports = fleet.finish();
+    check_terminal_doc(&live, &reports, &mut outcome);
     let eps = ENDPOINTS as f64 / elapsed.as_secs_f64().max(1e-9);
     println!(
         "  sustained: {ENDPOINTS} endpoints in {:.1} ms ({eps:.0}/s)",
@@ -234,7 +240,9 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
         .iter()
         .filter(|e| e.component == "fleet" && e.event == "shed")
         .count();
+    let live = fleet_entries();
     let reports = fleet.finish();
+    check_terminal_doc(&live, &reports, &mut outcome);
     let shed_counters = stm_telemetry::metrics_snapshot().delta_since(&before_overload);
     stm_telemetry::log::set_stderr_level(Some(stm_telemetry::log::Level::Warn));
     println!(
@@ -300,21 +308,69 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     outcome
 }
 
-/// Link counts of each shard's live causal chain, read from the
-/// `"fleet"` status document the running daemon publishes. A shard the
-/// document does not list, or lists without a chain, fails the gate.
-fn live_chain_links(outcome: &mut Outcome) -> [usize; 4] {
+/// Each shard's entry in the `"fleet"` status document published last.
+fn fleet_entries() -> [Option<Json>; 4] {
     let doc = stm_telemetry::status::get("fleet");
-    SHARDS.map(|name| {
-        let links = doc
+    SHARDS.map(|name| doc.as_ref()?.get("shards")?.get(name).cloned())
+}
+
+/// Link counts of each shard's live causal chain, read from its live
+/// `"fleet"` status entry. A shard the document does not list, or lists
+/// without a chain, fails the gate.
+fn live_chain_links(live: &[Option<Json>; 4], outcome: &mut Outcome) -> [usize; 4] {
+    std::array::from_fn(|i| {
+        let links = live[i]
             .as_ref()
-            .and_then(|d| d.get("shards")?.get(name)?.get("chain")?.get("links"))
+            .and_then(|e| e.get("chain")?.get("links"))
             .and_then(Json::as_array)
             .map_or(0, <[Json]>::len);
         if links == 0 {
+            let name = SHARDS[i];
             eprintln!("{name}: no causal chain in the live fleet status document");
             outcome.failed = true;
         }
         links
     })
+}
+
+/// Fails the gate unless the terminal `"fleet"` status document lists
+/// every shard with the key set of its `live` entry, and with the
+/// verdict and counts of its [`ShardReport`].
+fn check_terminal_doc(
+    live: &[Option<Json>; 4],
+    reports: &BTreeMap<String, ShardReport>,
+    outcome: &mut Outcome,
+) {
+    let keys = |entry: Option<&Json>| -> Vec<String> {
+        match entry {
+            Some(Json::Obj(map)) => map.keys().cloned().collect(),
+            _ => Vec::new(),
+        }
+    };
+    for ((name, live), terminal) in SHARDS.iter().zip(live).zip(fleet_entries()) {
+        let Some(terminal) = terminal else {
+            eprintln!("{name}: missing from the terminal fleet status document");
+            outcome.failed = true;
+            continue;
+        };
+        let (want, got) = (keys(live.as_ref()), keys(Some(&terminal)));
+        if want != got {
+            eprintln!("{name}: terminal fleet entry keys {got:?}, live entry keys {want:?}");
+            outcome.failed = true;
+        }
+        let r = &reports[*name];
+        for (key, value) in [
+            ("verdict", Json::from(r.verdict.as_str())),
+            ("ingested", Json::from(r.ingested)),
+            ("skipped", Json::from(r.skipped)),
+            ("after_stop", Json::from(r.after_stop)),
+            ("shed", Json::from(r.shed)),
+        ] {
+            let entry = terminal.get(key);
+            if entry != Some(&value) {
+                eprintln!("{name}: terminal fleet entry {key} is {entry:?}, the shard report says {value:?}");
+                outcome.failed = true;
+            }
+        }
+    }
 }

@@ -116,8 +116,10 @@ fn trace_out_export_is_valid_chrome_trace() {
     }
 
     // Phase nesting: every run job executes inside the engine's
-    // collection window (workers are scoped threads the driver joins),
-    // and extraction/ranking happen only after collection has begun.
+    // collection window (the coordinator waits for every outstanding
+    // chunk's answer before the session returns, although the pool's
+    // workers outlive it), and extraction/ranking happen only after
+    // collection has begun.
     let range = |name: &str| {
         spans
             .iter()

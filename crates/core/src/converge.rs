@@ -12,10 +12,10 @@
 //!
 //! * [`ConvergenceTracker`] — owns the model, re-scores it after every
 //!   witness and polls top-k rank churn (Kendall-style discordant-pair
-//!   count), the top-1 stability streak, and per-predictor score
-//!   trajectories. Its final ranking is the model's own `rank()` /
-//!   `rank_with_absence()`, so it equals the batch ranking over the same
-//!   profiles by construction (pinned in `tests/engine_determinism.rs`);
+//!   count) and the top-1 stability streak. Its final ranking is the
+//!   model's own `rank()` / `rank_with_absence()`, so it equals the batch
+//!   ranking over the same profiles by construction (pinned in
+//!   `tests/engine_determinism.rs`);
 //! * [`StabilityPolicy`] — when the engine may stop collecting early:
 //!   top-1 unchanged for `stable_for` consecutive witnesses, with floor
 //!   counts on both profile classes so a failure-only prefix can never
@@ -27,8 +27,10 @@
 //! daemon feeds externally-produced snapshots through, one per shard.
 //! The engine-facing [`ConvergenceMonitor`] wraps it and owns the single
 //! call sites for the `engine.rank_churn` / `engine.top1_stable_for` /
-//! `engine.witnesses_ingested` gauges and the live `/diagnosis` status
-//! document.
+//! `engine.witnesses_ingested` gauges, the per-predictor score
+//! trajectories, and the `/diagnosis` status document (live and
+//! terminal). A fleet shard's ingest records no trajectories: nothing in
+//! the fleet reads them.
 
 use crate::diagnose::{failure_profile, success_profile};
 use crate::profile::{
@@ -157,18 +159,21 @@ pub struct PollPoint {
     pub top1_streak: usize,
 }
 
-/// A named predictor's score history: `(witness count, score)` samples,
-/// recorded whenever the predictor sat in the top-k.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Trajectory {
-    /// Display form of the predictor (`!` prefix = absence).
-    pub predictor: String,
-    /// `(witnesses ingested, harmonic score)` samples.
-    pub points: Vec<(usize, f64)>,
+/// Score histories keyed by predictor display form (`!` prefix =
+/// absence): `(witnesses ingested, harmonic score)` samples, recorded
+/// whenever the predictor sat in the top-k.
+type Trajectories = BTreeMap<String, Vec<(usize, f64)>>;
+
+/// Display form of a predictor (`!` prefix marks absence).
+fn label<E: Display>(p: &ScoredPredictor<E>) -> String {
+    match p.polarity {
+        Polarity::Present => format!("{}", p.event),
+        Polarity::Absent => format!("!{}", p.event),
+    }
 }
 
-/// Live convergence state over a [`RankingModel`]: churn, streak, and
-/// trajectories, polled once per ingested witness.
+/// Live convergence state over a [`RankingModel`]: churn and streak,
+/// polled once per ingested witness.
 #[derive(Debug, Clone)]
 pub struct ConvergenceTracker<E: Ord + Clone + Display> {
     model: RankingModel<E>,
@@ -178,7 +183,6 @@ pub struct ConvergenceTracker<E: Ord + Clone + Display> {
     churn: u64,
     top1_streak: usize,
     history: Vec<PollPoint>,
-    trajectories: BTreeMap<String, Vec<(usize, f64)>>,
     scored: Vec<ScoredPredictor<E>>,
 }
 
@@ -193,7 +197,6 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             churn: 0,
             top1_streak: 0,
             history: Vec::new(),
-            trajectories: BTreeMap::new(),
             scored: Vec::new(),
         }
     }
@@ -249,17 +252,14 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
         &self.scored
     }
 
+    /// Display form of the latest top-1 predictor (`!` prefix = absence).
+    fn top1(&self) -> Option<String> {
+        self.top().first().map(label)
+    }
+
     /// Per-witness poll history.
     pub fn history(&self) -> &[PollPoint] {
         &self.history
-    }
-
-    /// Display form of a predictor key (`!` prefix marks absence).
-    fn label(event: &E, polarity: Polarity) -> String {
-        match polarity {
-            Polarity::Present => format!("{event}"),
-            Polarity::Absent => format!("!{event}"),
-        }
     }
 
     /// Ingests one witness profile and re-polls the convergence state.
@@ -278,15 +278,8 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             (_, Some(_)) => 1,
             (_, None) => 0,
         };
-        let witness = self.witnesses();
-        for p in &self.scored[..keys.len()] {
-            self.trajectories
-                .entry(Self::label(&p.event, p.polarity))
-                .or_default()
-                .push((witness, p.score));
-        }
         self.history.push(PollPoint {
-            witness,
+            witness: self.witnesses(),
             churn: self.churn,
             top1_streak: self.top1_streak,
         });
@@ -319,27 +312,7 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             churn: self.churn,
             top1_streak: self.top1_streak,
             stable: self.is_stable(),
-            top1: self
-                .top()
-                .first()
-                .map(|p| Self::label(&p.event, p.polarity)),
-            top: self
-                .top()
-                .iter()
-                .map(|p| PredictorSummary {
-                    predictor: Self::label(&p.event, p.polarity),
-                    precision: p.precision,
-                    recall: p.recall,
-                    score: p.score,
-                    failure_matches: p.failure_matches,
-                    success_matches: p.success_matches,
-                })
-                .collect(),
-            trajectories: self
-                .trajectories
-                .into_iter()
-                .map(|(predictor, points)| Trajectory { predictor, points })
-                .collect(),
+            top1: self.top1(),
             history: self.history,
         };
         let ranked = if self.absence {
@@ -350,14 +323,25 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
         (ranked, evidence)
     }
 
-    /// The tracker's live state as the `/diagnosis` JSON document.
-    pub fn to_json(&self, verdict: &str) -> Json {
+    /// Appends the latest top-k scores to `trajectories`.
+    fn sample(&self, trajectories: &mut Trajectories) {
+        for p in self.top() {
+            trajectories
+                .entry(label(p))
+                .or_default()
+                .push((self.witnesses(), p.score));
+        }
+    }
+
+    /// The tracker's state under `verdict`, with `trajectories`, as the
+    /// `/diagnosis` JSON document.
+    fn to_json(&self, verdict: &str, trajectories: &Trajectories) -> Json {
         let top = self
             .top()
             .iter()
             .map(|p| {
                 Json::obj([
-                    ("predictor", Json::from(Self::label(&p.event, p.polarity))),
+                    ("predictor", Json::from(label(p))),
                     ("precision", Json::from(p.precision)),
                     ("recall", Json::from(p.recall)),
                     ("score", Json::from(p.score)),
@@ -366,8 +350,7 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
                 ])
             })
             .collect();
-        let trajectories = self
-            .trajectories
+        let trajectories = trajectories
             .iter()
             .map(|(label, points)| {
                 let pts = points
@@ -421,23 +404,6 @@ impl Display for Verdict {
     }
 }
 
-/// One final top-k predictor, in display form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredictorSummary {
-    /// Display form of the predictor (`!` prefix = absence).
-    pub predictor: String,
-    /// Prediction precision.
-    pub precision: f64,
-    /// Prediction recall.
-    pub recall: f64,
-    /// Harmonic score.
-    pub score: f64,
-    /// Failure profiles matching.
-    pub failure_matches: usize,
-    /// Success profiles matching.
-    pub success_matches: usize,
-}
-
 /// The type-erased convergence evidence a tracker accumulated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceEvidence {
@@ -455,10 +421,6 @@ pub struct ConvergenceEvidence {
     pub stable: bool,
     /// Display form of the final top-1 predictor.
     pub top1: Option<String>,
-    /// The final top-k, summarised.
-    pub top: Vec<PredictorSummary>,
-    /// Score history of every predictor that visited the top-k.
-    pub trajectories: Vec<Trajectory>,
     /// The per-witness poll history.
     pub history: Vec<PollPoint>,
 }
@@ -501,49 +463,6 @@ pub struct ConvergenceReport {
     pub evidence: ConvergenceEvidence,
     /// The final ranking, bit-identical to the batch model.
     pub final_ranking: FinalRanking,
-}
-
-impl ConvergenceReport {
-    /// The report as a JSON object (the `CONVERGENCE_<id>.json` shape,
-    /// minus the harness-computed rank curve).
-    pub fn to_json(&self) -> Json {
-        let e = &self.evidence;
-        let top = e
-            .top
-            .iter()
-            .map(|p| {
-                Json::obj([
-                    ("predictor", Json::from(p.predictor.clone())),
-                    ("precision", Json::from(p.precision)),
-                    ("recall", Json::from(p.recall)),
-                    ("score", Json::from(p.score)),
-                ])
-            })
-            .collect();
-        let trajectories = e
-            .trajectories
-            .iter()
-            .map(|t| {
-                let pts = t
-                    .points
-                    .iter()
-                    .map(|(w, s)| Json::Arr(vec![Json::from(*w), Json::from(*s)]))
-                    .collect();
-                (t.predictor.clone(), Json::Arr(pts))
-            })
-            .collect();
-        Json::obj([
-            ("verdict", Json::from(self.verdict.as_str())),
-            ("witnesses_ingested", Json::from(e.witnesses)),
-            ("failures", Json::from(e.failures)),
-            ("successes", Json::from(e.successes)),
-            ("rank_churn", Json::from(e.churn)),
-            ("top1_stable_for", Json::from(e.top1_streak)),
-            ("policy", self.policy.to_json()),
-            ("top", Json::Arr(top)),
-            ("trajectories", Json::Obj(trajectories)),
-        ])
-    }
 }
 
 /// The snapshot-level ingest entry point, factored out of the session
@@ -756,6 +675,15 @@ impl SnapshotIngest {
         }
     }
 
+    /// Display form of the current top-1 predictor (`!` prefix =
+    /// absence); `None` before the first ingested snapshot.
+    pub fn top1(&self) -> Option<String> {
+        match self.inner.as_ref()? {
+            MonitorInner::Lbr(t, _) => t.top1(),
+            MonitorInner::Lcr(t, _) => t.top1(),
+        }
+    }
+
     /// Live verdict string: `converged` once the policy has fired,
     /// `collecting` before.
     pub fn live_verdict(&self) -> &'static str {
@@ -766,26 +694,30 @@ impl SnapshotIngest {
         }
     }
 
-    /// The live state as a `/diagnosis`-shaped JSON document.
-    pub fn to_json(&self) -> Json {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t, _)) => t.to_json(self.live_verdict()),
-            Some(MonitorInner::Lcr(t, _)) => t.to_json(self.live_verdict()),
-            None => Json::obj([
-                ("verdict", Json::from(self.live_verdict())),
-                ("witnesses_ingested", Json::from(0usize)),
-                ("policy", self.policy.to_json()),
-            ]),
-        }
+    /// The verdict [`finish`](SnapshotIngest::finish) would report now:
+    /// `converged` once the policy has fired, `stable` when its stability
+    /// conditions hold, `stalled` otherwise. `None` before the first
+    /// ingested snapshot, when there is no report to end with.
+    pub fn verdict(&self) -> Option<Verdict> {
+        let stable = match self.inner.as_ref()? {
+            MonitorInner::Lbr(t, _) => t.is_stable(),
+            MonitorInner::Lcr(t, _) => t.is_stable(),
+        };
+        Some(if self.fired {
+            Verdict::ConvergedEarly
+        } else if stable {
+            Verdict::Stable
+        } else {
+            Verdict::Stalled
+        })
     }
 
-    /// Finalises the ingest: computes the verdict and returns the report
-    /// — pure, with no side channel. `None` when no snapshot ever
-    /// carried a usable profile.
+    /// Finalises the ingest: the [`verdict`](SnapshotIngest::verdict)
+    /// and the report — pure, with no side channel. `None` when no
+    /// snapshot ever carried a usable profile.
     #[must_use = "finishing consumes the ingest; use the returned report"]
     pub fn finish(self) -> Option<ConvergenceReport> {
-        let policy = self.policy;
-        let fired = self.fired;
+        let verdict = self.verdict()?;
         let (final_ranking, evidence) = match self.inner? {
             MonitorInner::Lbr(t, _) => {
                 let (r, e) = t.finish();
@@ -796,16 +728,9 @@ impl SnapshotIngest {
                 (FinalRanking::Lcr(r), e)
             }
         };
-        let verdict = if fired {
-            Verdict::ConvergedEarly
-        } else if evidence.stable {
-            Verdict::Stable
-        } else {
-            Verdict::Stalled
-        };
         Some(ConvergenceReport {
             verdict,
-            policy,
+            policy: self.policy,
             evidence,
             final_ranking,
         })
@@ -815,11 +740,12 @@ impl SnapshotIngest {
 /// The engine-facing monitor: a [`SnapshotIngest`] plus the *global*
 /// observability surface — the `engine.rank_churn` /
 /// `engine.top1_stable_for` / `engine.witnesses_ingested` gauges, the
-/// live `/diagnosis` status document, and the `diagnosis.converged` /
-/// `diagnosis.stalled` events emitted when the session ends. A fleet
-/// shard uses [`SnapshotIngest`] directly instead: these gauge names are
-/// single-call-site by contract (snapshots sum same-name gauges), so a
-/// per-shard consumer must publish per-shard labeled series, not these.
+/// per-predictor score trajectories, the `/diagnosis` status document,
+/// and the `diagnosis.converged` / `diagnosis.stalled` events emitted
+/// when the session ends. A fleet shard uses [`SnapshotIngest`] directly
+/// instead: these gauge names are single-call-site by contract
+/// (snapshots sum same-name gauges), so a per-shard consumer must publish
+/// per-shard labeled series, not these.
 ///
 /// Non-generic on purpose: the gauge macros declare one static per call
 /// site and snapshots *sum* same-name gauges, so the `set()` calls must
@@ -827,6 +753,7 @@ impl SnapshotIngest {
 #[derive(Debug)]
 pub struct ConvergenceMonitor {
     ingest: SnapshotIngest,
+    trajectories: Trajectories,
 }
 
 impl ConvergenceMonitor {
@@ -837,6 +764,7 @@ impl ConvergenceMonitor {
     pub fn new(layout: &Layout, spec: FailureSpec, policy: StabilityPolicy) -> Self {
         let monitor = ConvergenceMonitor {
             ingest: SnapshotIngest::new(layout.clone(), spec, policy),
+            trajectories: Trajectories::new(),
         };
         monitor.publish();
         monitor
@@ -848,6 +776,11 @@ impl ConvergenceMonitor {
     pub fn observe(&mut self, is_failure: bool, witness: &str, report: &RunReport) -> bool {
         let ingested = self.ingest.observe(is_failure, witness, report);
         if ingested {
+            match &self.ingest.inner {
+                Some(MonitorInner::Lbr(t, _)) => t.sample(&mut self.trajectories),
+                Some(MonitorInner::Lcr(t, _)) => t.sample(&mut self.trajectories),
+                None => {}
+            }
             self.publish();
         }
         ingested
@@ -858,28 +791,45 @@ impl ConvergenceMonitor {
         self.ingest.should_stop()
     }
 
-    /// Pushes the gauges and the `/diagnosis` status document. These are
-    /// the single call sites for the three convergence gauges (snapshots
-    /// sum same-name gauges across call sites, so a second `set()` site
-    /// could not overwrite this one).
+    /// The `/diagnosis` document under `verdict`: the one renderer of the
+    /// live, pre-first-witness and terminal documents.
+    fn document(&self, verdict: &str) -> Json {
+        match &self.ingest.inner {
+            Some(MonitorInner::Lbr(t, _)) => t.to_json(verdict, &self.trajectories),
+            Some(MonitorInner::Lcr(t, _)) => t.to_json(verdict, &self.trajectories),
+            None => Json::obj([
+                ("verdict", Json::from(verdict)),
+                ("witnesses_ingested", Json::from(0usize)),
+                ("policy", self.ingest.policy.to_json()),
+            ]),
+        }
+    }
+
+    /// Pushes the gauges and the live `/diagnosis` status document. These
+    /// are the single call sites for the three convergence gauges
+    /// (snapshots sum same-name gauges across call sites, so a second
+    /// `set()` site could not overwrite this one).
     fn publish(&self) {
         stm_telemetry::gauge!("engine.rank_churn").set(self.ingest.churn() as i64);
         stm_telemetry::gauge!("engine.top1_stable_for").set(self.ingest.top1_streak() as i64);
         stm_telemetry::gauge!("engine.witnesses_ingested").set(self.ingest.witnesses() as i64);
         if stm_telemetry::enabled() {
-            stm_telemetry::status::publish("diagnosis", self.ingest.to_json());
+            let doc = self.document(self.ingest.live_verdict());
+            stm_telemetry::status::publish("diagnosis", doc);
         }
     }
 
-    /// Finalises the monitor: computes the verdict, emits the
-    /// `diagnosis.converged` / `diagnosis.stalled` structured event,
-    /// publishes the terminal `/diagnosis` document, and returns the
-    /// report. `None` when no witness ever carried a usable profile.
+    /// Finalises the monitor: emits the `diagnosis.converged` /
+    /// `diagnosis.stalled` structured event, publishes the terminal
+    /// `/diagnosis` document (the live document under the final verdict),
+    /// and returns the report. `None` when no witness ever carried a
+    /// usable profile.
     #[must_use = "finishing consumes the monitor; use the returned report"]
     pub fn finish(self) -> Option<ConvergenceReport> {
+        let verdict = self.ingest.verdict()?;
+        let terminal = stm_telemetry::enabled().then(|| self.document(verdict.as_str()));
         let report = self.ingest.finish()?;
         let policy = report.policy;
-        let verdict = report.verdict;
         let e = &report.evidence;
         let fields = || {
             vec![
@@ -909,8 +859,8 @@ impl ConvergenceMonitor {
                 stm_telemetry::log::warn("engine", "diagnosis.stalled", fields);
             }
         }
-        if stm_telemetry::enabled() {
-            stm_telemetry::status::publish("diagnosis", report.to_json());
+        if let Some(doc) = terminal {
+            stm_telemetry::status::publish("diagnosis", doc);
         }
         Some(report)
     }
@@ -1060,28 +1010,6 @@ mod tests {
     }
 
     #[test]
-    fn trajectories_follow_top_k_members() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
-        t.observe(true, "f0", set(&["root"]));
-        t.observe(false, "s0", set(&["noise"]));
-        let (_, evidence) = t.finish();
-        let names: Vec<&str> = evidence
-            .trajectories
-            .iter()
-            .map(|t| t.predictor.as_str())
-            .collect();
-        assert!(names.contains(&"root"), "{names:?}");
-        let root = evidence
-            .trajectories
-            .iter()
-            .find(|t| t.predictor == "root")
-            .unwrap();
-        assert_eq!(root.points.len(), 2, "one sample per poll in top-k");
-        assert_eq!(root.points[0].0, 1);
-        assert_eq!(root.points[1].0, 2);
-    }
-
-    #[test]
     fn verdict_strings_are_wire_stable() {
         assert_eq!(Verdict::ConvergedEarly.as_str(), "converged");
         assert_eq!(Verdict::Stable.as_str(), "stable");
@@ -1091,8 +1019,10 @@ mod tests {
     #[test]
     fn tracker_json_document_is_parseable_and_complete() {
         let mut t = ConvergenceTracker::new(StabilityPolicy::default());
+        let mut trajectories = Trajectories::new();
         t.observe(true, "f0", set(&["root"]));
-        let doc = t.to_json("collecting");
+        t.sample(&mut trajectories);
+        let doc = t.to_json("collecting", &trajectories);
         let round = Json::parse(&doc.encode()).expect("valid JSON");
         assert_eq!(
             round.get("verdict").and_then(Json::as_str),
@@ -1104,6 +1034,12 @@ mod tests {
         );
         assert!(round.get("policy").is_some());
         assert!(round.get("top").and_then(Json::as_array).is_some());
-        assert!(round.get("trajectories").is_some());
+        assert_eq!(
+            round.get("trajectories").and_then(|t| t.get("root")),
+            Some(&Json::Arr(vec![Json::Arr(vec![
+                Json::from(1usize),
+                Json::from(1.0)
+            ])]))
+        );
     }
 }

@@ -14,7 +14,9 @@
 //! vs. 1000 failure occurrences).
 
 use crate::engine::CollectedProfiles;
-use crate::profile::{lbr_events, lcr_events, BranchOutcome, CoherenceEvent};
+use crate::profile::{
+    decode_lbr, decode_lcr, lbr_events, lcr_events, BranchOutcome, CoherenceEvent,
+};
 use crate::ranking::{Polarity, RankedEvent, RankingModel};
 use crate::runner::FailureSpec;
 use std::collections::{BTreeSet, HashMap};
@@ -140,16 +142,18 @@ impl CollectedProfiles {
         let mut positions: HashMap<BranchOutcome, (u64, u64)> = HashMap::new();
         let model = build_model(self, "lbra.profile_extraction", |p| match &p.data {
             ProfileData::Lbr(records) => {
-                if p.role == ProfileRole::FailureSite {
-                    for e in crate::profile::decode_lbr(layout, records) {
-                        if let Some(bo) = e.branch_outcome() {
+                let mut events = BTreeSet::new();
+                for e in decode_lbr(layout, records) {
+                    if let Some(bo) = e.branch_outcome() {
+                        if p.role == ProfileRole::FailureSite {
                             let slot = positions.entry(bo).or_insert((0, 0));
                             slot.0 += e.position as u64;
                             slot.1 += 1;
                         }
+                        events.insert(bo);
                     }
                 }
-                Some(lbr_events(layout, records))
+                Some(events)
             }
             ProfileData::Lcr(_) => None,
         });
@@ -169,14 +173,16 @@ impl CollectedProfiles {
         let mut positions: HashMap<CoherenceEvent, (u64, u64)> = HashMap::new();
         let model = build_model(self, "lcra.profile_extraction", |p| match &p.data {
             ProfileData::Lcr(records) => {
-                if p.role == ProfileRole::FailureSite {
-                    for e in crate::profile::decode_lcr(layout, records) {
+                let mut events = BTreeSet::new();
+                for e in decode_lcr(layout, records) {
+                    if p.role == ProfileRole::FailureSite {
                         let slot = positions.entry(e.event).or_insert((0, 0));
                         slot.0 += e.position as u64;
                         slot.1 += 1;
                     }
+                    events.insert(e.event);
                 }
-                Some(lcr_events(layout, records))
+                Some(events)
             }
             ProfileData::Lbr(_) => None,
         });

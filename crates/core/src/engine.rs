@@ -220,8 +220,9 @@ impl CollectedProfiles {
 
     /// The convergence report, when the session was built with
     /// [`DiagnosisSession::converge`]: verdict, churn/streak history,
-    /// trajectories, and the final incremental ranking (bit-identical to
-    /// the batch model over the same witnesses).
+    /// and the final incremental ranking (bit-identical to the batch
+    /// model over the same witnesses). The score trajectories are served
+    /// only by the `/diagnosis` document.
     pub fn convergence(&self) -> Option<&ConvergenceReport> {
         self.convergence.as_ref()
     }
@@ -420,9 +421,9 @@ impl DiagnosisSession {
     /// witness into a live ranking
     /// ([`ConvergenceTracker`](crate::converge::ConvergenceTracker)),
     /// publishes the `engine.rank_churn` / `engine.top1_stable_for` /
-    /// `engine.witnesses_ingested` gauges and the live `/diagnosis`
-    /// document, and — when `policy.stop` is set — stops collecting as
-    /// soon as the top-1 predictor has been stable for
+    /// `engine.witnesses_ingested` gauges and the `/diagnosis` document
+    /// (live, then terminal), and — when `policy.stop` is set — stops
+    /// collecting as soon as the top-1 predictor has been stable for
     /// `policy.stable_for` consecutive witnesses (both class floors
     /// permitting). The stop decision is taken at the strict-ordered
     /// consumption seam, so an early-stopped session is still

@@ -14,7 +14,7 @@ use crate::runner::{Runner, Workload};
 use stm_machine::events::CoherenceState;
 use stm_machine::ids::BranchId;
 use stm_machine::ir::SourceLoc;
-use stm_machine::report::{ProfileData, RunReport};
+use stm_machine::report::{ProfileData, ProfileEvent, RunReport};
 
 /// The enhanced failure log of one failed run.
 #[derive(Debug, Clone, Default)]
@@ -52,6 +52,32 @@ impl FailureLog {
 /// Returns `None` when the run collected no failure-site profile (e.g. it
 /// did not fail).
 pub fn failure_log(runner: &Runner, report: &RunReport) -> Option<FailureLog> {
+    failure_log_where(runner, report, |_| true)
+}
+
+/// Builds the enhanced failure log from the profile matching a specific
+/// failure specification — use this when a run logs several errors and
+/// only the target site's snapshot matters (the per-failure-site grouping
+/// of §5.3).
+pub fn failure_log_for(
+    runner: &Runner,
+    report: &RunReport,
+    spec: &crate::runner::FailureSpec,
+) -> Option<FailureLog> {
+    // Decode strictly the spec's own site, so a run that also logged
+    // *other* errors cannot leak their rings in.
+    let target = crate::diagnose::failure_profile(report, spec)?.site;
+    failure_log_where(runner, report, |p| p.site == target)
+}
+
+/// The failure log over the failure-site profiles `keep` selects, each
+/// ring decoded once; a later profile of the same ring kind replaces an
+/// earlier one. `None` when `keep` selects none.
+fn failure_log_where(
+    runner: &Runner,
+    report: &RunReport,
+    keep: impl Fn(&ProfileEvent) -> bool,
+) -> Option<FailureLog> {
     let program = runner.machine().program();
     let layout = runner.machine().layout();
     let symptom = match &report.outcome {
@@ -72,48 +98,17 @@ pub fn failure_log(runner: &Runner, report: &RunReport) -> Option<FailureLog> {
         ..FailureLog::default()
     };
     let mut any = false;
-    for p in report.profiles_with_role(stm_machine::ir::ProfileRole::FailureSite) {
-        match &p.data {
-            ProfileData::Lbr(records) => {
-                log.lbr = decode_lbr(layout, records);
-                any = true;
-            }
-            ProfileData::Lcr(records) => {
-                log.lcr = decode_lcr(layout, records);
-                any = true;
-            }
-        }
-    }
-    any.then_some(log)
-}
-
-/// Builds the enhanced failure log from the profile matching a specific
-/// failure specification — use this when a run logs several errors and
-/// only the target site's snapshot matters (the per-failure-site grouping
-/// of §5.3).
-pub fn failure_log_for(
-    runner: &Runner,
-    report: &RunReport,
-    spec: &crate::runner::FailureSpec,
-) -> Option<FailureLog> {
-    let layout = runner.machine().layout();
-    let mut log = failure_log(runner, report)?;
-    // Rebuild the snapshots strictly from the spec's own site, so a run
-    // that also logged *other* errors cannot leak their rings in.
-    let target = crate::diagnose::failure_profile(report, spec)?;
-    log.lbr.clear();
-    log.lcr.clear();
     for p in report
-        .profiles
-        .iter()
-        .filter(|p| p.role == stm_machine::ir::ProfileRole::FailureSite && p.site == target.site)
+        .profiles_with_role(stm_machine::ir::ProfileRole::FailureSite)
+        .filter(|p| keep(p))
     {
         match &p.data {
             ProfileData::Lbr(records) => log.lbr = decode_lbr(layout, records),
             ProfileData::Lcr(records) => log.lcr = decode_lcr(layout, records),
         }
+        any = true;
     }
-    Some(log)
+    any.then_some(log)
 }
 
 /// Runs one failing workload and returns its enhanced failure log.

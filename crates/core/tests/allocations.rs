@@ -1,30 +1,38 @@
-//! Allocation counts of the collection hot path, pinned exactly.
+//! Allocation counts of the collection hot path, pinned exactly, and the
+//! heap a snapshot ingest retains per snapshot, pinned from above.
 //!
-//! A counting `#[global_allocator]` tallies allocation calls per thread,
-//! so tests running concurrently in this binary never see each other's
-//! traffic. Each count is taken on a warm thread: the thread-local run
-//! cache (`stm_core::runner`) already holds its hardware context and
-//! interpreter scratch, as it does for every run after a worker's first.
+//! A counting `#[global_allocator]` tallies allocation calls and net heap
+//! bytes per thread, so tests running concurrently in this binary never
+//! see each other's traffic. Each count is taken on a warm thread: the
+//! thread-local run cache (`stm_core::runner`) already holds its hardware
+//! context and interpreter scratch, as it does for every run after a
+//! worker's first.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use stm_core::engine::{DiagnosisSession, ProfileKind};
+use stm_core::converge::{SnapshotIngest, StabilityPolicy};
+use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
 use stm_core::runner::Runner;
 use stm_hardware::{HardwareCtx, HwConfig};
 use stm_suite::eval::lbra_runner;
 use stm_suite::Benchmark;
 
-/// The system allocator, counting allocation calls per thread.
+/// The system allocator, counting allocation calls and net heap bytes
+/// per thread.
 struct Counting;
 
 thread_local! {
-    // Const-initialised and without a destructor, so counting never
+    // Const-initialised and without destructors, so counting never
     // allocates and stays valid while a thread tears down.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn tally() {
+/// Counts one allocation call that grew this thread's heap by `bytes`
+/// (negative for a shrinking `realloc`).
+fn tally(bytes: i64) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -32,25 +40,26 @@ fn tally() {
 // returned.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
+        tally(layout.size() as i64);
         // SAFETY: the caller's guarantees for `layout` are passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally();
+        tally(layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|c| c.set(c.get() - layout.size() as i64));
         // SAFETY: `ptr` came from `System` with this `layout`, as the
         // caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally();
+        tally(new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`, and `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,6 +74,15 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the heap bytes this thread
+/// allocated and has not freed by the time `f` returns — what the result
+/// retains, when `f` frees everything else it allocates.
+fn retained<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let out = f();
+    (out, LIVE_BYTES.with(Cell::get) - before)
 }
 
 fn sort() -> (Benchmark, Runner) {
@@ -98,19 +116,22 @@ fn warm_run_allocates_only_its_report() {
     assert_eq!(n, 5);
 }
 
+/// A sequential 10 + 10 witness session over sort.
+fn sort_session(b: &Benchmark, runner: &Runner) -> CollectedProfiles {
+    DiagnosisSession::from_runner(runner)
+        .failure(b.truth.spec.clone())
+        .failing(b.workloads.failing.clone())
+        .passing(b.workloads.passing.clone())
+        .profile_kind(ProfileKind::Lbr)
+        .threads(1)
+        .collect()
+        .expect("collection succeeds")
+}
+
 #[test]
 fn sequential_witness_session_allocation_count() {
     let (b, runner) = sort();
-    let session = || {
-        DiagnosisSession::from_runner(&runner)
-            .failure(b.truth.spec.clone())
-            .failing(b.workloads.failing.clone())
-            .passing(b.workloads.passing.clone())
-            .profile_kind(ProfileKind::Lbr)
-            .threads(1)
-            .collect()
-            .expect("collection succeeds")
-    };
+    let session = || sort_session(&b, &runner);
     session();
     let (profiles, n) = allocations(session);
     assert_eq!(
@@ -120,4 +141,35 @@ fn sequential_witness_session_allocation_count() {
     // Mostly per kept run: the report's buffers, the witness name and
     // the replayed workload. The machine is shared, not copied.
     assert_eq!(n, 193, "allocation calls of one warm 10 + 10 session");
+}
+
+#[test]
+fn snapshot_ingest_retains_at_most_its_pinned_bytes_per_snapshot() {
+    const SNAPSHOTS: usize = 2_000;
+    let (b, runner) = sort();
+    let profiles = sort_session(&b, &runner);
+    let failures = profiles.failure_runs().iter().map(|r| (true, r));
+    let pool: Vec<_> = failures
+        .chain(profiles.success_runs().iter().map(|r| (false, r)))
+        .collect();
+    assert_eq!(pool.len(), 20);
+    let layout = runner.machine().layout().clone();
+    let (ingest, bytes) = retained(|| {
+        let mut ingest =
+            SnapshotIngest::new(layout, b.truth.spec.clone(), StabilityPolicy::never());
+        for i in 0..SNAPSHOTS {
+            let (is_failure, run) = pool[i % pool.len()];
+            let witness = format!("r{i}:{}", run.witness);
+            assert!(ingest.observe(is_failure, &witness, &run.report));
+        }
+        ingest
+    });
+    assert_eq!(ingest.witnesses(), SNAPSHOTS);
+    // Measured at 118.8 B per snapshot; the bound leaves about 10%
+    // headroom.
+    let per_snapshot = bytes as f64 / SNAPSHOTS as f64;
+    assert!(
+        per_snapshot <= 131.0,
+        "an ingest retains {per_snapshot:.1} B per snapshot"
+    );
 }

@@ -1,17 +1,19 @@
 //! The engine's observability contract: the `engine.failure_streak`
-//! gauge and the structured session events that feed the
-//! `stm-observatory` health model.
+//! gauge, the structured session events that feed the
+//! `stm-observatory` health model, and the `/diagnosis` status document.
 //!
 //! These live in their own integration binary because they enable the
 //! process-global telemetry registry and assert on its exact state —
 //! the library's unit tests run sessions concurrently and would race.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use stm_core::prelude::*;
 use stm_core::transform::InstrumentOptions;
 use stm_machine::builder::ProgramBuilder;
 use stm_machine::ids::LogSiteId;
 use stm_machine::ir::{BinOp, Program};
+use stm_telemetry::json::Json;
 
 /// Error iff input 0 is negative (the engine unit tests' shape).
 fn guarded_program() -> (Program, LogSiteId) {
@@ -198,5 +200,110 @@ fn worker_gauges_return_to_idle_after_a_session() {
     assert_eq!(m.gauge("engine.workers"), Some(0), "pool gone");
     assert_eq!(m.gauge("engine.workers_busy"), Some(0), "nobody working");
     assert_eq!(m.gauge("engine.queue_depth"), Some(0), "queue drained");
+    unlock();
+}
+
+/// A monitored 10 + 10 witness session over the sort benchmark that runs
+/// to its quota.
+fn monitored_sort_session(threads: usize) -> CollectedProfiles {
+    let b = stm_suite::by_id("sort").expect("sort benchmark");
+    DiagnosisSession::from_runner(&stm_suite::eval::lbra_runner(&b))
+        .failure(b.truth.spec.clone())
+        .failing(b.workloads.failing.clone())
+        .passing(b.workloads.passing.clone())
+        .profile_kind(ProfileKind::Lbr)
+        .threads(threads)
+        .converge(StabilityPolicy::never())
+        .collect()
+        .expect("collection succeeds")
+}
+
+fn diagnosis_doc() -> Json {
+    stm_telemetry::status::get("diagnosis").expect("a published /diagnosis document")
+}
+
+fn keys(doc: &Json) -> Vec<&String> {
+    match doc {
+        Json::Obj(map) => map.keys().collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+fn top(doc: &Json) -> &[Json] {
+    doc.get("top")
+        .and_then(Json::as_array)
+        .expect("a top array")
+}
+
+#[test]
+fn terminal_diagnosis_document_is_the_live_one_under_the_final_verdict() {
+    let _g = lock();
+    let p1 = monitored_sort_session(1);
+    let terminal = diagnosis_doc();
+    monitored_sort_session(4);
+    assert_eq!(
+        diagnosis_doc().encode(),
+        terminal.encode(),
+        "threads(4) must publish the threads(1) terminal document"
+    );
+
+    // Replay the session's witnesses, in consumption order, through a
+    // monitor of its own, reading the live document after every witness.
+    let mut monitor = ConvergenceMonitor::new(
+        p1.runner().machine().layout(),
+        p1.spec().clone(),
+        StabilityPolicy::never(),
+    );
+    let failures = p1.failure_runs().iter().map(|r| (true, r));
+    let witnesses = failures.chain(p1.success_runs().iter().map(|r| (false, r)));
+    let mut live = Vec::new();
+    for (is_failure, run) in witnesses {
+        assert!(monitor.observe(is_failure, &run.witness, &run.report));
+        live.push(diagnosis_doc());
+    }
+    monitor.finish().expect("the monitor ingested witnesses");
+    assert_eq!(diagnosis_doc().encode(), terminal.encode());
+
+    let last = live.last().expect("live documents");
+    assert_eq!(
+        last.get("verdict").and_then(Json::as_str),
+        Some("collecting")
+    );
+    assert_eq!(keys(&terminal), keys(last), "top-level keys");
+    let entry_keys = keys(&top(last)[0]);
+    assert!(entry_keys.iter().any(|k| *k == "failure_matches"));
+    for entry in top(&terminal) {
+        assert_eq!(keys(entry), entry_keys, "top entry keys");
+    }
+
+    // One `[witness, score]` sample for every live document that listed
+    // the predictor in its top-k, and no other sample.
+    let mut expected: BTreeMap<String, Vec<Json>> = BTreeMap::new();
+    for (i, doc) in live.iter().enumerate() {
+        for entry in top(doc) {
+            let predictor = entry.get("predictor").and_then(Json::as_str).unwrap();
+            let sample = Json::Arr(vec![Json::from(i + 1), entry.get("score").unwrap().clone()]);
+            expected
+                .entry(predictor.to_string())
+                .or_default()
+                .push(sample);
+        }
+    }
+    let trajectories = match terminal.get("trajectories") {
+        Some(Json::Obj(map)) => map,
+        other => panic!("trajectories: {other:?}"),
+    };
+    assert_eq!(trajectories.len(), expected.len(), "one per top-k visitor");
+    for (predictor, samples) in &expected {
+        assert_eq!(
+            trajectories.get(predictor).and_then(Json::as_array),
+            Some(samples.as_slice()),
+            "trajectory of {predictor}"
+        );
+    }
+    assert!(
+        expected.values().any(|s| s.len() == live.len()),
+        "some predictor stays in the top-k at every witness"
+    );
     unlock();
 }

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
-use stm_core::converge::{ConvergenceReport, SnapshotIngest, StabilityPolicy};
+use stm_core::converge::{ConvergenceReport, SnapshotIngest, StabilityPolicy, Verdict};
 use stm_core::diagnose::Quotas;
 use stm_core::runner::FailureSpec;
 use stm_forensics::chain::CausalChain;
@@ -170,8 +170,8 @@ pub struct ShardReport {
     /// Final verdict wire form: `converged` / `stable` / `stalled`, or
     /// `warming` when the shard never ingested a snapshot.
     pub verdict: String,
-    /// The full convergence report (final ranking, evidence,
-    /// trajectories); `None` for a warming shard.
+    /// The full convergence report (final ranking and evidence); `None`
+    /// for a warming shard.
     pub report: Option<ConvergenceReport>,
     /// Snapshots accepted into the queue (enqueued, including ones that
     /// later shed a predecessor).
@@ -189,39 +189,6 @@ pub struct ShardReport {
     /// The causal chain standing when the shard stopped (JSON form of
     /// [`CausalChain`]); `None` when no chain ever formed.
     pub chain: Option<Json>,
-}
-
-impl ShardReport {
-    /// The report as a JSON object (the shard's entry in the terminal
-    /// `"fleet"` status document that [`FleetDaemon::finish`] publishes).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("verdict", Json::from(self.verdict.as_str())),
-            ("accepted", Json::from(self.accepted)),
-            ("shed", Json::from(self.shed)),
-            ("ingested", Json::from(self.ingested)),
-            ("skipped", Json::from(self.skipped)),
-            ("after_stop", Json::from(self.after_stop)),
-            (
-                "witnesses",
-                Json::from(
-                    self.report
-                        .as_ref()
-                        .map(|r| r.evidence.witnesses)
-                        .unwrap_or(0),
-                ),
-            ),
-            (
-                "top1",
-                self.report
-                    .as_ref()
-                    .and_then(|r| r.evidence.top1.clone())
-                    .map(Json::from)
-                    .unwrap_or(Json::Null),
-            ),
-            ("chain", self.chain.clone().unwrap_or(Json::Null)),
-        ])
-    }
 }
 
 /// The bounded FIFO ingest queue of one shard, plus its flow-control
@@ -242,8 +209,6 @@ struct Queue {
 #[derive(Debug)]
 struct ShardState {
     ingest: Option<SnapshotIngest>,
-    attempts: u64,
-    ingested: u64,
     skipped: u64,
     after_stop: u64,
     done: bool,
@@ -302,35 +267,22 @@ impl Shard {
         telemetry::labeled_gauge_set("fleet.top1_stable_for", "shard", &self.name, streak as i64);
     }
 
-    /// This shard's entry in the `"fleet"` status document.
-    fn status_entry(&self) -> Json {
+    /// This shard's entry in the `"fleet"` status document: the one
+    /// renderer of the live entries the worker publishes and the terminal
+    /// ones [`FleetDaemon::finish`] publishes, so both carry the same
+    /// fields. Only the verdict rule differs ([`shard_verdict`]).
+    fn entry(&self, terminal: bool) -> Json {
         let depth = self.queue_lock().items.len();
         let st = self.state_lock();
-        let (verdict, witnesses, failures, successes, churn, streak) = match &st.ingest {
-            Some(i) => (
-                if st.done && !i.should_stop() {
-                    // Quota-terminated without the policy firing: the
-                    // final Stable/Stalled call belongs to finish();
-                    // live, the shard is simply no longer collecting.
-                    "quota"
-                } else {
-                    i.live_verdict()
-                },
-                i.witnesses(),
-                i.failures(),
-                i.successes(),
-                i.churn(),
-                i.top1_streak(),
-            ),
-            None => ("warming", 0, 0, 0, 0, 0),
-        };
+        let i = st.ingest.as_ref().expect("entries render before finish");
         Json::obj([
-            ("verdict", Json::from(verdict)),
-            ("witnesses", Json::from(witnesses)),
-            ("failures", Json::from(failures)),
-            ("successes", Json::from(successes)),
-            ("rank_churn", Json::from(churn)),
-            ("top1_stable_for", Json::from(streak)),
+            ("verdict", Json::from(shard_verdict(i, st.done, terminal))),
+            ("witnesses", Json::from(i.witnesses())),
+            ("failures", Json::from(i.failures())),
+            ("successes", Json::from(i.successes())),
+            ("rank_churn", Json::from(i.churn())),
+            ("top1_stable_for", Json::from(i.top1_streak())),
+            ("top1", i.top1().map_or(Json::Null, Json::from)),
             (
                 "chain",
                 st.chain.as_ref().map_or(Json::Null, CausalChain::to_json),
@@ -341,23 +293,43 @@ impl Shard {
                 Json::from(self.accepted.load(Ordering::Relaxed)),
             ),
             ("shed", Json::from(self.shed.load(Ordering::Relaxed))),
+            ("ingested", Json::from(i.witnesses())),
+            ("skipped", Json::from(st.skipped)),
+            ("after_stop", Json::from(st.after_stop)),
         ])
     }
 }
 
-/// Publishes the `"fleet"` status document covering every shard.
-/// Building and publishing happen under one lock, so the last document
-/// published is also the last one built: a worker cannot overwrite a
-/// sibling's fresher document with an entry it read earlier.
-fn publish_fleet_doc(shards: &BTreeMap<String, Arc<Shard>>) {
+/// A shard's verdict wire form. Live: `converged` once the policy has
+/// fired, `quota` once the quota ended collection without it, and
+/// `collecting` before either. Terminal: the ingest's final verdict
+/// (`converged` / `stable` / `stalled`), or `warming` when the shard
+/// never ingested a snapshot.
+fn shard_verdict(ingest: &SnapshotIngest, done: bool, terminal: bool) -> &'static str {
+    if terminal {
+        ingest.verdict().map_or("warming", Verdict::as_str)
+    } else if done && !ingest.should_stop() {
+        "quota"
+    } else {
+        ingest.live_verdict()
+    }
+}
+
+/// Publishes the `"fleet"` status document covering every shard: live
+/// entries while the workers run, terminal ones from
+/// [`FleetDaemon::finish`]. Building and publishing happen under one
+/// lock, so the last document published is also the last one built: a
+/// worker cannot overwrite a sibling's fresher document with an entry it
+/// read earlier.
+fn publish_fleet_doc(shards: &BTreeMap<String, Arc<Shard>>, terminal: bool) {
     if !telemetry::enabled() {
         return;
     }
     static PUBLISH: Mutex<()> = Mutex::new(());
     let _serial = PUBLISH.lock().unwrap_or_else(|p| p.into_inner());
-    let entries: Vec<(String, Json)> = shards
+    let entries = shards
         .iter()
-        .map(|(name, s)| (name.clone(), s.status_entry()))
+        .map(|(name, s)| (name.clone(), s.entry(terminal)))
         .collect();
     let shed_total: u64 = shards
         .values()
@@ -366,7 +338,7 @@ fn publish_fleet_doc(shards: &BTreeMap<String, Arc<Shard>>) {
     telemetry::status::publish(
         "fleet",
         Json::obj([
-            ("shards", Json::Obj(entries.into_iter().collect())),
+            ("shards", Json::Obj(entries)),
             ("shed_total", Json::from(shed_total)),
         ]),
     );
@@ -427,8 +399,6 @@ impl FleetDaemon {
             cond: Condvar::new(),
             state: Mutex::new(ShardState {
                 ingest: Some(SnapshotIngest::new(layout, spec, config.policy)),
-                attempts: 0,
-                ingested: 0,
                 skipped: 0,
                 after_stop: 0,
                 done: false,
@@ -447,7 +417,7 @@ impl FleetDaemon {
             return;
         }
         self.started = true;
-        publish_fleet_doc(&self.shards);
+        publish_fleet_doc(&self.shards, false);
         for shard in self.shards.values() {
             let shard = Arc::clone(shard);
             let all = self.shards.clone();
@@ -568,43 +538,25 @@ impl FleetDaemon {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        let mut reports = BTreeMap::new();
-        let mut entries: Vec<(String, Json)> = Vec::new();
-        let mut shed_total = 0u64;
-        for (name, shard) in &self.shards {
-            let mut st = shard.state_lock();
-            let ingest = st.ingest.take().expect("finish called once");
-            let report = ingest.finish();
-            let verdict = report
-                .as_ref()
-                .map(|r| r.verdict.as_str())
-                .unwrap_or("warming")
-                .to_string();
-            let shed = shard.shed.load(Ordering::Relaxed);
-            shed_total += shed;
-            let shard_report = ShardReport {
-                verdict: verdict.clone(),
-                report,
-                accepted: shard.accepted.load(Ordering::Relaxed),
-                shed,
-                ingested: st.ingested,
-                skipped: st.skipped,
-                after_stop: st.after_stop,
-                chain: st.chain.as_ref().map(CausalChain::to_json),
-            };
-            entries.push((name.clone(), shard_report.to_json()));
-            reports.insert(name.clone(), shard_report);
-        }
-        if telemetry::enabled() {
-            telemetry::status::publish(
-                "fleet",
-                Json::obj([
-                    ("shards", Json::Obj(entries.into_iter().collect())),
-                    ("shed_total", Json::from(shed_total)),
-                ]),
-            );
-        }
-        reports
+        publish_fleet_doc(&self.shards, true);
+        self.shards
+            .iter()
+            .map(|(name, shard)| {
+                let mut st = shard.state_lock();
+                let ingest = st.ingest.take().expect("finish called once");
+                let report = ShardReport {
+                    verdict: shard_verdict(&ingest, st.done, true).to_string(),
+                    ingested: ingest.witnesses() as u64,
+                    report: ingest.finish(),
+                    accepted: shard.accepted.load(Ordering::Relaxed),
+                    shed: shard.shed.load(Ordering::Relaxed),
+                    skipped: st.skipped,
+                    after_stop: st.after_stop,
+                    chain: st.chain.as_ref().map(CausalChain::to_json),
+                };
+                (name.clone(), report)
+            })
+            .collect()
     }
 }
 
@@ -636,24 +588,14 @@ fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
             break;
         };
         {
-            let mut st = shard.state_lock();
+            let mut guard = shard.state_lock();
+            let st = &mut *guard;
             if st.done {
                 st.after_stop += 1;
             } else {
-                st.attempts += 1;
                 let ingest = st.ingest.as_mut().expect("worker runs before finish");
-                let ok = ingest.observe(snapshot.is_failure, &snapshot.witness, &snapshot.report);
-                let quotas = shard.config.quotas;
-                let quota_met = ingest.failures() >= quotas.failure_profiles
-                    && ingest.successes() >= quotas.success_profiles;
-                let stop = ingest.should_stop();
-                let chain = if ok {
-                    CausalChain::from_ingest(ingest)
-                } else {
-                    None
-                };
-                if ok {
-                    st.ingested += 1;
+                if ingest.observe(snapshot.is_failure, &snapshot.witness, &snapshot.report) {
+                    let chain = CausalChain::from_ingest(ingest);
                     // The storyline fingerprint ignores support counts, so
                     // the event fires when the story forms or changes, not
                     // on every witness.
@@ -679,7 +621,11 @@ fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
                 } else {
                     st.skipped += 1;
                 }
-                if stop || quota_met || st.attempts >= quotas.max_runs as u64 {
+                let quotas = shard.config.quotas;
+                let quota_met = ingest.failures() >= quotas.failure_profiles
+                    && ingest.successes() >= quotas.success_profiles;
+                let attempts = ingest.witnesses() + st.skipped as usize;
+                if ingest.should_stop() || quota_met || attempts >= quotas.max_runs {
                     st.done = true;
                 }
             }
@@ -688,7 +634,7 @@ fn worker_loop(shard: &Arc<Shard>, all: &BTreeMap<String, Arc<Shard>>) {
         // this snapshot in the gauges and the status document.
         let depth = shard.queue_lock().items.len();
         shard.publish_gauges(depth);
-        publish_fleet_doc(all);
+        publish_fleet_doc(all, false);
         shard.queue_lock().busy = false;
         shard.cond.notify_all();
     }
@@ -803,9 +749,6 @@ mod tests {
         let chain = reports["only"].chain.as_ref().expect("chain formed");
         let links = chain.get("links").and_then(Json::as_array).expect("links");
         assert!(!links.is_empty(), "chain has at least the anchor link");
-        // The terminal fleet doc entry carries the same chain.
-        let entry = reports["only"].to_json();
-        assert_eq!(entry.get("chain"), Some(chain));
     }
 
     #[test]

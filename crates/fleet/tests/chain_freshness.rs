@@ -1,6 +1,7 @@
 //! A fleet shard's live causal chain: fresh after every snapshot, rendered
 //! identically in the shard report and the `fleet` status document, and
 //! announced by a `diagnosis.chain` event only when its storyline changes.
+//! The shard's live and terminal `fleet` entries share one field set.
 //!
 //! The reference is a single-threaded [`SnapshotIngest`] over the same
 //! snapshot stream. Tests that switch telemetry on hold [`TELEMETRY`],
@@ -141,6 +142,9 @@ fn submit_all(fleet: &FleetDaemon, snaps: &[Snapshot]) {
 
 #[test]
 fn report_chain_matches_a_single_threaded_ingest() {
+    // Its daemon publishes whenever a sibling test has telemetry on, and
+    // would overwrite the `fleet` document that test reads.
+    let _serial = TELEMETRY.lock().unwrap_or_else(|p| p.into_inner());
     let (layout, spec, snaps) = stream("report");
     let expected = reference_chains(&layout, &spec, &snaps)
         .pop()
@@ -181,6 +185,56 @@ fn status_doc_after_drain_carries_the_current_chain() {
     }
     let _ = fleet.finish();
     stm_telemetry::set_enabled(false);
+}
+
+#[test]
+fn live_and_terminal_entries_share_one_field_set() {
+    let _serial = TELEMETRY.lock().unwrap_or_else(|p| p.into_inner());
+    let (layout, spec, snaps) = stream("entry");
+    stm_telemetry::set_enabled(true);
+    let fleet = daemon("entry", &layout, &spec);
+    submit_all(&fleet, &snaps);
+    fleet.drain();
+    let entry = || {
+        let doc = stm_telemetry::status::get("fleet").expect("fleet doc published");
+        doc.get("shards")
+            .and_then(|s| s.get("entry"))
+            .cloned()
+            .expect("the shard's entry")
+    };
+    let live = entry();
+    let reports = fleet.finish();
+    let terminal = entry();
+    stm_telemetry::set_enabled(false);
+
+    let keys = |e: &Json| match e {
+        Json::Obj(map) => map.keys().cloned().collect::<Vec<_>>(),
+        other => panic!("entry is not an object: {other:?}"),
+    };
+    assert_eq!(keys(&live), keys(&terminal), "live vs terminal keys");
+    for key in [
+        "skipped",
+        "ingested",
+        "after_stop",
+        "top1",
+        "queue_depth",
+        "rank_churn",
+    ] {
+        assert!(keys(&live).iter().any(|k| k == key), "missing {key}");
+    }
+    let report = &reports["entry"];
+    assert_eq!(terminal.get("chain"), report.chain.as_ref());
+    assert!(report.chain.is_some(), "a chain formed");
+    assert_eq!(
+        terminal.get("verdict").and_then(Json::as_str),
+        Some(report.verdict.as_str())
+    );
+    assert_eq!(
+        terminal.get("ingested").and_then(Json::as_f64),
+        Some(report.ingested as f64)
+    );
+    assert_eq!(live.get("top1"), terminal.get("top1"));
+    assert!(terminal.get("top1").and_then(Json::as_str).is_some());
 }
 
 #[test]

@@ -341,11 +341,6 @@ fn early_stop_is_identical_at_1_and_8_threads() {
     assert_eq!(r1.verdict, r8.verdict, "verdict must match");
     assert_eq!(r1.evidence, r8.evidence, "evidence must match");
     assert_eq!(r1.final_ranking, r8.final_ranking, "ranking must match");
-    assert_eq!(
-        r1.to_json().encode(),
-        r8.to_json().encode(),
-        "serialized convergence report must be byte-identical"
-    );
     // The policy must actually have fired on apache4: fewer witnesses
     // than the 10 + 10 quota (the bench gate pins the exact count).
     assert_eq!(
