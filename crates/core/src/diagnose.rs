@@ -20,7 +20,7 @@ use crate::profile::{
 use crate::ranking::{Polarity, RankedEvent, RankingModel};
 use crate::runner::FailureSpec;
 use std::collections::{BTreeSet, HashMap};
-use stm_machine::ids::BranchId;
+use stm_machine::ids::{BranchId, LogSiteId};
 use stm_machine::ir::{ProfileRole, SourceLoc};
 use stm_machine::report::{ProfileData, ProfileEvent, RunReport};
 
@@ -36,6 +36,22 @@ pub struct Quotas {
     pub success_profiles: usize,
     /// Hard cap on runs *per collection phase* (failure and success each),
     /// to bound non-reproducing workload sets.
+    ///
+    /// A witness phase that provably cannot keep a run stops before the
+    /// cap, by two exact rules (see the engine's "Job model"):
+    /// - it runs no job when the session's instrumented program has no
+    ///   profile point for it: no `ProfileLbr`/`ProfileLcr` op with the
+    ///   phase's role, the site [`failure_profile`]/[`success_profile`]
+    ///   select and the pinned ring, and, for the failure phase of a crash
+    ///   or hang spec, no matching fault-handler ring. Nothing else puts a
+    ///   profile on a run report.
+    /// - it stops after one lap that kept nothing when the program has no
+    ///   `Spawn` and the perturbation is a no-op. A lap changes only the
+    ///   seed, which such a run never reads, so every lap replays the
+    ///   first.
+    ///
+    /// Either way the quota stays unfilled, so raising the cap cannot help;
+    /// the fix is the instrumentation, the spec or the witness list.
     pub max_runs: usize,
 }
 
@@ -80,13 +96,20 @@ pub struct DiagnosisStats {
     pub total_runs: usize,
 }
 
+/// The logging site a witness profile must name for `spec`: the target
+/// site of an `ErrorLogAt` failure, `None` (fault handler, fault-location
+/// success sites) otherwise.
+pub(crate) fn profile_site(spec: &FailureSpec) -> Option<LogSiteId> {
+    match spec {
+        FailureSpec::ErrorLogAt(site) => Some(*site),
+        _ => None,
+    }
+}
+
 /// Selects the failure-run profile matching the spec: the profile taken at
 /// the target logging site, or the fault-handler profile for crashes.
 pub fn failure_profile<'r>(report: &'r RunReport, spec: &FailureSpec) -> Option<&'r ProfileEvent> {
-    let want_site = match spec {
-        FailureSpec::ErrorLogAt(site) => Some(*site),
-        _ => None,
-    };
+    let want_site = profile_site(spec);
     report
         .profiles
         .iter()
@@ -96,10 +119,7 @@ pub fn failure_profile<'r>(report: &'r RunReport, spec: &FailureSpec) -> Option<
 /// Selects the success-run profile matching the spec: the last snapshot
 /// taken at the corresponding success logging site.
 pub fn success_profile<'r>(report: &'r RunReport, spec: &FailureSpec) -> Option<&'r ProfileEvent> {
-    let want_site = match spec {
-        FailureSpec::ErrorLogAt(site) => Some(*site),
-        _ => None,
-    };
+    let want_site = profile_site(spec);
     report
         .profiles
         .iter()

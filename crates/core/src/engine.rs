@@ -30,6 +30,32 @@
 //! while the other worker idles. Dispatch never runs more than
 //! `threads × 16` jobs ahead of consumption.
 //!
+//! A witness phase ends when its quota fills, when it reaches `max_runs`,
+//! or as soon as no run it could still execute can be kept. Two exact
+//! rules decide the last, so they change the run count of a phase that
+//! keeps nothing and never which runs are kept:
+//!
+//! 1. **An unprofilable phase runs no job.** Only two things put a
+//!    profile on a run report: a `ProfileLbr`/`ProfileLcr` op, carrying
+//!    the op's site and role, and the fault handler of a run that ends in
+//!    failure, carrying site `None` and the failure role. A phase keeps a
+//!    profile only with its own role, the site
+//!    [`failure_profile`]/[`success_profile`] select and the pinned ring.
+//!    When the session's (instrumented) program holds no such op and, for
+//!    the failure phase of a crash or hang spec, no matching fault-handler
+//!    ring, no run can be kept, so the phase executes nothing.
+//! 2. **A barren lap on a lap-invariant plan ends the phase.** A later lap
+//!    changes only the seed ([`Workload::lap`]), and a run reads its seed
+//!    only where the random scheduler chooses between two or more runnable
+//!    threads and where the perturbation stream draws. A program without
+//!    `Spawn` has one thread, and a no-op perturbation builds no stream,
+//!    so every lap replays the first report for report. Once such a phase
+//!    has consumed one lap and kept nothing, it stops.
+//!
+//! Rule 1 is decided once per session, before the phase starts; rule 2 on
+//! the ordered prefix, where the quota is checked. So `threads(N)` still
+//! equals `threads(1)`.
+//!
 //! ## The warm pool
 //!
 //! The paper diagnoses from 10 failing and 10 passing runs (§5.2), so a
@@ -46,9 +72,9 @@
 //! * A chunk task carries `Arc`s of the plan and of the executor, which
 //!   holds a [`Runner`] whose machine is itself shared: dispatch copies
 //!   no program.
-//! * Each plan has a cancel flag. When the quota fills, the coordinator
-//!   raises it and workers stop the plan's remaining chunks at their next
-//!   job.
+//! * Each plan has a cancel flag. When the quota fills, or a stop rule
+//!   ends the phase, the coordinator raises it and workers stop the
+//!   plan's remaining chunks at their next job.
 //!   The coordinator then waits for every chunk it handed out, so every
 //!   `engine.job` span ends inside its `engine.collect`. Workers flush
 //!   their telemetry spans at the end of each chunk, before answering.
@@ -78,7 +104,7 @@
 //! survives and serves the next chunk.
 
 use crate::converge::{ConvergenceMonitor, ConvergenceReport, StabilityPolicy};
-use crate::diagnose::{failure_profile, success_profile, DiagnosisStats, Quotas};
+use crate::diagnose::{failure_profile, profile_site, success_profile, DiagnosisStats, Quotas};
 use crate::runner::{FailureSpec, RunClass, Runner, Workload};
 use crate::transform::{instrument, InstrumentOptions};
 use std::collections::BTreeMap;
@@ -88,8 +114,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use stm_hardware::HwConfig;
+use stm_machine::events::HwCtlOp;
 use stm_machine::interp::{Machine, RunConfig};
-use stm_machine::ir::Program;
+use stm_machine::ir::{Instr, ProfileRole, Program};
 use stm_machine::report::{ProfileData, ProfileEvent, RunReport};
 
 /// Which hardware ring a session collects, and therefore which profile
@@ -391,7 +418,8 @@ impl DiagnosisSession {
         self
     }
 
-    /// Sets the per-phase run cap.
+    /// Sets the per-phase run cap. A witness phase that provably cannot
+    /// keep a run stops earlier; see [`Quotas::max_runs`].
     pub fn max_runs(mut self, n: usize) -> Self {
         self.quotas.max_runs = n;
         self
@@ -443,8 +471,9 @@ impl DiagnosisSession {
     /// observability layer: the `engine.failure_streak` gauge counts
     /// consecutive sessions that errored or ended short of their
     /// profile quota (perturbation loss — the `CtlResponse::Lost`
-    /// symptom), and a structured `session.complete` / `session.error`
-    /// event records what happened (see `stm_telemetry::log`).
+    /// symptom — or a witness phase that could keep nothing), and
+    /// structured `profile.lost`, `session.complete` and `session.error`
+    /// events record what happened (see `stm_telemetry::log`).
     pub fn collect(self) -> Result<CollectedProfiles, SessionError> {
         let result = self.collect_inner();
         // The streak gauge must keep this single call site: snapshots
@@ -466,6 +495,7 @@ impl DiagnosisSession {
                             vec![
                                 ("missing_profiles", loss.missing_profiles.to_string()),
                                 ("quota_shortfall", loss.shortfall.to_string()),
+                                ("barren_phases", loss.barren_phases()),
                             ],
                         );
                     }
@@ -539,8 +569,24 @@ impl DiagnosisSession {
             )?;
             loss.absorb(&quota);
         } else {
+            // The module docs' stop rules, decided once from the program
+            // the workers run.
+            let program = runner.machine().program();
+            let lap_invariant = self.hw.perturb.is_noop()
+                && !instrs(program).any(|i| matches!(i, Instr::Spawn { .. }));
+            let barren_after = |role, witnesses: &[Workload]| {
+                if !phase_profilable(program, &spec, role, self.kind) {
+                    Some(0)
+                } else {
+                    (lap_invariant && !witnesses.is_empty()).then_some(witnesses.len() as u64)
+                }
+            };
+            let mut quota = Quota::witness_fail(
+                self.quotas.failure_profiles,
+                self.kind,
+                barren_after(ProfileRole::FailureSite, &self.failing),
+            );
             let plan = JobPlan::cycle(self.failing, self.quotas.max_runs as u64);
-            let mut quota = Quota::witness_fail(self.quotas.failure_profiles, self.kind);
             run_plan(
                 plan,
                 threads,
@@ -552,8 +598,12 @@ impl DiagnosisSession {
                 &exec,
             )?;
             loss.absorb(&quota);
+            let mut quota = Quota::witness_pass(
+                self.quotas.success_profiles,
+                self.kind,
+                barren_after(ProfileRole::SuccessSite, &self.passing),
+            );
             let plan = JobPlan::cycle(self.passing, self.quotas.max_runs as u64);
-            let mut quota = Quota::witness_pass(self.quotas.success_profiles, self.kind);
             run_plan(
                 plan,
                 threads,
@@ -588,8 +638,9 @@ impl DiagnosisSession {
 
 /// What a session failed to collect: runs whose class matched the quota
 /// but whose profile was lost (the perturbation layer's
-/// `CtlResponse::Lost` symptom), and the final quota shortfall.
-#[derive(Debug, Default, Clone, Copy)]
+/// `CtlResponse::Lost` symptom), the final quota shortfall, and the
+/// witness phases that could keep nothing at all.
+#[derive(Debug, Default, Clone)]
 struct SessionLoss {
     /// Quota-class runs discarded for lacking the required profile.
     missing_profiles: usize,
@@ -598,10 +649,17 @@ struct SessionLoss {
     /// The stability policy stopped collection before the quota; the
     /// remaining shortfall is by design, not a signal problem.
     converged_early: bool,
+    /// Witness phases (`fail`, `pass`) a stop rule ended with nothing
+    /// kept: the instrumentation, spec or witness list cannot yield a
+    /// profile, so no run budget would fill them.
+    barren: Vec<&'static str>,
 }
 
 impl SessionLoss {
     fn absorb(&mut self, quota: &Quota) {
+        if quota.barren() {
+            self.barren.push(quota.phase());
+        }
         self.missing_profiles += quota.missing;
         // A `usize::MAX` quota means "keep everything the plan
         // produces", not a target the session owes — an exhaustive
@@ -626,6 +684,16 @@ impl SessionLoss {
     /// cycle.
     fn quota_met(&self) -> bool {
         self.shortfall == 0 || self.converged_early
+    }
+
+    /// The `barren_phases` field of `profile.lost`: `fail`, `pass`,
+    /// `fail,pass` or `none`.
+    fn barren_phases(&self) -> String {
+        if self.barren.is_empty() {
+            "none".to_string()
+        } else {
+            self.barren.join(",")
+        }
     }
 }
 
@@ -747,6 +815,13 @@ struct Quota {
     /// absent or of the wrong ring — the observable trace of
     /// perturbation loss (`CtlResponse::Lost`).
     missing: usize,
+    /// Runs consumed so far.
+    runs: u64,
+    /// Witness mode: after this many consumed runs with none kept, no
+    /// later run can be kept either — `0` when the program cannot profile
+    /// the phase (rule 1 of the module docs), one lap on a lap-invariant
+    /// plan (rule 2), `None` when neither rule applies.
+    barren_after: Option<u64>,
 }
 
 enum QuotaMode {
@@ -760,44 +835,62 @@ enum QuotaMode {
 }
 
 impl Quota {
-    fn witness_fail(want: usize, kind: Option<ProfileKind>) -> Quota {
+    fn new(
+        mode: QuotaMode,
+        want_fail: usize,
+        want_pass: usize,
+        kind: Option<ProfileKind>,
+        barren_after: Option<u64>,
+    ) -> Quota {
         Quota {
-            mode: QuotaMode::WitnessFail,
-            want_fail: want,
-            want_pass: 0,
-            got_fail: 0,
-            got_pass: 0,
-            kind,
-            missing: 0,
-        }
-    }
-
-    fn witness_pass(want: usize, kind: Option<ProfileKind>) -> Quota {
-        Quota {
-            mode: QuotaMode::WitnessPass,
-            want_fail: 0,
-            want_pass: want,
-            got_fail: 0,
-            got_pass: 0,
-            kind,
-            missing: 0,
-        }
-    }
-
-    fn scan(want_fail: usize, want_pass: usize) -> Quota {
-        Quota {
-            mode: QuotaMode::Scan,
+            mode,
             want_fail,
             want_pass,
             got_fail: 0,
             got_pass: 0,
-            kind: None,
+            kind,
             missing: 0,
+            runs: 0,
+            barren_after,
         }
     }
 
+    fn witness_fail(want: usize, kind: Option<ProfileKind>, barren_after: Option<u64>) -> Quota {
+        Quota::new(QuotaMode::WitnessFail, want, 0, kind, barren_after)
+    }
+
+    fn witness_pass(want: usize, kind: Option<ProfileKind>, barren_after: Option<u64>) -> Quota {
+        Quota::new(QuotaMode::WitnessPass, 0, want, kind, barren_after)
+    }
+
+    fn scan(want_fail: usize, want_pass: usize) -> Quota {
+        Quota::new(QuotaMode::Scan, want_fail, want_pass, None, None)
+    }
+
+    /// The phase needs no further run: its quota is filled, or no run it
+    /// could still execute can be kept.
     fn done(&self) -> bool {
+        self.filled() || self.barren()
+    }
+
+    fn filled(&self) -> bool {
         self.got_fail >= self.want_fail && self.got_pass >= self.want_pass
+    }
+
+    /// A stop rule ended the phase short, with nothing kept.
+    fn barren(&self) -> bool {
+        !self.filled()
+            && self.got_fail + self.got_pass == 0
+            && self.barren_after.is_some_and(|n| self.runs >= n)
+    }
+
+    /// The phase's name in `profile.lost`.
+    fn phase(&self) -> &'static str {
+        match self.mode {
+            QuotaMode::WitnessFail => "fail",
+            QuotaMode::WitnessPass => "pass",
+            QuotaMode::Scan => "scan",
+        }
     }
 
     /// Profiles still owed; an unbounded (`usize::MAX`) quota owes
@@ -814,6 +907,7 @@ impl Quota {
         report: &RunReport,
         spec: &FailureSpec,
     ) -> Option<Pick> {
+        self.runs += 1;
         match (&self.mode, class) {
             (QuotaMode::WitnessFail, RunClass::TargetFailure) if self.got_fail < self.want_fail => {
                 if profile_matches(failure_profile(report, spec), self.kind) {
@@ -856,6 +950,42 @@ fn profile_matches(profile: Option<&ProfileEvent>, kind: Option<ProfileKind>) ->
             Some(ProfileKind::Lcr) => matches!(p.data, ProfileData::Lcr(_)),
         },
     }
+}
+
+/// Every instruction of `program`.
+fn instrs(program: &Program) -> impl Iterator<Item = &Instr> {
+    program
+        .functions
+        .iter()
+        .flat_map(|f| &f.blocks)
+        .flat_map(|b| &b.stmts)
+        .map(|s| &s.instr)
+}
+
+/// Rule 1 of the module docs: can a run of `program` ever carry a profile
+/// the `role` phase keeps for `spec`, of the pinned ring?
+fn phase_profilable(
+    program: &Program,
+    spec: &FailureSpec,
+    role: ProfileRole,
+    kind: Option<ProfileKind>,
+) -> bool {
+    let site = profile_site(spec);
+    let ring = |lbr: bool| kind.is_none_or(|k| (k == ProfileKind::Lbr) == lbr);
+    let fault = program.fault_profile;
+    let fault_handler = role == ProfileRole::FailureSite
+        && site.is_none()
+        && spec.target_ends_run()
+        && (fault.lbr && ring(true) || fault.lcr && ring(false));
+    fault_handler
+        || instrs(program).any(|i| match *i {
+            Instr::HwCtl {
+                op: op @ (HwCtlOp::ProfileLbr | HwCtlOp::ProfileLcr),
+                site: at,
+                role: r,
+            } => r == role && at == site && ring(op == HwCtlOp::ProfileLbr),
+            _ => false,
+        })
 }
 
 /// Replays one job and classifies the run. One executor serves every
@@ -1057,7 +1187,8 @@ fn converged(monitor: &Option<ConvergenceMonitor>) -> bool {
 }
 
 /// Executes one plan, sequentially or on the pool, consuming results in
-/// strict index order until the quota is met or the plan is exhausted.
+/// strict index order until the quota is done (filled, or ended by a stop
+/// rule) or the plan is exhausted.
 #[allow(clippy::too_many_arguments)] // the engine's one internal seam
 fn run_plan(
     plan: JobPlan,
@@ -1447,6 +1578,147 @@ mod tests {
             .collect()
             .expect("collection succeeds");
         assert!(std::ptr::eq(profiles.runner().machine(), runner.machine()));
+    }
+
+    /// Error iff input 0 is below -10, behind a `x < 0` gate; the log's
+    /// block is entered from the inner `Br`, or through a `Jmp` hop when
+    /// `hop`. With `helper`, main first spawns and joins a thread.
+    fn gated_program(hop: bool, helper: bool) -> (Program, LogSiteId) {
+        let mut pb = ProgramBuilder::new("gated");
+        let main = pb.declare_function("main");
+        let aux = pb.declare_function("helper");
+        {
+            let mut f = pb.build_function(aux, "m.c");
+            f.nop();
+            f.ret(None);
+            f.finish();
+        }
+        let site;
+        {
+            let mut f = pb.build_function(main, "m.c");
+            let check = f.new_block();
+            let detour = f.new_block();
+            let err = f.new_block();
+            let ok = f.new_block();
+            if helper {
+                let t = f.spawn(aux, &[]);
+                f.join(t);
+            }
+            let x = f.read_input(0);
+            let neg = f.bin(BinOp::Lt, x, 0);
+            f.at(10);
+            f.br(neg, check, ok);
+            f.set_block(check);
+            let low = f.bin(BinOp::Lt, x, -10);
+            f.at(11);
+            f.br(low, if hop { detour } else { err }, ok);
+            f.set_block(detour);
+            f.jmp(err);
+            f.set_block(err);
+            f.at(12);
+            site = f.log_error("x too low");
+            f.exit(1);
+            f.ret(None);
+            f.set_block(ok);
+            f.output(x);
+            f.ret(None);
+            f.finish();
+        }
+        (pb.finish(main), site)
+    }
+
+    /// A 6 + 6 `ErrorLogAt` session over [`gated_program`] whose passing
+    /// witnesses stop at the outer gate, short of the success site.
+    fn gated_session(
+        (program, site): (Program, LogSiteId),
+        hw: HwConfig,
+        threads: usize,
+    ) -> CollectedProfiles {
+        DiagnosisSession::new(&program)
+            .instrument(&InstrumentOptions::lbra_reactive(vec![site], vec![]))
+            .failure(FailureSpec::ErrorLogAt(site))
+            .failing((0..4).map(|i| Workload::new(vec![-20 - i])).collect())
+            .passing((0..3).map(|i| Workload::new(vec![1 + i])).collect())
+            .failure_profiles(6)
+            .success_profiles(6)
+            .max_runs(40)
+            .hw_config(hw)
+            .threads(threads)
+            .collect()
+            .expect("collection succeeds")
+    }
+
+    fn witnesses(runs: &[CollectedRun]) -> Vec<&str> {
+        runs.iter().map(|r| r.witness.as_str()).collect()
+    }
+
+    #[test]
+    fn wrong_output_session_runs_no_job() {
+        // A completed run never reaches the fault handler, and the program
+        // has no site-less profile op: neither phase can keep a run.
+        let (p, _) = guarded_program();
+        for threads in [1, 4] {
+            let profiles = DiagnosisSession::new(&p)
+                .instrument(&InstrumentOptions::lbra_reactive(vec![], vec![]))
+                .failure(FailureSpec::WrongOutput)
+                .failing(vec![Workload::new(vec![5]).with_expected(vec![6])])
+                .passing(vec![Workload::new(vec![5]).with_expected(vec![5])])
+                .max_runs(64)
+                .threads(threads)
+                .collect()
+                .expect("collection succeeds");
+            assert_eq!(profiles.stats().total_runs, 0, "threads({threads})");
+            assert!(profiles.failure_runs().is_empty() && profiles.success_runs().is_empty());
+        }
+    }
+
+    #[test]
+    fn jmp_reached_log_has_no_success_site_so_the_pass_phase_runs_nothing() {
+        let profiles = gated_session(gated_program(true, false), HwConfig::default(), 1);
+        assert_eq!(
+            profiles.stats().failure_runs_used,
+            6,
+            "the fail phase fills"
+        );
+        assert_eq!(profiles.stats().total_runs, 6, "the pass phase runs no job");
+    }
+
+    #[test]
+    fn barren_lap_ends_a_lap_invariant_pass_phase() {
+        let seq = gated_session(gated_program(false, false), HwConfig::default(), 1);
+        assert_eq!(seq.stats().failure_runs_used, 6);
+        assert!(seq.success_runs().is_empty());
+        assert_eq!(
+            seq.stats().total_runs,
+            6 + 3,
+            "one lap of 3 passing witnesses"
+        );
+        for threads in [2, 8] {
+            let par = gated_session(gated_program(false, false), HwConfig::default(), threads);
+            assert_eq!(par.stats(), seq.stats(), "stats at {threads} threads");
+            assert_eq!(witnesses(par.failure_runs()), witnesses(seq.failure_runs()));
+            assert_eq!(witnesses(par.success_runs()), witnesses(seq.success_runs()));
+        }
+    }
+
+    #[test]
+    fn lap_variant_pass_phases_still_run_to_max_runs() {
+        // A second thread lets the seed pick the interleaving, and a
+        // perturbation draws from a seeded stream: a later lap could keep
+        // a run, so neither stops early.
+        let helper = gated_session(gated_program(false, true), HwConfig::default(), 2);
+        let perturbed = gated_session(
+            gated_program(false, false),
+            HwConfig {
+                perturb: stm_hardware::PerturbConfig::NONE.truncate_lbr(8),
+                ..HwConfig::default()
+            },
+            2,
+        );
+        for profiles in [helper, perturbed] {
+            assert_eq!(profiles.stats().failure_runs_used, 6);
+            assert_eq!(profiles.stats().total_runs, 6 + 40);
+        }
     }
 
     #[test]

@@ -194,6 +194,20 @@ pub fn classify(
     }
 }
 
+impl FailureSpec {
+    /// Whether a run that [`classify`] calls this spec's target failure
+    /// always ended in a failure, the only path on which the fault
+    /// handler profiles the rings. True for crash and hang specs. A
+    /// `WrongOutput` target is a completed run, and an `ErrorLogAt`
+    /// target is matched by its log, whatever the outcome.
+    pub(crate) fn target_ends_run(&self) -> bool {
+        matches!(
+            self,
+            FailureSpec::CrashAt { .. } | FailureSpec::AnyCrash | FailureSpec::Hang
+        )
+    }
+}
+
 /// Executes runs of one (instrumented) machine, each on logically fresh
 /// hardware.
 ///

@@ -72,6 +72,19 @@ fn lossy_session() -> Result<CollectedProfiles, SessionError> {
         .collect()
 }
 
+/// A `WrongOutput` session: a completed run never reaches the fault
+/// handler and the program has no site-less profile op, so neither witness
+/// phase can keep a run and both stop before their first job.
+fn wrong_output_session() -> Result<CollectedProfiles, SessionError> {
+    let (p, _) = guarded_program();
+    DiagnosisSession::new(&p)
+        .instrument(&InstrumentOptions::lbra_reactive(vec![], vec![]))
+        .failure(FailureSpec::WrongOutput)
+        .failing(vec![Workload::new(vec![1]).with_expected(vec![2])])
+        .passing(vec![Workload::new(vec![1]).with_expected(vec![1])])
+        .collect()
+}
+
 /// Telemetry is process-global; serialise the tests and start each from
 /// a reset, enabled, echo-quiet registry.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -169,6 +182,33 @@ fn sessions_emit_structured_progress_events() {
             .contains("MissingFailureSpec"),
         "the error field names the failure"
     );
+    unlock();
+}
+
+#[test]
+fn profile_lost_names_the_phases_no_run_could_fill() {
+    let _g = lock();
+    let field = |k: &str| {
+        let events = stm_telemetry::log::take_events();
+        let lost = events
+            .iter()
+            .find(|e| e.event == "profile.lost")
+            .expect("profile.lost event");
+        lost.fields
+            .iter()
+            .find(|(n, _)| *n == k)
+            .map(|(_, v)| v.clone())
+    };
+    let profiles = wrong_output_session().expect("wrong-output session terminates");
+    assert_eq!(profiles.stats().total_runs, 0);
+    assert_eq!(field("barren_phases").as_deref(), Some("fail,pass"));
+    assert_eq!(streak(), 1, "a session short by design is still short");
+    wrong_output_session().expect("wrong-output session terminates");
+    assert_eq!(field("missing_profiles").as_deref(), Some("0"));
+    assert_eq!(streak(), 2);
+    // Perturbation loss is not a barren phase: a later run could keep.
+    lossy_session().expect("lossy session terminates");
+    assert_eq!(field("barren_phases").as_deref(), Some("none"));
     unlock();
 }
 
