@@ -23,13 +23,14 @@
 //! speculative runs depend on scheduling, so only the `threads(1)`
 //! collection feeds the gated `counters.*`.
 
-use stm_bench::{failure_traces, json_rank, mark, MetricsEmitter};
-use stm_core::engine::CollectedProfiles;
-use stm_forensics::CausalChain;
+use stm_bench::{json_rank, mark, MetricsEmitter};
+use stm_core::engine::ProfileKind;
+use stm_forensics::{CausalChain, ChainKind, ChainLink};
+use stm_hardware::HwConfig;
+use stm_suite::GroundTruth;
 use stm_telemetry::json::Json;
 
-use crate::subject::{Subject, SUBJECTS};
-use crate::{write_artifact, Outcome};
+use crate::{deploy, write_artifact, Outcome, SUBJECTS};
 
 pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     println!("Causal-chain quality (root-cause link rank; lower is better)");
@@ -40,17 +41,18 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
 
     let mut outcome = Outcome::default();
     for id in SUBJECTS {
-        let s = Subject::new(id);
-        let collect = |threads: usize| -> CollectedProfiles {
-            s.session()
-                .threads(threads)
-                .collect()
-                .expect("collection succeeds")
+        let d = deploy(id);
+        let lbr = d.kind == ProfileKind::Lbr;
+        let chain_at = |threads: usize| -> Option<CausalChain> {
+            let (diagnosis, profiles) = d
+                .diagnose(HwConfig::default(), threads)
+                .expect("collection succeeds");
+            CausalChain::from_profiles(&profiles, &diagnosis)
         };
 
-        let serial = chain_for(&s, &collect(1));
+        let serial = chain_at(1);
         stm_telemetry::set_enabled(false);
-        let parallel = chain_for(&s, &collect(8));
+        let parallel = chain_at(8);
         stm_telemetry::set_enabled(true);
         let thread_mismatch = usize::from(
             serial.as_ref().map(|c| c.to_json().encode())
@@ -75,7 +77,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
             );
             continue;
         };
-        let root_rank = chain.link_rank_of(|l| s.is_root_link(l));
+        let root_rank = chain.link_rank_of(|l| is_root_link(&d.bench.truth, chain.kind, l));
         let min_support = chain.min_link_support();
 
         println!(
@@ -108,7 +110,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
 
         let artifact = Json::obj([
             ("benchmark", Json::from(id)),
-            ("mode", Json::from(if s.lbr() { "lbra" } else { "lcra" })),
+            ("mode", Json::from(if lbr { "lbra" } else { "lcra" })),
             ("root_cause_link_rank", json_rank(root_rank)),
             ("thread_mismatch", Json::from(thread_mismatch)),
             ("chain", chain.to_json()),
@@ -118,29 +120,16 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     outcome
 }
 
-/// Reconstructs the subject's chain from one collection — the same
-/// post-site-guard-exclusion ranking and decoded failure traces the
-/// `diagnose_report` artifact uses.
-fn chain_for(s: &Subject, profiles: &CollectedProfiles) -> Option<CausalChain> {
-    let program = s.runner.machine().program();
-    if s.lbr() {
-        let mut d = profiles.lbra();
-        d.exclude_site_guards(program, &s.bench.truth.spec);
-        CausalChain::from_lbra(
-            Some(program),
-            &d.ranked,
-            &failure_traces(profiles),
-            d.stats.failure_runs_used,
-            d.stats.success_runs_used,
-        )
-    } else {
-        let d = profiles.lcra();
-        CausalChain::from_lcra(
-            Some(program),
-            &d.ranked,
-            &failure_traces(profiles),
-            d.stats.failure_runs_used,
-            d.stats.success_runs_used,
-        )
+/// Whether a chain link's canonical event form names the ground-truth
+/// root cause.
+fn is_root_link(truth: &GroundTruth, kind: ChainKind, l: &ChainLink) -> bool {
+    match kind {
+        ChainKind::Lbr => truth
+            .target_branch()
+            .is_some_and(|t| l.event.starts_with(&format!("{t}="))),
+        ChainKind::Lcr => truth.fpe.is_some_and(|f| {
+            f.conf2_state
+                .is_some_and(|s| l.event.ends_with(&format!("@{}:{s}", f.loc)))
+        }),
     }
 }

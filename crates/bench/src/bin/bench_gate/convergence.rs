@@ -25,12 +25,13 @@
 
 use stm_bench::{json_rank, mark, MetricsEmitter};
 use stm_core::converge::{FinalRanking, LiveRanking, SnapshotIngest, StabilityPolicy};
-use stm_core::engine::CollectedProfiles;
+use stm_core::engine::{CollectedProfiles, ProfileKind};
 use stm_core::ranking::RankingModel;
+use stm_suite::eval::default_threads;
+use stm_suite::GroundTruth;
 use stm_telemetry::json::Json;
 
-use crate::subject::{Subject, SUBJECTS};
-use crate::{write_artifact, Outcome};
+use crate::{deploy, write_artifact, Outcome, SUBJECTS};
 
 pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     println!("Diagnosis convergence (witnesses to a stable top-1; lower is better)");
@@ -40,9 +41,10 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     );
 
     for id in SUBJECTS {
-        let s = Subject::new(id);
+        let d = deploy(id);
+        let (lbr, truth) = (d.kind == ProfileKind::Lbr, &d.bench.truth);
         let run = |policy: StabilityPolicy| -> CollectedProfiles {
-            s.session()
+            d.session(default_threads())
                 .converge(policy)
                 .collect()
                 .expect("witness-mode collection cannot fail")
@@ -52,7 +54,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
         let full_report = full.convergence().expect("monitored session reports");
         let early_report = early.convergence().expect("monitored session reports");
 
-        let (curve, stable_at) = replay(&s, &full);
+        let (curve, stable_at) = replay(truth, &full);
 
         let witnesses_full = full_report.evidence.witnesses;
         let witnesses_early = early_report.evidence.witnesses;
@@ -66,8 +68,8 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
                 "{id}: replayed stop point diverged from the live session"
             );
         }
-        let rank_full = rank_of_root_cause(&s, &full_report.final_ranking);
-        let rank_early = rank_of_root_cause(&s, &early_report.final_ranking);
+        let rank_full = rank_of_root_cause(truth, &full_report.final_ranking);
+        let rank_early = rank_of_root_cause(truth, &early_report.final_ranking);
         let top1_mismatch = usize::from(full_report.evidence.top1 != early_report.evidence.top1);
 
         println!(
@@ -95,7 +97,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
 
         let artifact = Json::obj([
             ("benchmark", Json::from(id)),
-            ("mode", Json::from(if s.lbr() { "lbra" } else { "lcra" })),
+            ("mode", Json::from(if lbr { "lbra" } else { "lcra" })),
             ("verdict_full", Json::from(full_report.verdict.as_str())),
             ("verdict_early", Json::from(early_report.verdict.as_str())),
             ("witnesses_full", Json::from(witnesses_full)),
@@ -150,12 +152,12 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     Outcome::default()
 }
 
-/// 1-based rank of the subject's ground-truth root cause in a session's
-/// final (raw batch-model) ranking.
-fn rank_of_root_cause(s: &Subject, ranking: &FinalRanking) -> Option<usize> {
+/// 1-based rank of the ground-truth root cause in a session's final
+/// (raw batch-model) ranking.
+fn rank_of_root_cause(truth: &GroundTruth, ranking: &FinalRanking) -> Option<usize> {
     match ranking {
-        FinalRanking::Lbr(r) => RankingModel::rank_of(r, |p| s.is_root_branch(&p.event)),
-        FinalRanking::Lcr(r) => RankingModel::rank_of(r, |p| s.is_root_event(&p.event)),
+        FinalRanking::Lbr(r) => RankingModel::rank_of(r, |p| truth.is_root_branch(&p.event)),
+        FinalRanking::Lcr(r) => RankingModel::rank_of(r, |p| truth.is_root_event(&p.event)),
     }
 }
 
@@ -164,7 +166,7 @@ fn rank_of_root_cause(s: &Subject, ranking: &FinalRanking) -> Option<usize> {
 /// public snapshot ingest, charting the root cause's rank after every
 /// ingested witness and finding where the default policy would stop.
 fn replay(
-    s: &Subject,
+    truth: &GroundTruth,
     profiles: &CollectedProfiles,
 ) -> (Vec<(usize, Option<usize>)>, Option<usize>) {
     let mut ingest = SnapshotIngest::new(
@@ -182,10 +184,10 @@ fn replay(
         }
         let rank = match ingest.live_ranking() {
             Some(LiveRanking::Lbr { scores, .. }) => {
-                scores.iter().position(|p| s.is_root_branch(&p.event))
+                scores.iter().position(|p| truth.is_root_branch(&p.event))
             }
             Some(LiveRanking::Lcr { scores, .. }) => {
-                scores.iter().position(|p| s.is_root_event(&p.event))
+                scores.iter().position(|p| truth.is_root_event(&p.event))
             }
             None => None,
         };

@@ -43,10 +43,10 @@ use stm_core::diagnose::Quotas;
 use stm_core::engine::CollectedProfiles;
 use stm_fleet::{FleetDaemon, ShardConfig, ShardReport, ShedPolicy, Snapshot, SubmitOutcome};
 use stm_machine::report::RunReport;
+use stm_suite::eval::default_threads;
 use stm_telemetry::json::Json;
 
-use crate::subject::Subject;
-use crate::Outcome;
+use crate::{deploy, Outcome};
 
 /// Simulated endpoints in the sustained phase (≥1000 per the
 /// acceptance bar; spread across all four shards by the schedule).
@@ -75,8 +75,8 @@ impl Schedule {
 
 /// Batch-collects the replayable snapshot pool for one suite benchmark.
 fn pool(id: &str) -> (CollectedProfiles, Vec<(bool, String, RunReport)>) {
-    let profiles = Subject::new(id)
-        .session()
+    let profiles = deploy(id)
+        .session(default_threads())
         .collect()
         .expect("pool collection succeeds");
     let mut snaps = Vec::new();

@@ -23,13 +23,23 @@ mod convergence;
 mod fleet;
 mod scaling;
 mod sensitivity;
-mod subject;
 
 use std::fmt::Write as _;
 
 use stm_bench::MetricsEmitter;
 use stm_forensics::{diff_benchmarks, DiffOptions};
+use stm_suite::eval::{default_threads, Deployment};
 use stm_telemetry::json::Json;
+
+/// The benchmarks the quality gates diagnose: one sequential (LBRA) and
+/// one concurrency (LCRA, Conf2) bug.
+const SUBJECTS: [&str; 2] = ["sort", "apache4"];
+
+/// Deploys suite benchmark `id` for its Table 6/7 diagnosis.
+fn deploy(id: &str) -> Deployment {
+    let bench = stm_suite::by_id(id).expect("benchmark exists");
+    Deployment::new(bench, default_threads())
+}
 
 /// A metric a harness cannot measure on this host. The driver leaves it
 /// out of the comparison and prints why.

@@ -51,10 +51,10 @@ use stm_bench::MetricsEmitter;
 use stm_core::engine::DiagnosisSession;
 use stm_core::runner::Runner;
 use stm_profiler::CriticalPathReport;
+use stm_suite::eval::Deployment;
 use stm_telemetry::json::Json;
 
-use crate::subject::{Subject, SUBJECTS};
-use crate::{Outcome, Skip};
+use crate::{deploy, Outcome, Skip, SUBJECTS};
 
 /// Thread counts swept per benchmark.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -113,13 +113,12 @@ fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
 
 /// Median wall-clock microseconds of the subject's 10 + 10 witness
 /// session at `threads`.
-fn witness_session_us(s: &Subject, threads: usize) -> f64 {
+fn witness_session_us(s: &Deployment, threads: usize) -> f64 {
     let mut us: Vec<f64> = (0..SESSION_REPS)
         .map(|_| {
             let start = Instant::now();
             let profiles = s
-                .session()
-                .threads(threads)
+                .session(threads)
                 .collect()
                 .expect("witness collection cannot fail");
             let us = start.elapsed().as_secs_f64() * 1e6;
@@ -152,7 +151,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
         "bench", "runs", "t1 runs/s", "t2 runs/s", "t4 runs/s", "t8 runs/s", "raw/s"
     );
 
-    let subjects = SUBJECTS.map(Subject::new);
+    let subjects = SUBJECTS.map(deploy);
     // Grow the collection pool to the widest sweep point once; nothing
     // after this may spawn a thread.
     let widest = THREADS[THREADS.len() - 1];

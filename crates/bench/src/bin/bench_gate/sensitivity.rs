@@ -20,12 +20,13 @@
 //! machine-independent.
 
 use stm_bench::{json_rank, mark, MetricsEmitter};
+use stm_core::diagnose::Diagnosis;
+use stm_core::engine::ProfileKind;
 use stm_core::ranking::RankingModel;
 use stm_hardware::{HwConfig, PerturbConfig};
-use stm_suite::eval::{run_lbra_with_hw, run_lcra_with_hw};
+use stm_suite::eval::default_threads;
 
-use crate::subject::{Subject, SUBJECTS};
-use crate::Outcome;
+use crate::{deploy, Outcome, SUBJECTS};
 
 /// Effective ring sizes swept (records kept per snapshot, newest first).
 /// 16 = the full Nehalem-sized signal; 8 ≈ Pentium M; 4 ≈ Pentium 4; 1 =
@@ -64,17 +65,19 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     );
 
     for id in SUBJECTS {
-        let s = Subject::new(id);
+        let d = deploy(id);
+        let truth = &d.bench.truth;
         let rank_with = |hw: HwConfig| -> Option<usize> {
-            let (failing, passing) = (s.failing.clone(), s.passing.clone());
-            if s.lbr() {
-                let d = run_lbra_with_hw(&s.bench, &s.runner, hw, failing, passing)
-                    .expect("witness-mode collection cannot fail");
-                RankingModel::rank_of(&d.ranked, |p| s.is_root_branch(&p.event))
-            } else {
-                let d = run_lcra_with_hw(&s.bench, &s.runner, hw, failing, passing)
-                    .expect("witness-mode collection cannot fail");
-                RankingModel::rank_of(&d.ranked, |p| s.is_root_event(&p.event))
+            let (diagnosis, _) = d
+                .diagnose(hw, default_threads())
+                .expect("witness-mode collection cannot fail");
+            match diagnosis {
+                Diagnosis::Lbr(r) => {
+                    RankingModel::rank_of(&r.ranked, |p| truth.is_root_branch(&p.event))
+                }
+                Diagnosis::Lcr(r) => {
+                    RankingModel::rank_of(&r.ranked, |p| truth.is_root_event(&p.event))
+                }
             }
         };
 
@@ -83,7 +86,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
         for ring in RING_SIZES {
             let mut row = Vec::with_capacity(DROP_PCTS.len());
             for drop_pct in DROP_PCTS {
-                let rank = rank_with(perturbed_hw(s.lbr(), ring, drop_pct));
+                let rank = rank_with(perturbed_hw(d.kind == ProfileKind::Lbr, ring, drop_pct));
                 if ring == 16 && drop_pct == 0 {
                     // The full-signal grid corner must reproduce today's
                     // unperturbed diagnosis exactly.

@@ -10,62 +10,26 @@
 //! `apache4`). The shared observability flags enable span/metric
 //! collection and export a Chrome trace of the whole emission.
 
-use stm_bench::failure_traces;
-use stm_core::engine::{DiagnosisSession, ProfileKind};
+use stm_core::diagnose::Diagnosis;
 use stm_forensics::{CausalChain, FailureDossier, ForensicReport, RankingReport};
-use stm_suite::eval::{default_threads, expand_workloads, lbra_runner, lcra_runner};
-use stm_suite::{Benchmark, BugClass};
+use stm_hardware::HwConfig;
+use stm_suite::eval::{default_threads, Deployment};
+use stm_suite::Benchmark;
 use stm_telemetry::json::Json;
 
 /// Builds the forensic report for one benchmark, or says why it cannot.
-fn report_for(b: &Benchmark, top_k: usize) -> Result<ForensicReport, String> {
-    let (runner, kind) = match b.info.bug_class {
-        BugClass::Sequential => (lbra_runner(b), ProfileKind::Lbr),
-        BugClass::Concurrency => (lcra_runner(b), ProfileKind::Lcr),
-    };
-    let (failing, passing) = expand_workloads(b, &runner);
-    if failing.is_empty() {
+fn report_for(b: Benchmark, top_k: usize) -> Result<ForensicReport, String> {
+    let d = Deployment::new(b, default_threads());
+    if d.failing.is_empty() {
         return Err("no failing workload reproduces the target failure".into());
     }
-    let profiles = DiagnosisSession::from_runner(&runner)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(kind)
-        .threads(default_threads())
-        .collect()
+    let (diagnosis, profiles) = d
+        .diagnose(HwConfig::default(), default_threads())
         .map_err(|e| e.to_string())?;
-    let program = runner.machine().program();
-    let (ranking, chain) = match kind {
-        ProfileKind::Lbr => {
-            let mut d = profiles.lbra();
-            d.exclude_site_guards(program, &b.truth.spec);
-            let chain = CausalChain::from_lbra(
-                Some(program),
-                &d.ranked,
-                &failure_traces(&profiles),
-                d.stats.failure_runs_used,
-                d.stats.success_runs_used,
-            );
-            (
-                RankingReport::from_lbra(program, b.info.id, &d, top_k),
-                chain,
-            )
-        }
-        ProfileKind::Lcr => {
-            let d = profiles.lcra();
-            let chain = CausalChain::from_lcra(
-                Some(program),
-                &d.ranked,
-                &failure_traces(&profiles),
-                d.stats.failure_runs_used,
-                d.stats.success_runs_used,
-            );
-            (
-                RankingReport::from_lcra(program, b.info.id, &d, top_k),
-                chain,
-            )
-        }
+    let (program, id) = (d.runner.machine().program(), d.bench.info.id);
+    let ranking = match &diagnosis {
+        Diagnosis::Lbr(r) => RankingReport::from_lbra(program, id, r, top_k),
+        Diagnosis::Lcr(r) => RankingReport::from_lcra(program, id, r, top_k),
     };
     // Flight-record the first collected failure witness — the run is
     // already in the profile set, no replay needed.
@@ -73,10 +37,12 @@ fn report_for(b: &Benchmark, top_k: usize) -> Result<ForensicReport, String> {
         .failure_runs()
         .iter()
         .find_map(|run| {
-            FailureDossier::collect(&runner, &run.report, &run.workload, Some(&b.truth.spec))
+            let spec = Some(&d.bench.truth.spec);
+            FailureDossier::collect(&d.runner, &run.report, &run.workload, spec)
         })
         .ok_or("no run yielded a failure-site profile")?;
-    let chain = chain.map(|c| c.with_symptom(dossier.symptom.clone()));
+    let chain = CausalChain::from_profiles(&profiles, &diagnosis)
+        .map(|c| c.with_symptom(dossier.symptom.clone()));
     Ok(ForensicReport {
         dossier,
         ranking,
@@ -113,7 +79,7 @@ fn main() {
             failed = true;
             continue;
         };
-        match report_for(&b, top_k) {
+        match report_for(b, top_k) {
             Ok(report) => {
                 let json = report.to_json();
                 let encoded = json.encode();

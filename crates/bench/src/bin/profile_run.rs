@@ -26,11 +26,9 @@
 //! [`CriticalPathReport`]: stm_profiler::CriticalPathReport
 
 use stm_bench::{write_trace, TelemetryCli};
-use stm_core::engine::{DiagnosisSession, ProfileKind};
 use stm_machine::interp::RunConfig;
 use stm_profiler::{CriticalPathReport, GuestProfile, DEFAULT_PERIOD};
-use stm_suite::eval::{default_threads, expand_workloads, lbra_runner, lcra_runner};
-use stm_suite::BugClass;
+use stm_suite::eval::{default_threads, Deployment};
 use stm_telemetry::json::Json;
 
 fn usage() -> ! {
@@ -80,12 +78,8 @@ fn main() {
     }
 
     // Same reactive deployments the Table 6/7 harnesses use.
-    let (runner, kind) = match b.info.bug_class {
-        BugClass::Sequential => (lbra_runner(&b), ProfileKind::Lbr),
-        BugClass::Concurrency => (lcra_runner(&b), ProfileKind::Lcr),
-    };
-    let (failing, passing) = expand_workloads(&b, &runner);
-    if failing.is_empty() {
+    let d = Deployment::new(b, default_threads());
+    if d.failing.is_empty() {
         eprintln!("{id}: no failing workload reproduces the target failure");
         std::process::exit(1);
     }
@@ -97,16 +91,12 @@ fn main() {
     let _metrics = tele.apply();
     stm_telemetry::set_enabled(true);
     let _ = stm_telemetry::take_spans();
-    let profiles = DiagnosisSession::from_runner(&runner)
+    let profiles = d
+        .session(threads)
         .run_config(RunConfig {
             profile_period: period,
-            ..runner.run_config().clone()
+            ..d.runner.run_config().clone()
         })
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(kind)
-        .threads(threads)
         .collect()
         .unwrap_or_else(|e| {
             eprintln!("{id}: collection failed: {e}");
@@ -114,7 +104,7 @@ fn main() {
         });
     let spans = stm_telemetry::take_spans();
 
-    let mut guest = GuestProfile::new(runner.machine().program(), period);
+    let mut guest = GuestProfile::new(d.runner.machine().program(), period);
     for run in profiles
         .failure_runs()
         .iter()

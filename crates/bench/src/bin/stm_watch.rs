@@ -24,7 +24,7 @@ use std::time::Duration;
 use stm_core::engine::DiagnosisSession;
 use stm_observatory::watch::{http_get, render_board, Sample};
 use stm_observatory::MetricsServer;
-use stm_suite::eval::lbra_runner;
+use stm_suite::eval::{default_threads, Deployment};
 use stm_telemetry::json::Json;
 
 const HTTP_TIMEOUT: Duration = Duration::from_secs(2);
@@ -99,10 +99,10 @@ fn smoke() -> i32 {
     let addr = server.addr();
     println!("smoke: metrics endpoint on http://{addr}");
 
-    let b = stm_suite::by_id("sort").expect("suite benchmark");
-    let runner = lbra_runner(&b);
-    let base = b.workloads.failing[0].clone();
-    let spec = b.truth.spec.clone();
+    let sort = stm_suite::by_id("sort").expect("suite benchmark");
+    let Deployment { bench, runner, .. } = Deployment::new(sort, default_threads());
+    let base = bench.workloads.failing[0].clone();
+    let spec = bench.truth.spec;
 
     let mut failures = Vec::new();
     let mut mid_run_scrapes = 0u32;

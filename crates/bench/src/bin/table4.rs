@@ -5,10 +5,13 @@
 //! `results/BENCH_table4.json` with the per-benchmark model sizes (the
 //! same document `bench_gate table4` writes and gates).
 
-use stm_bench::{MetricsEmitter, TelemetryCli};
+use stm_bench::{HarnessFlags, MetricsEmitter, TelemetryCli};
+
+const USAGE: &str = "usage: table4 [--telemetry] [--trace-out FILE] [--metrics-addr ADDR]";
 
 fn main() {
-    let (tele, _) = TelemetryCli::from_env();
+    let (tele, args) = TelemetryCli::from_env();
+    HarnessFlags::parse_or_exit(&args, USAGE, &[], &[]);
     let _metrics = tele.apply();
     let mut metrics = MetricsEmitter::new("table4");
     stm_bench::table4(&mut metrics);

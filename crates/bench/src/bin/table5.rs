@@ -3,7 +3,7 @@
 //! computed by the static backward path analysis of §7.1.1. Also writes
 //! `results/BENCH_table5.json` with the per-benchmark ratios.
 
-use stm_bench::{MetricsEmitter, TelemetryCli};
+use stm_bench::{HarnessFlags, MetricsEmitter, TelemetryCli};
 use stm_core::analysis::useful_branch_ratio;
 use stm_telemetry::json::Json;
 
@@ -31,8 +31,11 @@ const PAPER: &[(&str, f64)] = &[
     ("tar2", 0.84),
 ];
 
+const USAGE: &str = "usage: table5 [--telemetry] [--trace-out FILE] [--metrics-addr ADDR]";
+
 fn main() {
-    let (tele, _) = TelemetryCli::from_env();
+    let (tele, args) = TelemetryCli::from_env();
+    HarnessFlags::parse_or_exit(&args, USAGE, &[], &[]);
     let _metrics = tele.apply();
     let mut metrics = MetricsEmitter::new("table5");
     println!("Table 5: Resolution of control-flow uncertainties by LBRLOG");

@@ -4,20 +4,21 @@
 //! budget (default 1000, the paper's setting). Also writes
 //! `results/BENCH_table6.json` with per-benchmark ranks and run volumes.
 
-use stm_bench::{cbi_rank, dist, json_rank, mark, measure_overheads, MetricsEmitter, TelemetryCli};
+use stm_bench::{
+    cbi_rank, dist, json_rank, mark, measure_overheads, HarnessFlags, MetricsEmitter, TelemetryCli,
+};
 use stm_suite::eval::evaluate_sequential;
 use stm_telemetry::json::Json;
 
+const USAGE: &str =
+    "usage: table6 [--timed] [--cbi-runs N] [--telemetry] [--trace-out FILE] [--metrics-addr ADDR]";
+
 fn main() {
     let (tele, args) = TelemetryCli::from_env();
+    let flags = HarnessFlags::parse_or_exit(&args, USAGE, &["--timed"], &["--cbi-runs"]);
     let _metrics = tele.apply();
-    let timed = args.iter().any(|a| a == "--timed");
-    let cbi_runs = args
-        .iter()
-        .position(|a| a == "--cbi-runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000usize);
+    let timed = flags.switch("--timed");
+    let cbi_runs = flags.count("--cbi-runs").unwrap_or(1000) as usize;
 
     let mut metrics = MetricsEmitter::new("table6");
     println!("Table 6: Results of LBRLOG and LBRA (paper values in parentheses)");

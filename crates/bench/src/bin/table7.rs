@@ -3,11 +3,14 @@
 //! the space-consuming Conf2). Also writes `results/BENCH_table7.json`
 //! with per-benchmark ranks and run volumes.
 
-use stm_bench::{json_rank, mark, MetricsEmitter, TelemetryCli};
+use stm_bench::{json_rank, mark, HarnessFlags, MetricsEmitter, TelemetryCli};
 use stm_suite::eval::evaluate_concurrency;
 
+const USAGE: &str = "usage: table7 [--telemetry] [--trace-out FILE] [--metrics-addr ADDR]";
+
 fn main() {
-    let (tele, _) = TelemetryCli::from_env();
+    let (tele, args) = TelemetryCli::from_env();
+    HarnessFlags::parse_or_exit(&args, USAGE, &[], &[]);
     let _metrics = tele.apply();
     let mut metrics = MetricsEmitter::new("table7");
     println!("Table 7: Failure diagnosis capability of LCR (paper values in parentheses)");

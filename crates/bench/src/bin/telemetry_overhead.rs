@@ -14,6 +14,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+use stm_bench::HarnessFlags;
 use stm_core::runner::Runner;
 use stm_machine::interp::{Machine, RunConfig};
 use stm_observatory::watch::http_get;
@@ -77,13 +78,15 @@ fn timed_with_server(runner: &Runner, b: &Benchmark, iters: u32) -> (f64, u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let iters: u32 = args
-        .iter()
-        .position(|a| a == "--iters")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let iters = HarnessFlags::parse_or_exit(
+        &args,
+        "usage: telemetry_overhead [--iters N]",
+        &[],
+        &["--iters"],
+    )
+    .count("--iters")
+    .unwrap_or(60);
 
     println!("Observability overhead ({iters} runs/sample, best of {SAMPLES}):");
     println!(

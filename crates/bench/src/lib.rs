@@ -1,25 +1,22 @@
 //! # stm-bench — harness utilities shared by the table/figure binaries
 //!
-//! One binary per evaluation artifact (see DESIGN.md's experiment index):
-//! `table4`, `table5`, `table6`, `table7`, `latency`, `logging_latency`,
-//! `capacity`, `bts_overhead`, plus the `bench_gate` regression driver.
-//! This library holds the pieces they share: CBI evaluation over suite
-//! benchmarks, wall-clock overhead measurement, failing-trace decoding,
-//! and table rendering helpers.
+//! One binary per evaluation artifact (see DESIGN.md's experiment index),
+//! the tools `diagnose_report`, `profile_run`, `stm_watch` and
+//! `telemetry_overhead`, and the `bench_gate` regression driver. This
+//! library holds the pieces they share: CBI evaluation over suite
+//! benchmarks, overhead measurement, strict flag parsing, metrics
+//! documents and table rendering helpers. Diagnoses come from
+//! `stm_suite::eval::Deployment`.
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 use stm_baselines::cbi::{cbi, instrument_cbi};
-use stm_core::diagnose::{failure_profile, Quotas};
-use stm_core::engine::CollectedProfiles;
-use stm_core::profile::{decode_lbr, decode_lcr, DecodedLbrEntry, DecodedLcrEntry};
+use stm_core::diagnose::Quotas;
 use stm_core::runner::Runner;
-use stm_core::transform::{instrument, InstrumentOptions};
+use stm_core::transform::InstrumentOptions;
 use stm_hardware::HwConfig;
 use stm_machine::interp::{Machine, RunConfig};
-use stm_machine::layout::Layout;
-use stm_machine::report::ProfileData;
 use stm_suite::eval::{expand_workloads, lbrlog_runner, reactive_options};
 use stm_suite::{Benchmark, Language};
 use stm_telemetry::json::Json;
@@ -86,46 +83,6 @@ pub fn table4(metrics: &mut MetricsEmitter) {
             ],
         );
     }
-}
-
-/// A decoded ring-snapshot entry: which ring's snapshot it reads, and how.
-pub trait TraceEntry: Sized {
-    /// Decodes `data` when it is this entry's ring, `None` otherwise.
-    fn decode(layout: &Layout, data: &ProfileData) -> Option<Vec<Self>>;
-}
-
-impl TraceEntry for DecodedLbrEntry {
-    fn decode(layout: &Layout, data: &ProfileData) -> Option<Vec<Self>> {
-        match data {
-            ProfileData::Lbr(records) => Some(decode_lbr(layout, records)),
-            ProfileData::Lcr(_) => None,
-        }
-    }
-}
-
-impl TraceEntry for DecodedLcrEntry {
-    fn decode(layout: &Layout, data: &ProfileData) -> Option<Vec<Self>> {
-        match data {
-            ProfileData::Lcr(records) => Some(decode_lcr(layout, records)),
-            ProfileData::Lbr(_) => None,
-        }
-    }
-}
-
-/// Decodes the failure-site snapshot of every failing witness a
-/// collection kept, as `(witness id, entries)` in consumption order — the
-/// traces a `CausalChain` is reconstructed from. Witnesses whose snapshot
-/// is of the other ring are skipped.
-pub fn failure_traces<T: TraceEntry>(profiles: &CollectedProfiles) -> Vec<(String, Vec<T>)> {
-    let layout = profiles.runner().machine().layout();
-    profiles
-        .failure_runs()
-        .iter()
-        .filter_map(|run| {
-            let p = failure_profile(&run.report, profiles.spec())?;
-            Some((run.witness.clone(), T::decode(layout, &p.data)?))
-        })
-        .collect()
 }
 
 /// Runs CBI on a benchmark (its default 1/100 sampling) with the given run
@@ -208,15 +165,9 @@ pub fn measure_overheads(b: &Benchmark, iters: u32) -> OverheadRow {
 
     let lbrlog_tog = run_variant(&lbrlog_runner(b, true));
     let lbrlog_no_tog = run_variant(&lbrlog_runner(b, false));
-    let reactive = Runner::new(Machine::new(instrument(
-        &b.program,
-        &reactive_options(b, true, None),
-    )));
+    let reactive = Runner::instrumented(&b.program, &reactive_options(b, true, None));
     let lbra_reactive = run_variant(&reactive);
-    let proactive = Runner::new(Machine::new(instrument(
-        &b.program,
-        &InstrumentOptions::lbra_proactive(),
-    )));
+    let proactive = Runner::instrumented(&b.program, &InstrumentOptions::lbra_proactive());
     let lbra_proactive = run_variant(&proactive);
     let cbi = if b.info.language == Language::Cpp {
         None
@@ -470,6 +421,55 @@ impl TelemetryCli {
     }
 }
 
+/// A harness's own flags, parsed strictly out of what [`TelemetryCli`]
+/// left: bare switches, and counts that take a positive integer.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct HarnessFlags(Vec<(String, Option<u32>)>);
+
+impl HarnessFlags {
+    /// Parses `args` against the accepted `switches` and `counts`.
+    ///
+    /// # Errors
+    ///
+    /// Names an unknown argument, or a count flag whose value is missing,
+    /// unparsable or zero: nothing falls back to a default silently.
+    pub fn parse(args: &[String], switches: &[&str], counts: &[&str]) -> Result<Self, String> {
+        let mut flags = Vec::new();
+        let mut args = args.iter();
+        while let Some(a) = args.next() {
+            let value = if counts.contains(&a.as_str()) {
+                let n = args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
+                Some(n.ok_or_else(|| format!("{a} needs a positive integer"))?)
+            } else if switches.contains(&a.as_str()) {
+                None
+            } else {
+                return Err(format!("unknown argument {a:?}"));
+            };
+            flags.push((a.clone(), value));
+        }
+        Ok(HarnessFlags(flags))
+    }
+
+    /// [`HarnessFlags::parse`], printing the error and `usage` and exiting
+    /// with status 2 on a malformed invocation.
+    pub fn parse_or_exit(args: &[String], usage: &str, switches: &[&str], counts: &[&str]) -> Self {
+        Self::parse(args, switches, counts).unwrap_or_else(|e| {
+            eprintln!("{e}\n{usage}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Whether the switch was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.0.iter().any(|(flag, _)| flag == name)
+    }
+
+    /// The count flag's last value; `None` when it was not given.
+    pub fn count(&self, name: &str) -> Option<u32> {
+        self.0.iter().rev().find(|(flag, _)| flag == name)?.1
+    }
+}
+
 /// Writes `spans` as a Chrome `trace_event` JSON at `out`, round-tripped
 /// through the strict parser first — never ship a malformed trace.
 /// Harnesses that need the spans for their own analysis (critical-path
@@ -544,6 +544,48 @@ mod tests {
         assert_eq!(cli, TelemetryCli::default());
         assert!(cli.finish().unwrap().is_none(), "no trace requested");
         assert!(cli.apply().is_none(), "no endpoint requested");
+    }
+
+    #[test]
+    fn harness_flags_reject_malformed_invocations() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let parse = |v: &[&str]| HarnessFlags::parse(&args(v), &["--timed"], &["--cbi-runs"]);
+
+        let flags = parse(&["--cbi-runs", "50", "--timed", "--cbi-runs", "7"]).unwrap();
+        assert!(flags.switch("--timed"));
+        assert_eq!(flags.count("--cbi-runs"), Some(7), "the last value wins");
+        let flags = parse(&[]).unwrap();
+        assert!(!flags.switch("--timed"));
+        assert_eq!(
+            flags.count("--cbi-runs"),
+            None,
+            "absent: the caller's default"
+        );
+
+        for (bad, why) in [
+            (&["--cbi-run", "50"][..], "misspelt flag"),
+            (&["--cbi-runs"][..], "missing value"),
+            (&["--cbi-runs", "many"][..], "unparsable value"),
+            (&["--cbi-runs", "-5"][..], "negative value"),
+            (&["--cbi-runs", "0"][..], "zero value"),
+            (&["--timed", "extra"][..], "leftover argument"),
+        ] {
+            assert!(parse(bad).is_err(), "{why}: {bad:?} must be rejected");
+        }
+        assert_eq!(
+            parse(&["--cbi-runs", "0"]),
+            Err("--cbi-runs needs a positive integer".to_string())
+        );
+
+        // A harness without flags of its own rejects every leftover.
+        assert_eq!(
+            HarnessFlags::parse(&[], &[], &[]),
+            Ok(HarnessFlags::default())
+        );
+        assert_eq!(
+            HarnessFlags::parse(&args(&["sort"]), &[], &[]),
+            Err("unknown argument \"sort\"".to_string())
+        );
     }
 
     #[test]

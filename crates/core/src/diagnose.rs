@@ -243,7 +243,7 @@ impl CollectedProfiles {
 }
 
 /// The result of an LBRA diagnosis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LbraDiagnosis {
     /// Scored branch-outcome predictors, best first.
     pub ranked: Vec<RankedEvent<BranchOutcome>>,
@@ -305,7 +305,7 @@ fn proximity_tiebreak<E: Ord + Clone>(
 }
 
 /// The result of an LCRA diagnosis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LcraDiagnosis {
     /// Scored coherence-event predictors (presence and absence), best
     /// first.
@@ -368,6 +368,25 @@ impl LcraDiagnosis {
         self.top()
             .map(|t| t.polarity == Polarity::Absent)
             .unwrap_or(false)
+    }
+}
+
+/// A diagnosis of either ring, tagged by the ranking that produced it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Diagnosis {
+    /// LBRA over LBR profiles.
+    Lbr(LbraDiagnosis),
+    /// LCRA over LCR profiles.
+    Lcr(LcraDiagnosis),
+}
+
+impl Diagnosis {
+    /// Run accounting of the collection the ranking read.
+    pub fn stats(&self) -> &DiagnosisStats {
+        match self {
+            Diagnosis::Lbr(d) => &d.stats,
+            Diagnosis::Lcr(d) => &d.stats,
+        }
     }
 }
 

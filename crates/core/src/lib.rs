@@ -85,7 +85,7 @@ pub mod transform;
 pub mod prelude {
     pub use crate::analysis::{useful_branch_ratio, UsefulBranchReport};
     pub use crate::converge::*;
-    pub use crate::diagnose::{DiagnosisStats, LbraDiagnosis, LcraDiagnosis, Quotas};
+    pub use crate::diagnose::{Diagnosis, DiagnosisStats, LbraDiagnosis, LcraDiagnosis, Quotas};
     pub use crate::engine::{
         CollectedProfiles, CollectedRun, DiagnosisSession, ProfileKind, SessionError,
     };

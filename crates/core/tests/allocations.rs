@@ -11,11 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use stm_core::converge::{SnapshotIngest, StabilityPolicy};
-use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
-use stm_core::runner::Runner;
 use stm_hardware::{HardwareCtx, HwConfig};
-use stm_suite::eval::lbra_runner;
-use stm_suite::Benchmark;
+use stm_suite::eval::{default_threads, Deployment};
 
 /// The system allocator, counting allocation calls and net heap bytes
 /// per thread.
@@ -85,15 +82,14 @@ fn retained<T>(f: impl FnOnce() -> T) -> (T, i64) {
     (out, LIVE_BYTES.with(Cell::get) - before)
 }
 
-fn sort() -> (Benchmark, Runner) {
+fn sort() -> Deployment {
     let b = stm_suite::by_id("sort").expect("sort benchmark");
-    let runner = lbra_runner(&b);
-    (b, runner)
+    Deployment::new(b, default_threads())
 }
 
 #[test]
 fn runner_clone_shares_the_machine() {
-    let (_, runner) = sort();
+    let runner = sort().runner;
     let (clone, n) = allocations(|| runner.clone());
     assert_eq!(n, 0, "a Runner clone bumps a reference count");
     assert!(std::ptr::eq(clone.machine(), runner.machine()));
@@ -107,8 +103,8 @@ fn fresh_hardware_context_makes_ten_allocations() {
 
 #[test]
 fn warm_run_allocates_only_its_report() {
-    let (b, runner) = sort();
-    let (witness, spec) = (&b.workloads.failing[0], &b.truth.spec);
+    let d = sort();
+    let (runner, witness, spec) = (&d.runner, &d.failing[0], &d.bench.truth.spec);
     runner.run_classified(witness, spec);
     let (_, n) = allocations(|| runner.run_classified(witness, spec));
     // The report's buffers: its log, profile, ring records, final
@@ -116,22 +112,11 @@ fn warm_run_allocates_only_its_report() {
     assert_eq!(n, 5);
 }
 
-/// A sequential 10 + 10 witness session over sort.
-fn sort_session(b: &Benchmark, runner: &Runner) -> CollectedProfiles {
-    DiagnosisSession::from_runner(runner)
-        .failure(b.truth.spec.clone())
-        .failing(b.workloads.failing.clone())
-        .passing(b.workloads.passing.clone())
-        .profile_kind(ProfileKind::Lbr)
-        .threads(1)
-        .collect()
-        .expect("collection succeeds")
-}
-
 #[test]
 fn sequential_witness_session_allocation_count() {
-    let (b, runner) = sort();
-    let session = || sort_session(&b, &runner);
+    let d = sort();
+    // sort's sequential 10 + 10 witness session.
+    let session = || d.session(1).collect().expect("collection succeeds");
     session();
     let (profiles, n) = allocations(session);
     assert_eq!(
@@ -146,17 +131,17 @@ fn sequential_witness_session_allocation_count() {
 #[test]
 fn snapshot_ingest_retains_at_most_its_pinned_bytes_per_snapshot() {
     const SNAPSHOTS: usize = 2_000;
-    let (b, runner) = sort();
-    let profiles = sort_session(&b, &runner);
+    let d = sort();
+    let profiles = d.session(1).collect().expect("collection succeeds");
     let failures = profiles.failure_runs().iter().map(|r| (true, r));
     let pool: Vec<_> = failures
         .chain(profiles.success_runs().iter().map(|r| (false, r)))
         .collect();
     assert_eq!(pool.len(), 20);
-    let layout = runner.machine().layout().clone();
+    let layout = d.runner.machine().layout().clone();
     let (ingest, bytes) = retained(|| {
         let mut ingest =
-            SnapshotIngest::new(layout, b.truth.spec.clone(), StabilityPolicy::never());
+            SnapshotIngest::new(layout, d.bench.truth.spec.clone(), StabilityPolicy::never());
         for i in 0..SNAPSHOTS {
             let (is_failure, run) = pool[i % pool.len()];
             let witness = format!("r{i}:{}", run.witness);

@@ -247,12 +247,8 @@ fn worker_gauges_return_to_idle_after_a_session() {
 /// to its quota.
 fn monitored_sort_session(threads: usize) -> CollectedProfiles {
     let b = stm_suite::by_id("sort").expect("sort benchmark");
-    DiagnosisSession::from_runner(&stm_suite::eval::lbra_runner(&b))
-        .failure(b.truth.spec.clone())
-        .failing(b.workloads.failing.clone())
-        .passing(b.workloads.passing.clone())
-        .profile_kind(ProfileKind::Lbr)
-        .threads(threads)
+    stm_suite::eval::Deployment::new(b, stm_suite::eval::default_threads())
+        .session(threads)
         .converge(StabilityPolicy::never())
         .collect()
         .expect("collection succeeds")

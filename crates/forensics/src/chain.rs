@@ -38,9 +38,14 @@ use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use stm_core::converge::{LiveRanking, SnapshotIngest};
-use stm_core::profile::{BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry};
+use stm_core::diagnose::{failure_profile, Diagnosis};
+use stm_core::engine::CollectedProfiles;
+use stm_core::profile::{
+    decode_lbr, decode_lcr, BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry,
+};
 use stm_core::ranking::{Polarity, RankedEvent, ScoredPredictor};
 use stm_machine::ir::Program;
+use stm_machine::report::ProfileData;
 use stm_telemetry::json::Json;
 
 /// Longest chain the reconstructor reports. The anchor and the
@@ -303,6 +308,41 @@ pub(crate) fn coherence_label(program: Option<&Program>, e: &CoherenceEvent) -> 
 }
 
 impl CausalChain {
+    /// Reconstructs the chain of a collection's diagnosis (ranked after
+    /// site-guard exclusion) from the decoded failure-site snapshots of the
+    /// failing witnesses it kept, in consumption order, with its program,
+    /// layout and spec. `None` as for [`CausalChain::from_lbra`].
+    pub fn from_profiles(profiles: &CollectedProfiles, diagnosis: &Diagnosis) -> Option<Self> {
+        let machine = profiles.runner().machine();
+        let (program, layout) = (machine.program(), machine.layout());
+        let snapshots = profiles.failure_runs().iter().filter_map(|run| {
+            let p = failure_profile(&run.report, profiles.spec())?;
+            Some((&run.witness, &p.data))
+        });
+        let stats = diagnosis.stats();
+        let (failures, successes) = (stats.failure_runs_used, stats.success_runs_used);
+        match diagnosis {
+            Diagnosis::Lbr(d) => {
+                let traces: Vec<_> = snapshots
+                    .filter_map(|(witness, data)| match data {
+                        ProfileData::Lbr(r) => Some((witness.clone(), decode_lbr(layout, r))),
+                        ProfileData::Lcr(_) => None,
+                    })
+                    .collect();
+                Self::from_lbra(Some(program), &d.ranked, &traces, failures, successes)
+            }
+            Diagnosis::Lcr(d) => {
+                let traces: Vec<_> = snapshots
+                    .filter_map(|(witness, data)| match data {
+                        ProfileData::Lcr(r) => Some((witness.clone(), decode_lcr(layout, r))),
+                        ProfileData::Lbr(_) => None,
+                    })
+                    .collect();
+                Self::from_lcra(Some(program), &d.ranked, &traces, failures, successes)
+            }
+        }
+    }
+
     /// Reconstructs an LBR chain from a batch ranking and decoded
     /// failing-witness traces. Pass the ranking *after* site-guard
     /// exclusion so the anchor is a cause, not the failure site itself.

@@ -3,6 +3,7 @@
 //! workloads, plus the numbers the paper reports for that failure (so the
 //! harness can print paper-vs-measured side by side).
 
+use stm_core::profile::{BranchOutcome, CoherenceEvent};
 use stm_core::runner::{FailureSpec, Workload};
 use stm_machine::events::CoherenceState;
 use stm_machine::ids::{BranchId, FuncId};
@@ -175,6 +176,19 @@ impl GroundTruth {
     /// capturable, otherwise the related branch.
     pub fn target_branch(&self) -> Option<BranchId> {
         self.root_cause_branch.or(self.related_branch)
+    }
+
+    /// Whether an LBRA predictor names the target branch (either
+    /// outcome).
+    pub fn is_root_branch(&self, e: &BranchOutcome) -> bool {
+        self.target_branch() == Some(e.branch)
+    }
+
+    /// Whether an LCRA predictor is the failure-predicting event in its
+    /// Conf2 state (either access kind).
+    pub fn is_root_event(&self, e: &CoherenceEvent) -> bool {
+        self.fpe
+            .is_some_and(|f| f.loc == e.loc && f.conf2_state == Some(e.state))
     }
 }
 

@@ -1,16 +1,16 @@
 //! Shared evaluation drivers: run one benchmark through LBRLOG / LBRA /
 //! LCRLOG / LCRA exactly as the paper's experiments do, and report the
-//! measured positions/ranks that Tables 6 and 7 tabulate.
+//! measured positions/ranks that Tables 6 and 7 tabulate. Every LBRA/LCRA
+//! diagnosis of a benchmark goes through one [`Deployment`].
 
 use crate::benchmark::{Benchmark, BugClass};
-use stm_core::diagnose::{LbraDiagnosis, LcraDiagnosis};
-use stm_core::engine::{DiagnosisSession, ProfileKind};
+use stm_core::diagnose::{Diagnosis, LbraDiagnosis, LcraDiagnosis};
+use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind, SessionError};
 use stm_core::logging::{failure_log_for, FailureLog};
 use stm_core::runner::{FailureSpec, RunClass, Runner, Workload};
-use stm_core::transform::{instrument, InstrumentOptions};
+use stm_core::transform::InstrumentOptions;
 use stm_hardware::HwConfig;
 use stm_machine::events::LcrConfig;
-use stm_machine::interp::Machine;
 use stm_machine::ir::SourceLoc;
 
 /// How many seeds to scan when expanding concurrency workloads.
@@ -58,21 +58,23 @@ pub fn lbrlog_runner(b: &Benchmark, toggling: bool) -> Runner {
     } else {
         InstrumentOptions::lbrlog_without_toggling()
     };
-    Runner::new(Machine::new(instrument(&b.program, &opts)))
+    Runner::instrumented(&b.program, &opts)
 }
 
 /// An LCRLOG deployment of the benchmark.
 pub fn lcrlog_runner(b: &Benchmark, config: LcrConfig) -> Runner {
-    Runner::new(Machine::new(instrument(
-        &b.program,
-        &InstrumentOptions::lcrlog(config),
-    )))
+    Runner::instrumented(&b.program, &InstrumentOptions::lcrlog(config))
 }
 
 /// Expands the benchmark's workloads into concrete failing/passing sets.
 /// Sequential benchmarks fail deterministically; concurrency benchmarks
 /// scan scheduler seeds for reproducing/avoiding interleavings.
 pub fn expand_workloads(b: &Benchmark, runner: &Runner) -> (Vec<Workload>, Vec<Workload>) {
+    expand(b, runner, default_threads())
+}
+
+/// [`expand_workloads`] on `threads` workers, which never change the lists.
+fn expand(b: &Benchmark, runner: &Runner, threads: usize) -> (Vec<Workload>, Vec<Workload>) {
     match b.info.bug_class {
         BugClass::Sequential => (b.workloads.failing.clone(), b.workloads.passing.clone()),
         BugClass::Concurrency => {
@@ -83,7 +85,7 @@ pub fn expand_workloads(b: &Benchmark, runner: &Runner) -> (Vec<Workload>, Vec<W
                     .seeds(base.seed..base.seed + SEED_SCAN)
                     .failure_profiles(fail_n)
                     .success_profiles(pass_n)
-                    .threads(default_threads())
+                    .threads(threads)
                     .collect()
                     .expect("scan-mode collection cannot fail")
             };
@@ -173,77 +175,107 @@ pub fn patch_distances(b: &Benchmark) -> (Option<u32>, Option<u32>) {
     (fail_dist, lbr_dist)
 }
 
-/// Runs LBRA (reactive scheme, 10 + 10 runs) and returns the diagnosis.
-pub fn run_lbra(b: &Benchmark) -> LbraDiagnosis {
-    let runner = lbra_runner(b);
-    let (failing, passing) = expand_workloads(b, &runner);
-    run_lbra_with_hw(b, &runner, HwConfig::default(), failing, passing)
+/// A benchmark deployed for its Table 6/7 diagnosis (§5.2), witnesses
+/// expanded: LBRA (reactive) for a sequential bug, LCRA (Conf2) for a
+/// concurrency bug. Its stages, then `CausalChain::from_profiles`
+/// (`stm-forensics`), are DESIGN.md's "One diagnosis pipeline". The
+/// witnesses hold under every hardware configuration: a perturbation
+/// degrades only the snapshots a diagnosis reads, never execution.
+#[derive(Debug, Clone)]
+pub struct Deployment {
+    /// The benchmark.
+    pub bench: Benchmark,
+    /// The runner of the instrumented program.
+    pub runner: Runner,
+    /// The ring the diagnosis reads.
+    pub kind: ProfileKind,
+    /// Failing witnesses.
+    pub failing: Vec<Workload>,
+    /// Passing witnesses.
+    pub passing: Vec<Workload>,
+}
+
+impl Deployment {
+    /// Instruments `bench` for its diagnosis and expands its witnesses (a
+    /// seed scan on `threads` workers for a concurrency bug).
+    pub fn new(bench: Benchmark, threads: usize) -> Deployment {
+        let (kind, lcr_config) = match bench.info.bug_class {
+            BugClass::Sequential => (ProfileKind::Lbr, None),
+            BugClass::Concurrency => (ProfileKind::Lcr, Some(LcrConfig::SPACE_CONSUMING)),
+        };
+        let opts = reactive_options(&bench, lcr_config.is_none(), lcr_config);
+        let runner = Runner::instrumented(&bench.program, &opts);
+        let (failing, passing) = expand(&bench, &runner, threads);
+        Deployment {
+            bench,
+            runner,
+            kind,
+            failing,
+            passing,
+        }
+    }
+
+    /// A witness-mode session over the witnesses on `threads` workers, to
+    /// configure further (hardware, interpreter, convergence) and collect.
+    pub fn session(&self, threads: usize) -> DiagnosisSession {
+        DiagnosisSession::from_runner(&self.runner)
+            .failure(self.bench.truth.spec.clone())
+            .failing(self.failing.clone())
+            .passing(self.passing.clone())
+            .profile_kind(self.kind)
+            .threads(threads)
+    }
+
+    /// Ranks a collection of this deployment: LBRA with the failure
+    /// site's guard branches excluded, or LCRA.
+    pub fn rank(&self, profiles: &CollectedProfiles) -> Diagnosis {
+        match self.kind {
+            ProfileKind::Lbr => {
+                let mut d = profiles.lbra();
+                d.exclude_site_guards(self.runner.machine().program(), &self.bench.truth.spec);
+                Diagnosis::Lbr(d)
+            }
+            ProfileKind::Lcr => Diagnosis::Lcr(profiles.lcra()),
+        }
+    }
+
+    /// Collects under `hw` on `threads` workers and ranks: the diagnosis
+    /// and the collection it read.
+    ///
+    /// # Errors
+    ///
+    /// Returns the session's error, e.g. for an invalid `hw`.
+    pub fn diagnose(
+        &self,
+        hw: HwConfig,
+        threads: usize,
+    ) -> Result<(Diagnosis, CollectedProfiles), SessionError> {
+        let profiles = self.session(threads).hw_config(hw).collect()?;
+        Ok((self.rank(&profiles), profiles))
+    }
+}
+
+/// The benchmark's Table 6/7 diagnosis at full signal.
+fn diagnose(b: &Benchmark) -> Diagnosis {
+    Deployment::new(b.clone(), default_threads())
+        .diagnose(HwConfig::default(), default_threads())
         .expect("witness-mode collection cannot fail")
+        .0
+}
+
+/// Runs LBRA (reactive scheme, 10 + 10 runs) on a sequential bug and
+/// returns the diagnosis; panics on a concurrency bug.
+pub fn run_lbra(b: &Benchmark) -> LbraDiagnosis {
+    match diagnose(b) {
+        Diagnosis::Lbr(d) => d,
+        Diagnosis::Lcr(_) => panic!("{}: a concurrency bug is diagnosed by LCRA", b.info.id),
+    }
 }
 
 /// The LBRA rank of the benchmark's target branch — a Table 6 "LBRA" cell.
 pub fn lbra_rank(b: &Benchmark) -> Option<usize> {
     let target = b.truth.target_branch()?;
     run_lbra(b).rank_of_branch(target)
-}
-
-/// The LBRA deployment's runner, for expanding witnesses once and reusing
-/// them across sensitivity-sweep settings (perturbations degrade only the
-/// snapshots the driver reads — never execution or classification — so a
-/// witness list found at full signal stays valid at every setting).
-pub fn lbra_runner(b: &Benchmark) -> Runner {
-    let opts = reactive_options(b, true, None);
-    Runner::new(Machine::new(instrument(&b.program, &opts)))
-}
-
-/// The LCRA (Conf2) deployment's runner; see [`lbra_runner`].
-pub fn lcra_runner(b: &Benchmark) -> Runner {
-    let opts = reactive_options(b, false, Some(LcrConfig::SPACE_CONSUMING));
-    Runner::new(Machine::new(instrument(&b.program, &opts)))
-}
-
-/// Runs LBRA on pre-expanded witnesses under an explicit hardware
-/// configuration — one cell of the §7-style sensitivity sweep (ring size
-/// × degradation). `runner` must come from [`lbra_runner`] so witnesses
-/// and instrumentation match.
-pub fn run_lbra_with_hw(
-    b: &Benchmark,
-    runner: &Runner,
-    hw: HwConfig,
-    failing: Vec<Workload>,
-    passing: Vec<Workload>,
-) -> Result<LbraDiagnosis, stm_core::engine::SessionError> {
-    let profiles = DiagnosisSession::from_runner(runner)
-        .hw_config(hw)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(ProfileKind::Lbr)
-        .threads(default_threads())
-        .collect()?;
-    let mut d = profiles.lbra();
-    d.exclude_site_guards(runner.machine().program(), &b.truth.spec);
-    Ok(d)
-}
-
-/// Runs LCRA (Conf2) on pre-expanded witnesses under an explicit hardware
-/// configuration; the LCR counterpart of [`run_lbra_with_hw`].
-pub fn run_lcra_with_hw(
-    b: &Benchmark,
-    runner: &Runner,
-    hw: HwConfig,
-    failing: Vec<Workload>,
-    passing: Vec<Workload>,
-) -> Result<LcraDiagnosis, stm_core::engine::SessionError> {
-    Ok(DiagnosisSession::from_runner(runner)
-        .hw_config(hw)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(ProfileKind::Lcr)
-        .threads(default_threads())
-        .collect()?
-        .lcra())
 }
 
 /// Runs the benchmark under LCRLOG with the given configuration and
@@ -269,7 +301,7 @@ pub fn lcrlog_position(b: &Benchmark, space_saving: bool) -> Option<usize> {
     if space_saving && fpe.conf1_is_absence {
         // Collect a success-site profile instead.
         let opts = reactive_options(b, false, Some(config));
-        let runner = Runner::new(Machine::new(instrument(&b.program, &opts)));
+        let runner = Runner::instrumented(&b.program, &opts);
         let (_, passing) = expand_workloads(b, &runner);
         for w in &passing {
             let (report, class) = runner.run_classified(w, &b.truth.spec);
@@ -296,12 +328,13 @@ pub fn lcrlog_position(b: &Benchmark, space_saving: bool) -> Option<usize> {
     first_failure_log(b, &lcrlog_runner(b, config))?.lcr_position_of_event(fpe.loc, state)
 }
 
-/// Runs LCRA (reactive, Conf2, 10 + 10 runs) and returns the diagnosis.
+/// Runs LCRA (reactive, Conf2, 10 + 10 runs) on a concurrency bug and
+/// returns the diagnosis; panics on a sequential bug.
 pub fn run_lcra(b: &Benchmark) -> LcraDiagnosis {
-    let runner = lcra_runner(b);
-    let (failing, passing) = expand_workloads(b, &runner);
-    run_lcra_with_hw(b, &runner, HwConfig::default(), failing, passing)
-        .expect("witness-mode collection cannot fail")
+    match diagnose(b) {
+        Diagnosis::Lcr(d) => d,
+        Diagnosis::Lbr(_) => panic!("{}: a sequential bug is diagnosed by LBRA", b.info.id),
+    }
 }
 
 /// The LCRA rank of the benchmark's FPE — a Table 7 "LCRA" cell.

@@ -3,70 +3,62 @@
 //! ranking artifacts for a sequential (LBRA) and a concurrency (LCRA)
 //! benchmark — same witnesses, same stats, same serialized report.
 
-use stm::core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
-use stm::core::runner::Runner;
-use stm::core::transform::instrument;
-use stm::forensics::RankingReport;
-use stm::machine::events::LcrConfig;
-use stm::machine::interp::Machine;
-use stm::suite::eval::{expand_workloads, reactive_options};
-use stm::suite::Benchmark;
+use stm::core::diagnose::Diagnosis;
+use stm::core::engine::CollectedProfiles;
+use stm::forensics::{CausalChain, RankingReport};
+use stm::hardware::HwConfig;
+use stm::suite::eval::{default_threads, Deployment};
 
-/// Collects one benchmark's profiles at the given thread count, with an
-/// optional hardware override (perturbed sweeps reuse full-signal
-/// witnesses: perturbation never changes execution or classification).
-fn collect_hw(
-    b: &Benchmark,
-    kind: ProfileKind,
-    threads: usize,
-    hw: Option<stm::hardware::HwConfig>,
-) -> (Runner, CollectedProfiles) {
-    let opts = match kind {
-        ProfileKind::Lbr => reactive_options(b, true, None),
-        ProfileKind::Lcr => reactive_options(b, false, Some(LcrConfig::SPACE_CONSUMING)),
-    };
-    let runner = Runner::new(Machine::new(instrument(&b.program, &opts)));
-    let (failing, passing) = expand_workloads(b, &runner);
-    let mut session = DiagnosisSession::from_runner(&runner)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(kind)
-        .threads(threads);
+/// Deploys one benchmark for its Table 6/7 diagnosis, its witnesses
+/// expanded on `threads` workers. Every collection below deploys afresh
+/// at its own thread count, so each 1-vs-8 pair also compares two
+/// independent instrumentations and, for apache4, two seed scans.
+fn deploy(id: &str, threads: usize) -> Deployment {
+    let b = stm::suite::by_id(id).expect("benchmark exists");
+    Deployment::new(b, threads)
+}
+
+/// Deploys and collects one benchmark's profiles at the given thread
+/// count, with an optional hardware override (perturbed sweeps reuse
+/// full-signal witnesses: perturbation never changes execution or
+/// classification).
+fn collect_hw(id: &str, threads: usize, hw: Option<HwConfig>) -> (Deployment, CollectedProfiles) {
+    let d = deploy(id, threads);
+    let mut session = d.session(threads);
     if let Some(hw) = hw {
         session = session.hw_config(hw);
     }
     let profiles = session.collect().expect("collection succeeds");
-    (runner, profiles)
+    (d, profiles)
 }
 
-/// Collects one benchmark's profiles at the given thread count.
-fn collect(b: &Benchmark, kind: ProfileKind, threads: usize) -> (Runner, CollectedProfiles) {
-    collect_hw(b, kind, threads, None)
+/// Deploys and collects one benchmark's profiles at the given thread
+/// count.
+fn collect(id: &str, threads: usize) -> (Deployment, CollectedProfiles) {
+    collect_hw(id, threads, None)
 }
 
-/// Collects with a convergence monitor attached.
+/// Deploys and collects with a convergence monitor attached.
 fn collect_converge(
-    b: &Benchmark,
-    kind: ProfileKind,
+    id: &str,
     threads: usize,
     policy: stm::core::converge::StabilityPolicy,
 ) -> CollectedProfiles {
-    let opts = match kind {
-        ProfileKind::Lbr => reactive_options(b, true, None),
-        ProfileKind::Lcr => reactive_options(b, false, Some(LcrConfig::SPACE_CONSUMING)),
-    };
-    let runner = Runner::new(Machine::new(instrument(&b.program, &opts)));
-    let (failing, passing) = expand_workloads(b, &runner);
-    DiagnosisSession::from_runner(&runner)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(kind)
-        .threads(threads)
+    deploy(id, threads)
+        .session(threads)
         .converge(policy)
         .collect()
         .expect("collection succeeds")
+}
+
+/// The deployment's top-10 ranking report over one collection, as JSON.
+fn report(d: &Deployment, p: &CollectedProfiles) -> String {
+    let (program, id) = (d.runner.machine().program(), d.bench.info.id);
+    let report = match d.rank(p) {
+        Diagnosis::Lbr(r) => RankingReport::from_lbra(program, id, &r, 10),
+        Diagnosis::Lcr(r) => RankingReport::from_lcra(program, id, &r, 10),
+    };
+    report.to_json().encode()
 }
 
 fn witnesses(p: &CollectedProfiles) -> (Vec<String>, Vec<String>) {
@@ -78,36 +70,27 @@ fn witnesses(p: &CollectedProfiles) -> (Vec<String>, Vec<String>) {
 
 #[test]
 fn lbra_ranking_json_is_identical_at_1_and_8_threads() {
-    let b = stm::suite::by_id("sort").expect("sort benchmark");
-    let (runner1, p1) = collect(&b, ProfileKind::Lbr, 1);
-    let (_, p8) = collect(&b, ProfileKind::Lbr, 8);
+    let (d, p1) = collect("sort", 1);
+    let (_, p8) = collect("sort", 8);
 
     assert_eq!(p1.stats(), p8.stats(), "run accounting must match");
     assert_eq!(witnesses(&p1), witnesses(&p8), "witness sets must match");
-
-    let report = |p: &CollectedProfiles| {
-        let mut d = p.lbra();
-        d.exclude_site_guards(runner1.machine().program(), &b.truth.spec);
-        RankingReport::from_lbra(runner1.machine().program(), b.info.id, &d, 10)
-            .to_json()
-            .encode()
-    };
     assert_eq!(
-        report(&p1),
-        report(&p8),
+        report(&d, &p1),
+        report(&d, &p8),
         "LBRA ranking JSON must be byte-identical"
     );
 }
 
 /// A mid-grid sensitivity setting: truncate both rings to 8 records and
 /// drop each surviving record with probability 1/2.
-fn perturbed_hw() -> stm::hardware::HwConfig {
-    stm::hardware::HwConfig {
+fn perturbed_hw() -> HwConfig {
+    HwConfig {
         perturb: stm::hardware::PerturbConfig::NONE
             .truncate_lbr(8)
             .truncate_lcr(8)
             .drop_rate(0.5),
-        ..stm::hardware::HwConfig::default()
+        ..HwConfig::default()
     }
 }
 
@@ -116,45 +99,28 @@ fn perturbed_lbra_ranking_json_is_identical_at_1_and_8_threads() {
     // Fault injection draws from a per-run RNG seeded by the workload's
     // scheduler seed, so a degraded-signal session must keep the engine's
     // headline guarantee: thread count never changes results.
-    let b = stm::suite::by_id("sort").expect("sort benchmark");
-    let (runner1, p1) = collect_hw(&b, ProfileKind::Lbr, 1, Some(perturbed_hw()));
-    let (_, p8) = collect_hw(&b, ProfileKind::Lbr, 8, Some(perturbed_hw()));
+    let (d, p1) = collect_hw("sort", 1, Some(perturbed_hw()));
+    let (_, p8) = collect_hw("sort", 8, Some(perturbed_hw()));
 
     assert_eq!(p1.stats(), p8.stats(), "run accounting must match");
     assert_eq!(witnesses(&p1), witnesses(&p8), "witness sets must match");
-
-    let report = |p: &CollectedProfiles| {
-        let mut d = p.lbra();
-        d.exclude_site_guards(runner1.machine().program(), &b.truth.spec);
-        RankingReport::from_lbra(runner1.machine().program(), b.info.id, &d, 10)
-            .to_json()
-            .encode()
-    };
     assert_eq!(
-        report(&p1),
-        report(&p8),
+        report(&d, &p1),
+        report(&d, &p8),
         "perturbed LBRA ranking JSON must be byte-identical"
     );
 }
 
 #[test]
 fn perturbed_lcra_ranking_json_is_identical_at_1_and_8_threads() {
-    let b = stm::suite::by_id("apache4").expect("apache4 benchmark");
-    let (runner1, p1) = collect_hw(&b, ProfileKind::Lcr, 1, Some(perturbed_hw()));
-    let (_, p8) = collect_hw(&b, ProfileKind::Lcr, 8, Some(perturbed_hw()));
+    let (d, p1) = collect_hw("apache4", 1, Some(perturbed_hw()));
+    let (_, p8) = collect_hw("apache4", 8, Some(perturbed_hw()));
 
     assert_eq!(p1.stats(), p8.stats(), "run accounting must match");
     assert_eq!(witnesses(&p1), witnesses(&p8), "witness sets must match");
-
-    let report = |p: &CollectedProfiles| {
-        let d = p.lcra();
-        RankingReport::from_lcra(runner1.machine().program(), b.info.id, &d, 10)
-            .to_json()
-            .encode()
-    };
     assert_eq!(
-        report(&p1),
-        report(&p8),
+        report(&d, &p1),
+        report(&d, &p8),
         "perturbed LCRA ranking JSON must be byte-identical"
     );
 }
@@ -165,25 +131,18 @@ fn guest_profile_is_identical_at_1_and_8_threads() {
     // own clock — so every profile artifact must inherit the engine's
     // thread-count invariance. (The critical-path report is wall-clock
     // and deliberately excluded from this pin.)
-    let b = stm::suite::by_id("sort").expect("sort benchmark");
     let period = 64u64;
     let profile_at = |threads: usize| {
-        let opts = reactive_options(&b, true, None);
-        let runner = Runner::new(Machine::new(instrument(&b.program, &opts)));
-        let (failing, passing) = expand_workloads(&b, &runner);
-        let profiles = DiagnosisSession::from_runner(&runner)
+        let d = deploy("sort", threads);
+        let profiles = d
+            .session(threads)
             .run_config(stm::machine::interp::RunConfig {
                 profile_period: period,
-                ..runner.run_config().clone()
+                ..d.runner.run_config().clone()
             })
-            .failure(b.truth.spec.clone())
-            .failing(failing)
-            .passing(passing)
-            .profile_kind(ProfileKind::Lbr)
-            .threads(threads)
             .collect()
             .expect("collection succeeds");
-        let mut g = stm::profiler::GuestProfile::new(runner.machine().program(), period);
+        let mut g = stm::profiler::GuestProfile::new(d.runner.machine().program(), period);
         for run in profiles
             .failure_runs()
             .iter()
@@ -232,8 +191,7 @@ fn observatory_scrapes_do_not_change_rankings() {
     let addr = server.addr();
     let stop = AtomicBool::new(false);
 
-    let b = stm::suite::by_id("sort").expect("sort benchmark");
-    let (p1, p8, scrapes) = std::thread::scope(|s| {
+    let (d, p1, p8, scrapes) = std::thread::scope(|s| {
         let scraper = s.spawn(|| {
             let mut scrapes = 0u64;
             let timeout = std::time::Duration::from_secs(2);
@@ -247,31 +205,19 @@ fn observatory_scrapes_do_not_change_rankings() {
             }
             scrapes
         });
-        let (_, p1) = collect(&b, ProfileKind::Lbr, 1);
-        let (_, p8) = collect(&b, ProfileKind::Lbr, 8);
+        let (d, p1) = collect("sort", 1);
+        let (_, p8) = collect("sort", 8);
         stop.store(true, Ordering::Relaxed);
-        (p1, p8, scraper.join().expect("scraper thread"))
+        (d, p1, p8, scraper.join().expect("scraper thread"))
     });
     stm::telemetry::set_enabled(false);
 
     assert!(scrapes > 0, "the endpoint must have answered live scrapes");
     assert_eq!(p1.stats(), p8.stats(), "run accounting must match");
     assert_eq!(witnesses(&p1), witnesses(&p8), "witness sets must match");
-
-    let runner = {
-        let opts = reactive_options(&b, true, None);
-        Runner::new(Machine::new(instrument(&b.program, &opts)))
-    };
-    let report = |p: &CollectedProfiles| {
-        let mut d = p.lbra();
-        d.exclude_site_guards(runner.machine().program(), &b.truth.spec);
-        RankingReport::from_lbra(runner.machine().program(), b.info.id, &d, 10)
-            .to_json()
-            .encode()
-    };
     assert_eq!(
-        report(&p1),
-        report(&p8),
+        report(&d, &p1),
+        report(&d, &p8),
         "rankings must be byte-identical with the observatory enabled"
     );
 }
@@ -285,10 +231,8 @@ fn incremental_ranking_at_quota_is_bit_identical_to_batch_rank() {
     // counts.
     use stm::core::converge::{FinalRanking, StabilityPolicy};
 
-    let sort = stm::suite::by_id("sort").expect("sort benchmark");
-    let apache4 = stm::suite::by_id("apache4").expect("apache4 benchmark");
     for threads in [1, 8] {
-        let p = collect_converge(&sort, ProfileKind::Lbr, threads, StabilityPolicy::never());
+        let p = collect_converge("sort", threads, StabilityPolicy::never());
         let report = p.convergence().expect("monitored session reports");
         match &report.final_ranking {
             FinalRanking::Lbr(incremental) => {
@@ -301,12 +245,7 @@ fn incremental_ranking_at_quota_is_bit_identical_to_batch_rank() {
             FinalRanking::Lcr(_) => panic!("sort is an LBR session"),
         }
 
-        let p = collect_converge(
-            &apache4,
-            ProfileKind::Lcr,
-            threads,
-            StabilityPolicy::never(),
-        );
+        let p = collect_converge("apache4", threads, StabilityPolicy::never());
         let report = p.convergence().expect("monitored session reports");
         match &report.final_ranking {
             FinalRanking::Lcr(incremental) => {
@@ -329,9 +268,8 @@ fn early_stop_is_identical_at_1_and_8_threads() {
     // verdict and evidence, same final ranking at any thread count.
     use stm::core::converge::StabilityPolicy;
 
-    let b = stm::suite::by_id("apache4").expect("apache4 benchmark");
-    let p1 = collect_converge(&b, ProfileKind::Lcr, 1, StabilityPolicy::default());
-    let p8 = collect_converge(&b, ProfileKind::Lcr, 8, StabilityPolicy::default());
+    let p1 = collect_converge("apache4", 1, StabilityPolicy::default());
+    let p8 = collect_converge("apache4", 8, StabilityPolicy::default());
 
     assert_eq!(p1.stats(), p8.stats(), "run accounting must match");
     assert_eq!(witnesses(&p1), witnesses(&p8), "witness sets must match");
@@ -395,14 +333,10 @@ impl stm::machine::events::Hardware for PerEvent {
 /// per-thread hardware) and replays every kept witness on a fresh
 /// per-event hardware stack: the full run reports — ring-snapshot
 /// profiles included — must be byte-identical.
-fn assert_batched_matches_per_event(
-    bench: &str,
-    kind: ProfileKind,
-    hw: Option<stm::hardware::HwConfig>,
-) {
-    let b = stm::suite::by_id(bench).expect("benchmark exists");
+fn assert_batched_matches_per_event(bench: &str, hw: Option<HwConfig>) {
     for threads in [1usize, 8] {
-        let (runner, profiles) = collect_hw(&b, kind, threads, hw);
+        let (d, profiles) = collect_hw(bench, threads, hw);
+        let runner = &d.runner;
         let kept: Vec<_> = profiles
             .failure_runs()
             .iter()
@@ -432,12 +366,12 @@ fn assert_batched_matches_per_event(
 
 #[test]
 fn batched_rings_match_per_event_replay_on_sort() {
-    assert_batched_matches_per_event("sort", ProfileKind::Lbr, None);
+    assert_batched_matches_per_event("sort", None);
 }
 
 #[test]
 fn batched_rings_match_per_event_replay_on_apache4() {
-    assert_batched_matches_per_event("apache4", ProfileKind::Lcr, None);
+    assert_batched_matches_per_event("apache4", None);
 }
 
 #[test]
@@ -445,8 +379,8 @@ fn perturbed_batched_rings_match_per_event_replay() {
     // The copy-elided (lazy) snapshot path defers the ring read past the
     // perturbation layer's loss draws; the RNG draw order must still
     // match the per-event reference exactly, or these reports diverge.
-    assert_batched_matches_per_event("sort", ProfileKind::Lbr, Some(perturbed_hw()));
-    assert_batched_matches_per_event("apache4", ProfileKind::Lcr, Some(perturbed_hw()));
+    assert_batched_matches_per_event("sort", Some(perturbed_hw()));
+    assert_batched_matches_per_event("apache4", Some(perturbed_hw()));
 }
 
 #[test]
@@ -454,15 +388,13 @@ fn bts_batch_push_matches_per_event_recording() {
     // With BTS enabled, the interpreter's batched event path lands in
     // `Bts::push_batch`; the whole-history trace (and the run report)
     // must be byte-identical to the per-event reference recording.
-    let b = stm::suite::by_id("sort").expect("sort benchmark");
-    let opts = reactive_options(&b, true, None);
-    let runner = Runner::new(Machine::new(instrument(&b.program, &opts)));
-    let (failing, _) = expand_workloads(&b, &runner);
-    let hw_config = stm::hardware::HwConfig {
+    let d = deploy("sort", default_threads());
+    let runner = &d.runner;
+    let hw_config = HwConfig {
         enable_bts: true,
-        ..stm::hardware::HwConfig::default()
+        ..HwConfig::default()
     };
-    for w in failing.iter().take(3) {
+    for w in d.failing.iter().take(3) {
         let mut cfg = runner.run_config().clone();
         cfg.scheduler = stm::machine::sched::SchedPolicy::Random { seed: w.seed };
 
@@ -499,76 +431,19 @@ fn causal_chain_json_is_identical_at_1_and_8_threads() {
     // The causal-chain reconstruction consumes the ranking AND the raw
     // decoded rings of every failing witness, so it inherits (and must
     // preserve) the engine's thread-count invariance end to end.
-    use stm::core::diagnose::failure_profile;
-    use stm::core::profile::{decode_lbr, decode_lcr};
-    use stm::forensics::CausalChain;
-    use stm::machine::report::ProfileData;
-
-    for (id, kind) in [("sort", ProfileKind::Lbr), ("apache4", ProfileKind::Lcr)] {
-        let b = stm::suite::by_id(id).expect("benchmark exists");
-        let (runner, p1) = collect(&b, kind, 1);
-        let (_, p8) = collect(&b, kind, 8);
-
-        let chain = |p: &CollectedProfiles| -> String {
-            let program = runner.machine().program();
-            let layout = runner.machine().layout();
-            let chain = match kind {
-                ProfileKind::Lbr => {
-                    let mut d = p.lbra();
-                    d.exclude_site_guards(program, &b.truth.spec);
-                    let traces: Vec<_> = p
-                        .failure_runs()
-                        .iter()
-                        .filter_map(|run| {
-                            let prof = failure_profile(&run.report, &b.truth.spec)?;
-                            match &prof.data {
-                                ProfileData::Lbr(records) => {
-                                    Some((run.witness.clone(), decode_lbr(layout, records)))
-                                }
-                                ProfileData::Lcr(_) => None,
-                            }
-                        })
-                        .collect();
-                    CausalChain::from_lbra(
-                        Some(program),
-                        &d.ranked,
-                        &traces,
-                        d.stats.failure_runs_used,
-                        d.stats.success_runs_used,
-                    )
-                }
-                ProfileKind::Lcr => {
-                    let d = p.lcra();
-                    let traces: Vec<_> = p
-                        .failure_runs()
-                        .iter()
-                        .filter_map(|run| {
-                            let prof = failure_profile(&run.report, &b.truth.spec)?;
-                            match &prof.data {
-                                ProfileData::Lcr(records) => {
-                                    Some((run.witness.clone(), decode_lcr(layout, records)))
-                                }
-                                ProfileData::Lbr(_) => None,
-                            }
-                        })
-                        .collect();
-                    CausalChain::from_lcra(
-                        Some(program),
-                        &d.ranked,
-                        &traces,
-                        d.stats.failure_runs_used,
-                        d.stats.success_runs_used,
-                    )
-                }
-            };
-            chain
+    for id in ["sort", "apache4"] {
+        let chain = |threads: usize| -> String {
+            let (diagnosis, p) = deploy(id, threads)
+                .diagnose(HwConfig::default(), threads)
+                .expect("collection succeeds");
+            CausalChain::from_profiles(&p, &diagnosis)
                 .unwrap_or_else(|| panic!("{id}: chain must reconstruct"))
                 .to_json()
                 .encode()
         };
         assert_eq!(
-            chain(&p1),
-            chain(&p8),
+            chain(1),
+            chain(8),
             "{id}: causal-chain JSON must be byte-identical across thread counts"
         );
     }
@@ -576,22 +451,14 @@ fn causal_chain_json_is_identical_at_1_and_8_threads() {
 
 #[test]
 fn lcra_ranking_json_is_identical_at_1_and_8_threads() {
-    let b = stm::suite::by_id("apache4").expect("apache4 benchmark");
-    let (runner1, p1) = collect(&b, ProfileKind::Lcr, 1);
-    let (_, p8) = collect(&b, ProfileKind::Lcr, 8);
+    let (d, p1) = collect("apache4", 1);
+    let (_, p8) = collect("apache4", 8);
 
     assert_eq!(p1.stats(), p8.stats(), "run accounting must match");
     assert_eq!(witnesses(&p1), witnesses(&p8), "witness sets must match");
-
-    let report = |p: &CollectedProfiles| {
-        let d = p.lcra();
-        RankingReport::from_lcra(runner1.machine().program(), b.info.id, &d, 10)
-            .to_json()
-            .encode()
-    };
     assert_eq!(
-        report(&p1),
-        report(&p8),
+        report(&d, &p1),
+        report(&d, &p8),
         "LCRA ranking JSON must be byte-identical"
     );
 }

@@ -22,12 +22,12 @@ use stm::core::converge::{
     FinalRanking, LiveRanking, SnapshotIngest, StabilityPolicy, CHAIN_TRACE_CAP,
 };
 use stm::core::diagnose::{failure_profile, success_profile, Quotas};
-use stm::core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind};
+use stm::core::engine::CollectedProfiles;
 use stm::core::profile::{decode_lbr, decode_lcr, lbr_events, BranchOutcome};
 use stm::core::ranking::RankingModel;
 use stm::fleet::{FleetDaemon, ShardConfig, ShardReport, ShedPolicy, Snapshot, SubmitOutcome};
 use stm::machine::report::{ProfileData, RunReport};
-use stm::suite::eval::{default_threads, expand_workloads, lbra_runner, lcra_runner};
+use stm::suite::eval::{default_threads, Deployment};
 
 /// Telemetry state is process-global; tests that enable it or drain the
 /// event buffer serialize on this lock.
@@ -39,24 +39,10 @@ fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Batch-collects the replayable snapshot pool for one suite benchmark.
-fn pool(id: &str, lbr: bool) -> (CollectedProfiles, Vec<(bool, String, RunReport)>) {
+fn pool(id: &str) -> (CollectedProfiles, Vec<(bool, String, RunReport)>) {
     let b = stm::suite::by_id(id).expect("benchmark exists");
-    let runner = if lbr {
-        lbra_runner(&b)
-    } else {
-        lcra_runner(&b)
-    };
-    let (failing, passing) = expand_workloads(&b, &runner);
-    let profiles = DiagnosisSession::from_runner(&runner)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(if lbr {
-            ProfileKind::Lbr
-        } else {
-            ProfileKind::Lcr
-        })
-        .threads(default_threads())
+    let profiles = Deployment::new(b, default_threads())
+        .session(default_threads())
         .collect()
         .expect("pool collection succeeds");
     let mut snaps = Vec::new();
@@ -97,8 +83,8 @@ fn submit_all(fleet: &FleetDaemon, shard: &str, snaps: &[(bool, String, RunRepor
 #[test]
 fn shard_rankings_are_bit_identical_to_the_batch_models() {
     let _guard = telemetry_lock();
-    let (sort_profiles, sort_snaps) = pool("sort", true);
-    let (apache_profiles, apache_snaps) = pool("apache4", false);
+    let (sort_profiles, sort_snaps) = pool("sort");
+    let (apache_profiles, apache_snaps) = pool("apache4");
 
     let mut fleet = FleetDaemon::new();
     fleet.add_shard(
@@ -143,7 +129,7 @@ fn shard_rankings_are_bit_identical_to_the_batch_models() {
 
 #[test]
 fn two_runs_over_the_same_snapshots_are_identical() {
-    let (profiles, snaps) = pool("sort", true);
+    let (profiles, snaps) = pool("sort");
     let run = || -> BTreeMap<String, ShardReport> {
         let mut fleet = FleetDaemon::new();
         fleet.add_shard(
@@ -203,7 +189,7 @@ fn overload_sheds_exactly_and_ranks_the_kept_snapshots() {
 
     const CAPACITY: usize = 6;
     const SUBMITTED: usize = 20;
-    let (profiles, snaps) = pool("sort", true);
+    let (profiles, snaps) = pool("sort");
     let stream: Vec<_> = (0..SUBMITTED)
         .map(|n| {
             let (is_failure, witness, report) = &snaps[n % snaps.len()];
@@ -297,7 +283,7 @@ fn overload_sheds_exactly_and_ranks_the_kept_snapshots() {
 #[test]
 fn retained_chain_traces_equal_a_fresh_decode() {
     for (id, lbr) in [("sort", true), ("apache4", false)] {
-        let (profiles, snaps) = pool(id, lbr);
+        let (profiles, snaps) = pool(id);
         let layout = profiles.runner().machine().layout();
         let spec = profiles.spec();
         let mut ingest =

@@ -4,31 +4,18 @@
 //! `engine.consume` (end) — and the Chrome trace exporter turns each
 //! chain into `s`/`t`/`f` flow events Perfetto renders as arrows.
 
-use stm::core::engine::{DiagnosisSession, ProfileKind};
-use stm::core::runner::Runner;
-use stm::core::transform::instrument;
-use stm::machine::interp::Machine;
-use stm::suite::eval::{expand_workloads, reactive_options};
+use stm::suite::eval::{default_threads, Deployment};
 use stm::telemetry::json::Json;
 use stm::telemetry::FlowPhase;
 
 #[test]
 fn every_consumed_job_has_a_complete_flow_chain() {
     let b = stm::suite::by_id("sort").expect("sort benchmark");
-    let opts = reactive_options(&b, true, None);
-    let runner = Runner::new(Machine::new(instrument(&b.program, &opts)));
-    let (failing, passing) = expand_workloads(&b, &runner);
+    let d = Deployment::new(b, default_threads());
 
     stm::telemetry::set_enabled(true);
     let _ = stm::telemetry::take_spans();
-    DiagnosisSession::from_runner(&runner)
-        .failure(b.truth.spec.clone())
-        .failing(failing)
-        .passing(passing)
-        .profile_kind(ProfileKind::Lbr)
-        .threads(4)
-        .collect()
-        .expect("collection succeeds");
+    d.session(4).collect().expect("collection succeeds");
     let spans = stm::telemetry::take_spans();
     stm::telemetry::set_enabled(false);
 

@@ -2,16 +2,19 @@
 //! (`stm_core::engine`, "Job model"): a phase that cannot keep a run
 //! stops early, and only the run count of such a phase may move.
 //!
-//! Every Table 6/7 deployment is collected at one and four threads; both
-//! give the same stats and witnesses, and `total_runs` is pinned per
-//! benchmark. The lap-invariance premise of the barren-lap rule is pinned
-//! on the real witnesses.
+//! Every Table 6/7 diagnosis is deployed and run at one and four threads
+//! (seed scan and witness session alike); both give the same stats,
+//! witnesses, ranking and causal chain, and `total_runs` is pinned per
+//! benchmark. The lap-invariance premise of the barren-lap
+//! rule is pinned on the real witnesses.
 
-use stm::core::engine::{CollectedProfiles, CollectedRun, DiagnosisSession, ProfileKind};
-use stm::core::runner::{Runner, Workload};
+use stm::core::engine::CollectedRun;
+use stm::core::runner::Runner;
+use stm::forensics::CausalChain;
+use stm::hardware::HwConfig;
 use stm::machine::ir::Instr;
-use stm::suite::eval::{expand_workloads, lbra_runner, lcra_runner};
-use stm::suite::{Benchmark, BugClass};
+use stm::suite::eval::{default_threads, Deployment};
+use stm::suite::Benchmark;
 
 /// `DiagnosisStats::total_runs` of every Table 6/7 diagnosis. Before the
 /// stop rules, apache3 and cp ran 2,010 times and the three `WrongOutput`
@@ -52,29 +55,8 @@ const TOTAL_RUNS: &[(&str, usize)] = &[
 ];
 
 /// The benchmark's Table 6 (LBRA) or Table 7 (LCRA, Conf2) deployment.
-fn deployment(b: &Benchmark) -> (Runner, ProfileKind) {
-    match b.info.bug_class {
-        BugClass::Sequential => (lbra_runner(b), ProfileKind::Lbr),
-        BugClass::Concurrency => (lcra_runner(b), ProfileKind::Lcr),
-    }
-}
-
-fn collect(
-    b: &Benchmark,
-    runner: &Runner,
-    kind: ProfileKind,
-    failing: &[Workload],
-    passing: &[Workload],
-    threads: usize,
-) -> CollectedProfiles {
-    DiagnosisSession::from_runner(runner)
-        .failure(b.truth.spec.clone())
-        .failing(failing.to_vec())
-        .passing(passing.to_vec())
-        .profile_kind(kind)
-        .threads(threads)
-        .collect()
-        .expect("witness-mode collection cannot fail")
+fn deployment(b: Benchmark) -> Deployment {
+    Deployment::new(b, default_threads())
 }
 
 fn witnesses(runs: &[CollectedRun]) -> Vec<&str> {
@@ -84,11 +66,19 @@ fn witnesses(runs: &[CollectedRun]) -> Vec<&str> {
 #[test]
 fn suite_run_counts_are_pinned_and_thread_independent() {
     let mut measured = Vec::new();
+    let mut chainless = Vec::new();
     for b in stm::suite::all() {
-        let (runner, kind) = deployment(&b);
-        let (failing, passing) = expand_workloads(&b, &runner);
-        let seq = collect(&b, &runner, kind, &failing, &passing, 1);
-        let par = collect(&b, &runner, kind, &failing, &passing, 4);
+        // Each thread count deploys afresh, so a concurrency bug's seed
+        // scan runs at that count too.
+        let diagnose = |threads: usize| {
+            let (diagnosis, profiles) = Deployment::new(b.clone(), threads)
+                .diagnose(HwConfig::default(), threads)
+                .expect("witness-mode collection cannot fail");
+            let chain = CausalChain::from_profiles(&profiles, &diagnosis);
+            (diagnosis, profiles, chain.map(|c| c.to_json().encode()))
+        };
+        let (seq_diagnosis, seq, seq_chain) = diagnose(1);
+        let (par_diagnosis, par, par_chain) = diagnose(4);
         let id = b.info.id;
         assert_eq!(par.stats(), seq.stats(), "{id}: stats at 4 threads");
         assert_eq!(
@@ -101,9 +91,21 @@ fn suite_run_counts_are_pinned_and_thread_independent() {
             witnesses(seq.success_runs()),
             "{id}: success witnesses at 4 threads"
         );
+        assert_eq!(par_diagnosis, seq_diagnosis, "{id}: ranking at 4 threads");
+        assert_eq!(par_chain, seq_chain, "{id}: causal chain at 4 threads");
         measured.push((id, seq.stats().total_runs));
+        if seq_chain.is_none() {
+            chainless.push(id);
+        }
     }
     assert_eq!(measured, TOTAL_RUNS, "total_runs per benchmark");
+    // 28 of 31 diagnoses produce a chain: the three `WrongOutput` bugs
+    // keep no failure witness to walk.
+    assert_eq!(
+        chainless,
+        ["apache5", "cherokee", "mozilla-js2"],
+        "diagnoses without a causal chain"
+    );
 }
 
 /// Does the program ever start a second thread?
@@ -121,20 +123,19 @@ fn spawns(runner: &Runner) -> bool {
 fn spawn_free_witnesses_replay_identically_on_every_lap() {
     let mut spawn_free = 0;
     for b in stm::suite::all() {
-        let (runner, _) = deployment(&b);
-        if spawns(&runner) {
+        let d = deployment(b);
+        if spawns(&d.runner) {
             continue;
         }
         spawn_free += 1;
-        let (failing, passing) = expand_workloads(&b, &runner);
-        for w in failing.iter().chain(&passing) {
-            let lap0 = runner.run(w);
+        for w in d.failing.iter().chain(&d.passing) {
+            let lap0 = d.runner.run(w);
             for lap in [1, 7] {
                 assert_eq!(
-                    runner.run(&w.lap(lap)),
+                    d.runner.run(&w.lap(lap)),
                     lap0,
                     "{}: witness {w:?} at lap {lap}",
-                    b.info.id
+                    d.bench.info.id
                 );
             }
         }
@@ -142,14 +143,12 @@ fn spawn_free_witnesses_replay_identically_on_every_lap() {
     assert!(spawn_free > 0, "some benchmark is spawn-free");
 
     // The premise is not vacuous: a spawning program's laps differ.
-    let b = stm::suite::by_id("apache4").expect("apache4 benchmark");
-    let (runner, _) = deployment(&b);
-    assert!(spawns(&runner), "apache4 spawns threads");
-    let (failing, passing) = expand_workloads(&b, &runner);
+    let d = deployment(stm::suite::by_id("apache4").expect("apache4 benchmark"));
+    assert!(spawns(&d.runner), "apache4 spawns threads");
     assert!(
-        failing.iter().chain(&passing).any(|w| [1, 7]
+        d.failing.iter().chain(&d.passing).any(|w| [1, 7]
             .iter()
-            .any(|&lap| runner.run(&w.lap(lap)) != runner.run(w))),
+            .any(|&lap| d.runner.run(&w.lap(lap)) != d.runner.run(w))),
         "some apache4 witness replays differently on a later lap"
     );
 }
