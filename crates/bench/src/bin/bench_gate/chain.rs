@@ -25,9 +25,8 @@
 
 use stm_bench::{json_rank, mark, MetricsEmitter};
 use stm_core::engine::ProfileKind;
-use stm_forensics::{CausalChain, ChainKind, ChainLink};
+use stm_forensics::CausalChain;
 use stm_hardware::HwConfig;
-use stm_suite::GroundTruth;
 use stm_telemetry::json::Json;
 
 use crate::{deploy, write_artifact, Outcome, SUBJECTS};
@@ -77,7 +76,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
             );
             continue;
         };
-        let root_rank = chain.link_rank_of(|l| is_root_link(&d.bench.truth, chain.kind, l));
+        let root_rank = chain.link_rank_of(|l| d.bench.truth.is_root_display(&l.event));
         let min_support = chain.min_link_support();
 
         println!(
@@ -118,18 +117,4 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
         write_artifact(format!("results/CHAIN_{id}.json"), &artifact);
     }
     outcome
-}
-
-/// Whether a chain link's canonical event form names the ground-truth
-/// root cause.
-fn is_root_link(truth: &GroundTruth, kind: ChainKind, l: &ChainLink) -> bool {
-    match kind {
-        ChainKind::Lbr => truth
-            .target_branch()
-            .is_some_and(|t| l.event.starts_with(&format!("{t}="))),
-        ChainKind::Lcr => truth.fpe.is_some_and(|f| {
-            f.conf2_state
-                .is_some_and(|s| l.event.ends_with(&format!("@{}:{s}", f.loc)))
-        }),
-    }
 }

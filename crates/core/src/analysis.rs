@@ -268,36 +268,6 @@ fn analyze_site(
     (useful, total, paths)
 }
 
-/// Branch outcomes statically *implied* by reaching `block` of `func`:
-/// `(B, o)` is implied when `B`'s `o` edge reaches the block but the other
-/// edge cannot (the "not useful" records of the Table 5 analysis).
-pub fn implied_branch_outcomes(
-    program: &Program,
-    func: FuncId,
-    block: BlockId,
-) -> std::collections::BTreeSet<(stm_machine::ids::BranchId, bool)> {
-    let reaches = backward_reachable(program, func, block);
-    let mut implied = std::collections::BTreeSet::new();
-    for b in &program.function(func).blocks {
-        if let (
-            Terminator::Br {
-                then_blk, else_blk, ..
-            },
-            Some(id),
-        ) = (&b.term, b.branch)
-        {
-            let t = reaches.contains(then_blk);
-            let e = reaches.contains(else_blk);
-            if t && !e {
-                implied.insert((id, true));
-            } else if e && !t {
-                implied.insert((id, false));
-            }
-        }
-    }
-    implied
-}
-
 /// The branch outcomes that jump *directly into* `block` of `func` — the
 /// guards of the failure site itself. LBRA excludes these from its
 /// candidate predictors: the branch entering the failure-logging block is

@@ -17,7 +17,7 @@ use crate::engine::CollectedProfiles;
 use crate::profile::{
     decode_lbr, decode_lcr, lbr_events, lcr_events, BranchOutcome, CoherenceEvent,
 };
-use crate::ranking::{Polarity, RankedEvent, RankingModel};
+use crate::ranking::{RankedEvent, RankingModel};
 use crate::runner::FailureSpec;
 use std::collections::{BTreeSet, HashMap};
 use stm_machine::ids::{BranchId, LogSiteId};
@@ -315,8 +315,8 @@ pub struct LcraDiagnosis {
 }
 
 impl LcraDiagnosis {
-    /// 1-based rank of the first predictor at the given source location
-    /// (any state, either polarity).
+    /// 1-based rank of a specific (location, state) predictor, matching
+    /// either access kind and either polarity.
     ///
     /// Rank numbers are deterministic for identical profile sets: the
     /// ranking orders by harmonic score (descending), then by average
@@ -324,16 +324,6 @@ impl LcraDiagnosis {
     /// first, unseen events last), then by event order
     /// (`CoherenceEvent`'s `Ord`: location, state, access kind), then
     /// `Present` before `Absent`. See [`LcraDiagnosis::tie_break_order`].
-    pub fn rank_of_loc(&self, loc: SourceLoc) -> Option<usize> {
-        RankingModel::rank_of(&self.ranked, |r| r.event.loc == loc)
-    }
-
-    /// 1-based rank of a specific (location, state) predictor, matching
-    /// either access kind and either polarity.
-    ///
-    /// Deterministic under the same tie-breaking order as
-    /// [`LcraDiagnosis::rank_of_loc`]; replaying the same diagnosis (same
-    /// workloads, seeds and configuration) reports the same rank.
     pub fn rank_of_event(
         &self,
         loc: SourceLoc,
@@ -359,15 +349,6 @@ impl LcraDiagnosis {
     /// The best predictor.
     pub fn top(&self) -> Option<&RankedEvent<CoherenceEvent>> {
         self.ranked.first()
-    }
-
-    /// `true` when the top predictor is an absence predictor — the
-    /// space-saving-configuration signature of read-too-early order
-    /// violations (§4.2.2).
-    pub fn top_is_absence(&self) -> bool {
-        self.top()
-            .map(|t| t.polarity == Polarity::Absent)
-            .unwrap_or(false)
     }
 }
 

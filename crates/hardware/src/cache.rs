@@ -252,17 +252,6 @@ impl CacheSystem {
         self.invalidations
     }
 
-    /// The state `core` currently holds for the line containing `addr`.
-    pub fn state_of(&self, core: CoreId, addr: u64) -> CoherenceState {
-        let line = self.line_of(addr);
-        let set = self.set_of(line);
-        self.cores[core.index()].sets[set]
-            .iter()
-            .find(|e| e.tag == line)
-            .map(|e| CoherenceState::from(e.state))
-            .unwrap_or(CoherenceState::Invalid)
-    }
-
     /// Checks the MESI single-writer/multi-reader invariants for every
     /// line currently cached anywhere. Used by property tests.
     ///

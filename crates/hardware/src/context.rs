@@ -240,7 +240,7 @@ impl HardwareCtx {
     }
 
     /// Drains the PBI sampler's latched records, running them through the
-    /// perturbation pipeline (sampler-period thinning) when one is active.
+    /// perturbation layer (sampler-period thinning) when one is active.
     pub fn take_coherence_samples(&mut self) -> Vec<stm_machine::events::CoherenceRecord> {
         let samples = self
             .sampler
@@ -368,16 +368,15 @@ impl Hardware for HardwareCtx {
             }
             HwCtlOp::ProfileLbr => {
                 // The ring copy is deferred: a read the perturbation layer
-                // loses at the head of its pipeline never materializes a
-                // snapshot. Telemetry still counts the read attempt,
-                // exactly as the eager path did.
+                // loses never materializes a snapshot. Telemetry counts
+                // every read attempt, lost or not.
                 let lbr = &self.lbrs[core.index()];
                 stm_telemetry::counter!("hw.lbr.snapshots").incr();
                 stm_telemetry::histogram!("hw.lbr.snapshot_records").record(lbr.len() as u64);
                 stm_telemetry::instant("hw.lbr.snapshot", "hardware");
                 match &mut self.perturb {
                     None => CtlResponse::Lbr(lbr.read()),
-                    Some(layer) => match layer.lbr_snapshot_lazy(|| lbr.read()) {
+                    Some(layer) => match layer.lbr_snapshot(|| lbr.read()) {
                         Some(records) => CtlResponse::Lbr(records),
                         None => CtlResponse::Lost,
                     },
@@ -406,7 +405,7 @@ impl Hardware for HardwareCtx {
                 stm_telemetry::instant("hw.lcr.snapshot", "hardware");
                 match &mut self.perturb {
                     None => CtlResponse::Lcr(lcr.read(thread)),
-                    Some(layer) => match layer.lcr_snapshot_lazy(|| lcr.read(thread)) {
+                    Some(layer) => match layer.lcr_snapshot(|| lcr.read(thread)) {
                         Some(records) => CtlResponse::Lcr(records),
                         None => CtlResponse::Lost,
                     },
@@ -662,8 +661,8 @@ mod tests {
         }
         for core in 0..3 {
             assert_eq!(
-                per_event.lbr(CoreId(core)).snapshot(),
-                batched.lbr(CoreId(core)).snapshot(),
+                per_event.lbr(CoreId(core)).read(),
+                batched.lbr(CoreId(core)).read(),
                 "core {core} LBR"
             );
         }

@@ -99,17 +99,10 @@ impl Lbr {
         true
     }
 
-    /// Reads the stack, most recent branch first (`DRIVER_PROFILE_LBR`).
-    pub fn snapshot(&self) -> Vec<BranchRecord> {
-        stm_telemetry::counter!("hw.lbr.snapshots").incr();
-        stm_telemetry::histogram!("hw.lbr.snapshot_records").record(self.ring.len() as u64);
-        stm_telemetry::instant("hw.lbr.snapshot", "hardware");
-        self.read()
-    }
-
-    /// The telemetry-free ring read underneath [`Lbr::snapshot`]. The
-    /// control path uses it to defer the copy until the perturbation
-    /// layer has decided the read is not lost.
+    /// Reads the stack, most recent branch first. The driver's
+    /// `DRIVER_PROFILE_LBR` read goes through the context's control path,
+    /// which records the read's telemetry and defers this copy until the
+    /// perturbation layer has decided the read is not lost.
     pub fn read(&self) -> Vec<BranchRecord> {
         self.ring.iter().rev().copied().collect()
     }
@@ -167,7 +160,7 @@ mod tests {
         for i in 0..6 {
             lbr.record(cond(i));
         }
-        let snap = lbr.snapshot();
+        let snap = lbr.read();
         assert_eq!(snap.len(), 4);
         let froms: Vec<u64> = snap.iter().map(|r| r.from).collect();
         assert_eq!(froms, vec![5, 4, 3, 2]);
@@ -239,7 +232,7 @@ mod tests {
         lbr.record(cond(1));
         lbr.disable();
         lbr.record(cond(2));
-        assert_eq!(lbr.snapshot()[0].from, 1);
+        assert_eq!(lbr.read()[0].from, 1);
     }
 
     #[test]
@@ -259,6 +252,6 @@ mod tests {
         lbr.enable();
         lbr.record(cond(1));
         lbr.record(cond(2));
-        assert_eq!(lbr.snapshot()[0].from, 2);
+        assert_eq!(lbr.read()[0].from, 2);
     }
 }

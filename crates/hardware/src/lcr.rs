@@ -171,17 +171,10 @@ impl Lcr {
         true
     }
 
-    /// Reads the calling thread's ring, most recent access first.
-    pub fn snapshot(&self, thread: ThreadId) -> Vec<CoherenceRecord> {
-        stm_telemetry::counter!("hw.lcr.snapshots").incr();
-        stm_telemetry::histogram!("hw.lcr.snapshot_records").record(self.len(thread) as u64);
-        stm_telemetry::instant("hw.lcr.snapshot", "hardware");
-        self.read(thread)
-    }
-
-    /// The telemetry-free ring read underneath [`Lcr::snapshot`]. The
-    /// control path uses it to defer the copy until the perturbation
-    /// layer has decided the read is not lost.
+    /// Reads the calling thread's ring, most recent access first. The
+    /// driver's `DRIVER_PROFILE_LCR` read goes through the context's
+    /// control path, which records the read's telemetry and defers this
+    /// copy until the perturbation layer has decided the read is not lost.
     pub fn read(&self, thread: ThreadId) -> Vec<CoherenceRecord> {
         self.rings
             .get(thread.index())
@@ -225,7 +218,7 @@ mod tests {
             AccessKind::Load,
             Ring::User,
         );
-        assert!(lcr.snapshot(T0).is_empty());
+        assert!(lcr.read(T0).is_empty());
     }
 
     #[test]
@@ -233,16 +226,16 @@ mod tests {
         let mut lcr = enabled_lcr(LcrConfig::SPACE_CONSUMING);
         lcr.record(T0, 1, CoherenceState::Invalid, AccessKind::Load, Ring::User);
         lcr.record(T1, 2, CoherenceState::Invalid, AccessKind::Load, Ring::User);
-        assert_eq!(lcr.snapshot(T0).len(), 1);
-        assert_eq!(lcr.snapshot(T0)[0].pc, 1);
-        assert_eq!(lcr.snapshot(T1)[0].pc, 2);
+        assert_eq!(lcr.read(T0).len(), 1);
+        assert_eq!(lcr.read(T0)[0].pc, 1);
+        assert_eq!(lcr.read(T1)[0].pc, 2);
     }
 
     #[test]
     fn configuration_filters_states() {
         let mut lcr = enabled_lcr(LcrConfig::SPACE_CONSUMING);
         lcr.record(T0, 1, CoherenceState::Shared, AccessKind::Load, Ring::User);
-        assert!(lcr.snapshot(T0).is_empty());
+        assert!(lcr.read(T0).is_empty());
         lcr.record(
             T0,
             2,
@@ -250,7 +243,7 @@ mod tests {
             AccessKind::Load,
             Ring::User,
         );
-        assert_eq!(lcr.snapshot(T0).len(), 1);
+        assert_eq!(lcr.read(T0).len(), 1);
     }
 
     #[test]
@@ -263,7 +256,7 @@ mod tests {
             AccessKind::Load,
             Ring::Kernel,
         );
-        assert!(lcr.snapshot(T0).is_empty());
+        assert!(lcr.read(T0).is_empty());
     }
 
     #[test]
@@ -280,7 +273,7 @@ mod tests {
                 Ring::User,
             );
         }
-        let pcs: Vec<u64> = lcr.snapshot(T0).iter().map(|r| r.pc).collect();
+        let pcs: Vec<u64> = lcr.read(T0).iter().map(|r| r.pc).collect();
         assert_eq!(pcs, vec![4, 3, 2]);
     }
 
@@ -289,7 +282,7 @@ mod tests {
         let mut lcr = Lcr::new(16);
         lcr.configure(LcrConfig::SPACE_CONSUMING);
         lcr.enable(T0);
-        let snap = lcr.snapshot(T0);
+        let snap = lcr.read(T0);
         assert_eq!(snap.len(), 2);
         assert!(snap
             .iter()
@@ -303,7 +296,7 @@ mod tests {
         let mut lcr = Lcr::new(16);
         lcr.configure(LcrConfig::SPACE_SAVING);
         lcr.enable(T0);
-        assert!(lcr.snapshot(T0).is_empty());
+        assert!(lcr.read(T0).is_empty());
     }
 
     #[test]
@@ -314,9 +307,9 @@ mod tests {
         lcr.disable(T0);
         // 2 (enable) + 2 (disable exclusive); the shared read is filtered
         // under Conf2.
-        assert_eq!(lcr.snapshot(T0).len(), 4);
+        assert_eq!(lcr.read(T0).len(), 4);
         lcr.record(T0, 9, CoherenceState::Invalid, AccessKind::Load, Ring::User);
-        assert_eq!(lcr.snapshot(T0).len(), 4);
+        assert_eq!(lcr.read(T0).len(), 4);
     }
 
     #[test]
@@ -325,7 +318,7 @@ mod tests {
         lcr.configure(LcrConfig::SPACE_SAVING);
         lcr.enable(T0);
         lcr.disable(T0);
-        let snap = lcr.snapshot(T0);
+        let snap = lcr.read(T0);
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].state, CoherenceState::Shared);
     }
@@ -342,7 +335,7 @@ mod tests {
         lcr.record(T0, 1, CoherenceState::Invalid, AccessKind::Load, Ring::User);
         lcr.record(T1, 2, CoherenceState::Invalid, AccessKind::Load, Ring::User);
         lcr.clean(T0);
-        assert!(lcr.snapshot(T0).is_empty());
-        assert_eq!(lcr.snapshot(T1).len(), 1);
+        assert!(lcr.read(T0).is_empty());
+        assert_eq!(lcr.read(T1).len(), 1);
     }
 }

@@ -16,8 +16,9 @@
 //! * [`counters`] — coherence-event **performance counters** and the
 //!   interrupt-sampling mechanism the PBI baseline relies on;
 //! * [`perturb`] — the **fault-injection layer** degrading snapshots at
-//!   read time (ring truncation, entry drop, coherence-state flips,
-//!   sampler thinning, whole-snapshot loss) for sensitivity studies;
+//!   read time for sensitivity studies, in one fixed pass per read
+//!   (whole-snapshot loss, ring truncation, entry drop, then
+//!   coherence-state flips; sampler thinning for PBI reads);
 //! * [`context`] — [`HardwareCtx`], the assembled unit the interpreter
 //!   drives.
 //!
@@ -55,4 +56,4 @@ pub use context::{HardwareCtx, HwConfig, HwConfigError};
 pub use counters::{CoherenceSampler, PerfCounters};
 pub use lbr::{Lbr, NEHALEM_ENTRIES};
 pub use lcr::{Lcr, DEFAULT_ENTRIES};
-pub use perturb::{PerturbConfig, PerturbLayer, Perturbation};
+pub use perturb::{PerturbConfig, PerturbLayer};

@@ -3,34 +3,37 @@
 //! A production deployment rarely sees the full Nehalem-sized signal the
 //! paper's simulator assumes: older parts ship 4- or 8-entry LBRs (§2.1),
 //! drivers lose snapshots under load, and sampled coherence feeds thin
-//! out. This module models that *degraded-signal regime* as a pipeline of
-//! [`Perturbation`] injectors applied at the **hardware-snapshot
-//! boundary** — recording is never touched, so a perturbed run executes
-//! (and classifies) exactly like an unperturbed one; only what the driver
-//! *reads back* degrades.
+//! out. This module models that *degraded-signal regime* at the
+//! **hardware-snapshot boundary** — recording is never touched, so a
+//! perturbed run executes (and classifies) exactly like an unperturbed
+//! one; only what the driver *reads back* degrades.
 //!
-//! Concrete injectors:
+//! A [`PerturbConfig`] names the faults and a run's [`PerturbLayer`]
+//! applies them in one fixed pass per read. An LBR or LCR read goes:
 //!
-//! * [`TruncateRing`] — caps a snapshot at its `N` newest records,
-//!   reproducing the paper's 4/8/16-entry LBR sweep without rebuilding
-//!   the machine;
-//! * [`DropEntries`] — loses each record independently with a configured
-//!   probability (a lossy read path);
-//! * [`FlipCoherence`] — replaces an LCR record's observed MESI state
-//!   with a random *other* state (stale/corrupted coherence metadata);
-//! * [`ThinSampler`] — keeps every `k`-th PBI coherence sample (a longer
-//!   effective sampler period);
-//! * [`SnapshotLoss`] — loses whole snapshots at log sites, surfacing as
-//!   [`CtlResponse::Lost`](stm_machine::events::CtlResponse::Lost).
+//! 1. **loss** — the whole read is lost, surfacing as
+//!    [`CtlResponse::Lost`](stm_machine::events::CtlResponse::Lost),
+//!    before the ring is even copied;
+//! 2. **truncation** — the read keeps its `N` newest records, reproducing
+//!    the paper's 4/8/16-entry LBR sweep without rebuilding the machine;
+//! 3. **drop** — each remaining record is lost independently (a lossy
+//!    read path);
+//! 4. **flip** (LCR only) — each record's observed MESI state is replaced
+//!    by a random *other* state (stale or corrupted coherence metadata).
+//!
+//! A PBI sampler read sees only **thinning**: it keeps every `k`-th
+//! sample, modelling a longer effective sampler period.
 //!
 //! Every random decision draws from a [`SplitMix64`] stream seeded from
-//! the *run's* scheduler seed mixed with [`PerturbConfig::seed`]. Each run
-//! owns a private [`PerturbLayer`] inside its `HardwareCtx`, so the draw
-//! sequence depends only on that run's own event order — the collection
-//! engine's `threads(N)` ≡ `threads(1)` guarantee survives perturbation
-//! bit for bit.
+//! the *run's* scheduler seed mixed with [`PerturbConfig::seed`]. Loss
+//! draws once per read, drop once per record, and flip once per record
+//! plus once per flipped record; truncation and thinning draw nothing,
+//! and neither does a step whose rate is 0. Each run owns a private
+//! [`PerturbLayer`] inside its `HardwareCtx`, so the draw sequence
+//! depends only on that run's own event order — the collection engine's
+//! `threads(N)` ≡ `threads(1)` guarantee survives perturbation bit for
+//! bit.
 
-use std::fmt;
 use stm_machine::events::{BranchRecord, CoherenceRecord, CoherenceState};
 use stm_machine::rng::SplitMix64;
 
@@ -45,136 +48,7 @@ pub fn ppm(rate: f64) -> u32 {
 /// Draws `true` with probability `ppm / 1e6`, consuming exactly one RNG
 /// value (so the draw count is independent of the rate).
 fn chance(rng: &mut SplitMix64, ppm: u32) -> bool {
-    match ppm {
-        0 => {
-            let _ = rng.next_u64();
-            false
-        }
-        p if p >= PPM_SCALE => {
-            let _ = rng.next_u64();
-            true
-        }
-        p => rng.next_below(PPM_SCALE as u64) < p as u64,
-    }
-}
-
-/// A fault injector applied to hardware snapshots as the driver reads
-/// them. Implementations must be deterministic functions of their inputs
-/// and the RNG stream: no clocks, no global state.
-pub trait Perturbation: fmt::Debug + Send + Sync {
-    /// Injector name, used in telemetry and reports.
-    fn name(&self) -> &'static str;
-
-    /// `true` drops the whole snapshot read (the driver sees nothing).
-    fn loses_snapshot(&self, _rng: &mut SplitMix64) -> bool {
-        false
-    }
-
-    /// Degrades an LBR snapshot (records newest-first).
-    fn perturb_lbr(&self, _rng: &mut SplitMix64, _records: &mut Vec<BranchRecord>) {}
-
-    /// Degrades an LCR snapshot (records newest-first).
-    fn perturb_lcr(&self, _rng: &mut SplitMix64, _records: &mut Vec<CoherenceRecord>) {}
-
-    /// Degrades the PBI sampler's latched records (oldest-first).
-    fn perturb_samples(&self, _rng: &mut SplitMix64, _samples: &mut Vec<CoherenceRecord>) {}
-
-    /// Clones the injector behind the trait object (the hardware context
-    /// is `Clone`).
-    fn clone_box(&self) -> Box<dyn Perturbation>;
-}
-
-impl Clone for Box<dyn Perturbation> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// Caps ring snapshots at their `N` newest records — the 4/8/16-entry
-/// capacity sweep of the paper's §2.1/§7, applied at read time.
-/// Snapshots arrive newest-first, so truncation preserves that order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TruncateRing {
-    /// Keep this many newest LBR records (`None` = untouched).
-    pub lbr: Option<usize>,
-    /// Keep this many newest LCR records (`None` = untouched).
-    pub lcr: Option<usize>,
-}
-
-impl Perturbation for TruncateRing {
-    fn name(&self) -> &'static str {
-        "truncate_ring"
-    }
-
-    fn perturb_lbr(&self, _rng: &mut SplitMix64, records: &mut Vec<BranchRecord>) {
-        if let Some(n) = self.lbr {
-            if records.len() > n {
-                stm_telemetry::counter!("perturb.records_truncated")
-                    .add((records.len() - n) as u64);
-                records.truncate(n);
-            }
-        }
-    }
-
-    fn perturb_lcr(&self, _rng: &mut SplitMix64, records: &mut Vec<CoherenceRecord>) {
-        if let Some(n) = self.lcr {
-            if records.len() > n {
-                stm_telemetry::counter!("perturb.records_truncated")
-                    .add((records.len() - n) as u64);
-                records.truncate(n);
-            }
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Perturbation> {
-        Box::new(*self)
-    }
-}
-
-/// Drops each snapshot record independently with probability
-/// `ppm / 1e6` — a lossy driver read path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DropEntries {
-    /// Per-record drop probability in parts per million.
-    pub ppm: u32,
-}
-
-impl DropEntries {
-    fn drop_from<T>(&self, rng: &mut SplitMix64, records: &mut Vec<T>) {
-        let before = records.len();
-        records.retain(|_| !chance(rng, self.ppm));
-        let dropped = before - records.len();
-        if dropped > 0 {
-            stm_telemetry::counter!("perturb.records_dropped").add(dropped as u64);
-        }
-    }
-}
-
-impl Perturbation for DropEntries {
-    fn name(&self) -> &'static str {
-        "drop_entries"
-    }
-
-    fn perturb_lbr(&self, rng: &mut SplitMix64, records: &mut Vec<BranchRecord>) {
-        self.drop_from(rng, records);
-    }
-
-    fn perturb_lcr(&self, rng: &mut SplitMix64, records: &mut Vec<CoherenceRecord>) {
-        self.drop_from(rng, records);
-    }
-
-    fn clone_box(&self) -> Box<dyn Perturbation> {
-        Box::new(*self)
-    }
-}
-
-/// Replaces an LCR record's observed MESI state with a uniformly chosen
-/// *different* state with probability `ppm / 1e6` — stale or corrupted
-/// coherence metadata reaching the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlipCoherence {
-    /// Per-record flip probability in parts per million.
-    pub ppm: u32,
+    rng.next_below(PPM_SCALE as u64) < ppm as u64
 }
 
 /// MESI states in a fixed order, for deterministic flip selection.
@@ -185,86 +59,7 @@ const MESI: [CoherenceState; 4] = [
     CoherenceState::Invalid,
 ];
 
-impl Perturbation for FlipCoherence {
-    fn name(&self) -> &'static str {
-        "flip_coherence"
-    }
-
-    fn perturb_lcr(&self, rng: &mut SplitMix64, records: &mut Vec<CoherenceRecord>) {
-        for rec in records.iter_mut() {
-            if chance(rng, self.ppm) {
-                let others: Vec<CoherenceState> =
-                    MESI.iter().copied().filter(|s| *s != rec.state).collect();
-                rec.state = others[rng.next_below(others.len() as u64) as usize];
-                stm_telemetry::counter!("perturb.states_flipped").incr();
-            }
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Perturbation> {
-        Box::new(*self)
-    }
-}
-
-/// Keeps every `keep_every`-th PBI coherence sample, modelling a sampler
-/// period `keep_every` times longer than configured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThinSampler {
-    /// Keep one sample in this many (`0`/`1` = keep all).
-    pub keep_every: u32,
-}
-
-impl Perturbation for ThinSampler {
-    fn name(&self) -> &'static str {
-        "thin_sampler"
-    }
-
-    fn perturb_samples(&self, _rng: &mut SplitMix64, samples: &mut Vec<CoherenceRecord>) {
-        if self.keep_every > 1 {
-            let before = samples.len();
-            let k = self.keep_every as usize;
-            let mut i = 0usize;
-            samples.retain(|_| {
-                let keep = i.is_multiple_of(k);
-                i += 1;
-                keep
-            });
-            stm_telemetry::counter!("perturb.samples_thinned").add((before - samples.len()) as u64);
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Perturbation> {
-        Box::new(*self)
-    }
-}
-
-/// Loses whole snapshots at log sites with probability `ppm / 1e6`: the
-/// profile `ioctl` fails and the driver records nothing for that site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotLoss {
-    /// Per-snapshot loss probability in parts per million.
-    pub ppm: u32,
-}
-
-impl Perturbation for SnapshotLoss {
-    fn name(&self) -> &'static str {
-        "snapshot_loss"
-    }
-
-    fn loses_snapshot(&self, rng: &mut SplitMix64) -> bool {
-        let lost = chance(rng, self.ppm);
-        if lost {
-            stm_telemetry::counter!("perturb.snapshots_lost").incr();
-        }
-        lost
-    }
-
-    fn clone_box(&self) -> Box<dyn Perturbation> {
-        Box::new(*self)
-    }
-}
-
-/// Plain-data description of a perturbation pipeline, embeddable in
+/// Plain-data description of the faults to inject, embeddable in
 /// [`HwConfig`](crate::HwConfig) (and therefore in a session's
 /// configuration). [`PerturbConfig::NONE`] — the default — injects
 /// nothing and adds no per-snapshot cost.
@@ -306,7 +101,7 @@ impl PerturbConfig {
         sampler_keep_every: 0,
     };
 
-    /// `true` when the pipeline would be empty.
+    /// `true` when no fault is enabled.
     pub fn is_noop(&self) -> bool {
         self.lbr_truncate.is_none()
             && self.lcr_truncate.is_none()
@@ -380,41 +175,13 @@ impl PerturbConfig {
         }
         Ok(())
     }
-
-    /// Builds the injector pipeline this configuration describes, in a
-    /// fixed order: loss, truncation, drop, flip, thinning.
-    pub fn build(&self) -> Vec<Box<dyn Perturbation>> {
-        let mut pipeline: Vec<Box<dyn Perturbation>> = Vec::new();
-        if self.loss_ppm > 0 {
-            pipeline.push(Box::new(SnapshotLoss { ppm: self.loss_ppm }));
-        }
-        if self.lbr_truncate.is_some() || self.lcr_truncate.is_some() {
-            pipeline.push(Box::new(TruncateRing {
-                lbr: self.lbr_truncate,
-                lcr: self.lcr_truncate,
-            }));
-        }
-        if self.drop_ppm > 0 {
-            pipeline.push(Box::new(DropEntries { ppm: self.drop_ppm }));
-        }
-        if self.flip_ppm > 0 {
-            pipeline.push(Box::new(FlipCoherence { ppm: self.flip_ppm }));
-        }
-        if self.sampler_keep_every > 1 {
-            pipeline.push(Box::new(ThinSampler {
-                keep_every: self.sampler_keep_every,
-            }));
-        }
-        pipeline
-    }
 }
 
-/// One run's instantiated perturbation pipeline: the injectors plus the
-/// run-private RNG stream all their decisions draw from.
+/// One run's fault injector: the configuration plus the run-private RNG
+/// stream all its decisions draw from.
 #[derive(Debug, Clone)]
 pub struct PerturbLayer {
-    injectors: Vec<Box<dyn Perturbation>>,
-    config_seed: u64,
+    config: PerturbConfig,
     rng: SplitMix64,
 }
 
@@ -432,8 +199,7 @@ impl PerturbLayer {
             return None;
         }
         Some(PerturbLayer {
-            injectors: config.build(),
-            config_seed: config.seed,
+            config: *config,
             rng: SplitMix64::new(mix_seed(config.seed, run_seed)),
         })
     }
@@ -441,67 +207,86 @@ impl PerturbLayer {
     /// Re-seeds the fault stream for a new run (the runner calls this
     /// with the workload's scheduler seed before execution starts).
     pub fn reseed(&mut self, run_seed: u64) {
-        self.rng = SplitMix64::new(mix_seed(self.config_seed, run_seed));
+        self.rng = SplitMix64::new(mix_seed(self.config.seed, run_seed));
     }
 
-    /// Runs an LBR snapshot through the pipeline; `None` = snapshot lost.
-    pub fn lbr_snapshot(&mut self, records: Vec<BranchRecord>) -> Option<Vec<BranchRecord>> {
-        self.lbr_snapshot_lazy(move || records)
-    }
-
-    /// Like [`PerturbLayer::lbr_snapshot`], but the ring copy is deferred
-    /// until an injector actually touches records: a read lost at the
-    /// head of the pipeline (the common `SnapshotLoss` case — loss is
-    /// always built first) never materializes the snapshot at all.
-    ///
-    /// Draw-order equivalence with the eager path: `loses_snapshot` never
-    /// sees the records, and reading the ring consumes no draws, so
-    /// deferring the copy past the loss checks leaves the RNG stream
-    /// bit-identical.
-    pub fn lbr_snapshot_lazy(
+    /// Reads an LBR snapshot (records newest-first) through loss,
+    /// truncation and drop; `None` = snapshot lost. `read` copies the
+    /// ring and is called only once the read is known not to be lost.
+    pub fn lbr_snapshot(
         &mut self,
         read: impl FnOnce() -> Vec<BranchRecord>,
     ) -> Option<Vec<BranchRecord>> {
-        let mut read = Some(read);
-        let mut records: Option<Vec<BranchRecord>> = None;
-        for inj in &self.injectors {
-            if inj.loses_snapshot(&mut self.rng) {
-                return None;
-            }
-            let recs =
-                records.get_or_insert_with(|| (read.take().expect("single materialization"))());
-            inj.perturb_lbr(&mut self.rng, recs);
-        }
-        Some(records.unwrap_or_else(|| (read.take().expect("single materialization"))()))
+        self.ring_read(read, self.config.lbr_truncate)
     }
 
-    /// Runs an LCR snapshot through the pipeline; `None` = snapshot lost.
-    pub fn lcr_snapshot(&mut self, records: Vec<CoherenceRecord>) -> Option<Vec<CoherenceRecord>> {
-        self.lcr_snapshot_lazy(move || records)
-    }
-
-    /// The LCR analogue of [`PerturbLayer::lbr_snapshot_lazy`].
-    pub fn lcr_snapshot_lazy(
+    /// Reads an LCR snapshot (records newest-first) through loss,
+    /// truncation, drop and flip; `None` = snapshot lost. `read` is
+    /// called as in [`PerturbLayer::lbr_snapshot`].
+    pub fn lcr_snapshot(
         &mut self,
         read: impl FnOnce() -> Vec<CoherenceRecord>,
     ) -> Option<Vec<CoherenceRecord>> {
-        let mut read = Some(read);
-        let mut records: Option<Vec<CoherenceRecord>> = None;
-        for inj in &self.injectors {
-            if inj.loses_snapshot(&mut self.rng) {
-                return None;
+        let mut records = self.ring_read(read, self.config.lcr_truncate)?;
+        if self.config.flip_ppm > 0 {
+            for rec in &mut records {
+                if chance(&mut self.rng, self.config.flip_ppm) {
+                    let pick = self.rng.next_below(MESI.len() as u64 - 1) as usize;
+                    let state = rec.state;
+                    rec.state = MESI
+                        .into_iter()
+                        .filter(|s| *s != state)
+                        .nth(pick)
+                        .expect("three other states");
+                    stm_telemetry::counter!("perturb.states_flipped").incr();
+                }
             }
-            let recs =
-                records.get_or_insert_with(|| (read.take().expect("single materialization"))());
-            inj.perturb_lcr(&mut self.rng, recs);
         }
-        Some(records.unwrap_or_else(|| (read.take().expect("single materialization"))()))
+        Some(records)
     }
 
-    /// Runs the PBI sampler's latched records through the pipeline.
+    /// The loss → truncation → drop steps both rings share.
+    fn ring_read<T>(
+        &mut self,
+        read: impl FnOnce() -> Vec<T>,
+        truncate: Option<usize>,
+    ) -> Option<Vec<T>> {
+        if self.config.loss_ppm > 0 && chance(&mut self.rng, self.config.loss_ppm) {
+            stm_telemetry::counter!("perturb.snapshots_lost").incr();
+            return None;
+        }
+        let mut records = read();
+        if let Some(n) = truncate {
+            if records.len() > n {
+                stm_telemetry::counter!("perturb.records_truncated")
+                    .add((records.len() - n) as u64);
+                records.truncate(n);
+            }
+        }
+        if self.config.drop_ppm > 0 {
+            let before = records.len();
+            records.retain(|_| !chance(&mut self.rng, self.config.drop_ppm));
+            let dropped = before - records.len();
+            if dropped > 0 {
+                stm_telemetry::counter!("perturb.records_dropped").add(dropped as u64);
+            }
+        }
+        Some(records)
+    }
+
+    /// Thins the PBI sampler's latched records (oldest-first) to every
+    /// `sampler_keep_every`-th one.
     pub fn samples(&mut self, mut samples: Vec<CoherenceRecord>) -> Vec<CoherenceRecord> {
-        for inj in &self.injectors {
-            inj.perturb_samples(&mut self.rng, &mut samples);
+        let k = self.config.sampler_keep_every as usize;
+        if k > 1 {
+            let before = samples.len();
+            let mut i = 0usize;
+            samples.retain(|_| {
+                let keep = i.is_multiple_of(k);
+                i += 1;
+                keep
+            });
+            stm_telemetry::counter!("perturb.samples_thinned").add((before - samples.len()) as u64);
         }
         samples
     }
@@ -534,7 +319,7 @@ mod tests {
     fn noop_config_builds_no_layer() {
         assert!(PerturbConfig::NONE.is_noop());
         assert!(PerturbLayer::new(&PerturbConfig::NONE, 7).is_none());
-        assert!(PerturbConfig::default().build().is_empty());
+        assert!(PerturbConfig::default().is_noop());
     }
 
     #[test]
@@ -542,7 +327,7 @@ mod tests {
         let mut layer =
             PerturbLayer::new(&PerturbConfig::NONE.truncate_lbr(2), 0).expect("layer built");
         let snap: Vec<BranchRecord> = (0..5).rev().map(|i| cond(i).into()).collect();
-        let out = layer.lbr_snapshot(snap.clone()).expect("not lost");
+        let out = layer.lbr_snapshot(|| snap.clone()).expect("not lost");
         assert_eq!(out, snap[..2].to_vec());
     }
 
@@ -559,7 +344,7 @@ mod tests {
             for i in 0..total {
                 lbr.record(cond(i as u64));
             }
-            let full = lbr.snapshot();
+            let full = lbr.read();
             assert_eq!(full.len(), capacity, "ring wraps to capacity");
             // Newest-first after wrapping: froms descend from total-1.
             let froms: Vec<u64> = full.iter().map(|r| r.from).collect();
@@ -568,7 +353,7 @@ mod tests {
             for keep in 1..=capacity {
                 let mut layer = PerturbLayer::new(&PerturbConfig::NONE.truncate_lbr(keep), 3)
                     .expect("layer built");
-                let out = layer.lbr_snapshot(full.clone()).expect("not lost");
+                let out = layer.lbr_snapshot(|| full.clone()).expect("not lost");
                 assert_eq!(
                     out,
                     full[..keep].to_vec(),
@@ -582,12 +367,12 @@ mod tests {
     fn drop_rate_one_empties_and_zero_keeps() {
         let snap: Vec<BranchRecord> = (0..8).map(|i| cond(i).into()).collect();
         let mut all = PerturbLayer::new(&PerturbConfig::NONE.drop_rate(1.0), 1).unwrap();
-        assert_eq!(all.lbr_snapshot(snap.clone()).unwrap(), vec![]);
+        assert_eq!(all.lbr_snapshot(|| snap.clone()).unwrap(), vec![]);
         // Rate 0 alone is a no-op config; combine with truncation to get
         // a live layer and check nothing is dropped.
         let cfg = PerturbConfig::NONE.truncate_lbr(8).drop_rate(0.0);
         let mut none = PerturbLayer::new(&cfg, 1).unwrap();
-        assert_eq!(none.lbr_snapshot(snap.clone()).unwrap(), snap);
+        assert_eq!(none.lbr_snapshot(|| snap.clone()).unwrap(), snap);
     }
 
     #[test]
@@ -596,7 +381,7 @@ mod tests {
         let snap: Vec<BranchRecord> = (0..32).map(|i| cond(i).into()).collect();
         let run = |run_seed: u64| {
             let mut layer = PerturbLayer::new(&cfg, run_seed).unwrap();
-            layer.lbr_snapshot(snap.clone()).unwrap()
+            layer.lbr_snapshot(|| snap.clone()).unwrap()
         };
         assert_eq!(run(9), run(9), "same run seed, same faults");
         assert_ne!(run(9), run(10), "different run seed, different faults");
@@ -607,7 +392,7 @@ mod tests {
         let cfg = PerturbConfig::NONE.flip_rate(1.0);
         let mut layer = PerturbLayer::new(&cfg, 5).unwrap();
         let recs: Vec<CoherenceRecord> = (0..16).map(|i| coh(i, MESI[i as usize % 4])).collect();
-        let out = layer.lcr_snapshot(recs.clone()).unwrap();
+        let out = layer.lcr_snapshot(|| recs.clone()).unwrap();
         assert_eq!(out.len(), recs.len());
         for (a, b) in recs.iter().zip(&out) {
             assert_eq!(a.pc, b.pc);
@@ -620,8 +405,8 @@ mod tests {
     fn loss_rate_one_loses_every_snapshot() {
         let cfg = PerturbConfig::NONE.loss_rate(1.0);
         let mut layer = PerturbLayer::new(&cfg, 2).unwrap();
-        assert!(layer.lbr_snapshot(vec![cond(1).into()]).is_none());
-        assert!(layer.lcr_snapshot(vec![coh(1, MESI[0])]).is_none());
+        assert!(layer.lbr_snapshot(|| vec![cond(1).into()]).is_none());
+        assert!(layer.lcr_snapshot(|| vec![coh(1, MESI[0])]).is_none());
     }
 
     #[test]
@@ -653,8 +438,65 @@ mod tests {
         let cfg = PerturbConfig::NONE.drop_rate(0.5).with_seed(77);
         let snap: Vec<BranchRecord> = (0..32).map(|i| cond(i).into()).collect();
         let mut layer = PerturbLayer::new(&cfg, 1).unwrap();
-        let first = layer.lbr_snapshot(snap.clone()).unwrap();
+        let first = layer.lbr_snapshot(|| snap.clone()).unwrap();
         layer.reseed(1);
-        assert_eq!(layer.lbr_snapshot(snap).unwrap(), first);
+        assert_eq!(layer.lbr_snapshot(|| snap).unwrap(), first);
+    }
+
+    /// Pins the exact fault stream with every fault on: which reads are
+    /// lost, which records survive truncation and drops, which states
+    /// flip and which samples thinning keeps, across two run seeds.
+    #[test]
+    fn every_fault_on_pins_the_exact_stream() {
+        let cfg = PerturbConfig::NONE
+            .with_seed(7)
+            .truncate_lbr(6)
+            .truncate_lcr(5)
+            .drop_rate(0.3)
+            .flip_rate(0.5)
+            .loss_rate(0.2)
+            .thin_sampler(3);
+        let lbr: Vec<BranchRecord> = (0..10).rev().map(|i| cond(i).into()).collect();
+        let lcr: Vec<CoherenceRecord> =
+            (0..8).rev().map(|i| coh(i, MESI[i as usize % 4])).collect();
+        let samples: Vec<CoherenceRecord> =
+            (0..10).map(|i| coh(i, CoherenceState::Shared)).collect();
+        let render = |read: &str, kept: Option<Vec<String>>| {
+            format!("{read} {}", kept.map_or("lost".into(), |k| k.join(" ")))
+        };
+        let mut layer = PerturbLayer::new(&cfg, 11).expect("layer built");
+        let mut log = Vec::new();
+        for run_seed in [11, 12] {
+            layer.reseed(run_seed);
+            for _ in 0..4 {
+                let froms = layer
+                    .lbr_snapshot(|| lbr.clone())
+                    .map(|k| k.iter().map(|r| r.from.to_string()).collect());
+                log.push(render("lbr", froms));
+                let pairs = layer
+                    .lcr_snapshot(|| lcr.clone())
+                    .map(|k| k.iter().map(|r| format!("{}{}", r.pc, r.state)).collect());
+                log.push(render("lcr", pairs));
+                let pcs = layer.samples(samples.clone());
+                log.push(render(
+                    "pbi",
+                    Some(pcs.iter().map(|r| r.pc.to_string()).collect()),
+                ));
+            }
+        }
+        #[rustfmt::skip]
+        let expected = [
+            // Run seed 11.
+            "lbr 9 8 7 6 4", "lcr 7E 6M 4S 3M", "pbi 0 3 6 9",
+            "lbr 9 8 7 6 5 4", "lcr 7I 6S 5E 4I 3S", "pbi 0 3 6 9",
+            "lbr 9 8 6 5 4", "lcr 7E 6E 4E", "pbi 0 3 6 9",
+            "lbr lost", "lcr 7I 5E 4M", "pbi 0 3 6 9",
+            // Run seed 12.
+            "lbr lost", "lcr lost", "pbi 0 3 6 9",
+            "lbr 9 8 7 6 5", "lcr 7I 6I 5E 4S", "pbi 0 3 6 9",
+            "lbr lost", "lcr 7I 6M 3E", "pbi 0 3 6 9",
+            "lbr 6 5", "lcr 6I 5I", "pbi 0 3 6 9",
+        ];
+        assert_eq!(log, expected);
     }
 }

@@ -289,13 +289,6 @@ impl<'p> FunctionBuilder<'p> {
         self
     }
 
-    /// Advances the source line by one and returns it (convenient for
-    /// "every statement on its own line" program bodies).
-    pub fn next_line(&mut self) -> u32 {
-        self.line += 1;
-        self.line
-    }
-
     fn loc(&self) -> SourceLoc {
         SourceLoc::new(self.file, self.line)
     }

@@ -674,15 +674,6 @@ impl Program {
         self.globals.iter().find(|g| g.name == name)
     }
 
-    /// Returns the registry entry for a branch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn branch_info(&self, id: BranchId) -> &BranchInfo {
-        &self.branches[id.index()]
-    }
-
     /// Returns the registry entry for a log site.
     ///
     /// # Panics

@@ -246,17 +246,6 @@ impl Layout {
     pub fn decode_stmt(&self, pc: u64) -> Option<StmtRef> {
         self.stmt_decode.get(&pc).copied()
     }
-
-    /// Decodes the (source branch, outcome) pair of a record, if the record
-    /// is one edge of a source conditional.
-    pub fn decode_source_branch(&self, from: u64) -> Option<(BranchId, bool)> {
-        match self.decode_branch(from) {
-            Some(Decoded::SourceBranch {
-                branch, outcome, ..
-            }) => Some((branch, outcome)),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -187,11 +187,6 @@ impl Memory {
     pub fn bytes_mapped(&self) -> u64 {
         self.bytes_mapped
     }
-
-    /// Number of words ever touched (for coredump-cost simulation).
-    pub fn words_touched(&self) -> usize {
-        self.cells.len()
-    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,6 @@ use crate::rng::SplitMix64;
 /// A scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedPolicy {
-    /// Rotate through runnable threads.
-    RoundRobin,
     /// Pick a uniformly random runnable thread each step, seeded.
     Random {
         /// PRNG seed; same seed ⇒ same interleaving.
@@ -30,22 +28,15 @@ impl Default for SchedPolicy {
 /// The runtime state of a scheduling policy.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
-    policy: SchedPolicy,
     rng: SplitMix64,
-    cursor: usize,
 }
 
 impl Scheduler {
     /// Creates a scheduler for the given policy.
     pub fn new(policy: SchedPolicy) -> Self {
-        let seed = match policy {
-            SchedPolicy::Random { seed } => seed,
-            SchedPolicy::RoundRobin => 0,
-        };
+        let SchedPolicy::Random { seed } = policy;
         Scheduler {
-            policy,
             rng: SplitMix64::new(seed),
-            cursor: 0,
         }
     }
 
@@ -63,16 +54,7 @@ impl Scheduler {
         if runnable.len() == 1 {
             return runnable[0];
         }
-        match self.policy {
-            SchedPolicy::RoundRobin => {
-                self.cursor = (self.cursor + 1) % runnable.len();
-                runnable[self.cursor]
-            }
-            SchedPolicy::Random { .. } => {
-                let i = self.rng.next_below(runnable.len() as u64) as usize;
-                runnable[i]
-            }
-        }
+        runnable[self.rng.next_below(runnable.len() as u64) as usize]
     }
 }
 
@@ -90,24 +72,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(s.pick(&[ThreadId(5)]), ThreadId(5));
         }
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let mut s = Scheduler::new(SchedPolicy::RoundRobin);
-        let ts = tids(3);
-        let picks: Vec<_> = (0..6).map(|_| s.pick(&ts)).collect();
-        assert_eq!(
-            picks,
-            vec![
-                ThreadId(1),
-                ThreadId(2),
-                ThreadId(0),
-                ThreadId(1),
-                ThreadId(2),
-                ThreadId(0)
-            ]
-        );
     }
 
     #[test]
@@ -135,6 +99,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no runnable threads")]
     fn empty_runnable_panics() {
-        Scheduler::new(SchedPolicy::RoundRobin).pick(&[]);
+        Scheduler::new(SchedPolicy::Random { seed: 0 }).pick(&[]);
     }
 }

@@ -3,15 +3,15 @@
 //!
 //! The model follows the memory-ops runbook shape the ROADMAP's streaming
 //! daemon commits to: a pipeline is **failing** once its consecutive
-//! failure streak reaches the failing threshold (default 3), **degraded**
-//! on any single failure, a saturated queue, or collapsed throughput
-//! while work is queued, and **healthy** otherwise. Escalation is
-//! immediate; de-escalation requires [`HealthThresholds::recovery_observations`]
-//! consecutive calmer observations (hysteresis), so one clean poll never
-//! masks a flapping pipeline.
+//! failure streak reaches [`FAILING_STREAK`] (3), **degraded** on any
+//! single failure, a saturated queue, or collapsed throughput while work
+//! is queued, and **healthy** otherwise. Escalation is immediate;
+//! de-escalation requires [`RECOVERY_OBSERVATIONS`] consecutive calmer
+//! observations (hysteresis), so one clean poll never masks a flapping
+//! pipeline.
 //!
-//! All thresholds are explicit, inspectable fields — no magic numbers
-//! buried in match arms — and every transition records its reasons.
+//! Every threshold is a named constant — no magic numbers buried in
+//! match arms — and every transition records its reasons.
 
 use stm_telemetry::json::Json;
 use stm_telemetry::MetricsSnapshot;
@@ -40,37 +40,24 @@ impl HealthState {
     }
 }
 
-/// Explicit transition thresholds. Every comparison the state machine
-/// makes reads one of these fields.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthThresholds {
-    /// `failure_streak >= degraded_streak` → at least [`HealthState::Degraded`].
-    pub degraded_streak: i64,
-    /// `failure_streak >= failing_streak` → [`HealthState::Failing`]
-    /// (the runbook's "3 consecutive failed cycles" rule).
-    pub failing_streak: i64,
-    /// `queue_depth > max_queue_depth` → at least degraded: workers are
-    /// not keeping up with dispatch.
-    pub max_queue_depth: i64,
-    /// With work queued, `runs_per_sec < min_runs_per_sec` → at least
-    /// degraded: throughput collapsed while jobs wait.
-    pub min_runs_per_sec: f64,
-    /// Consecutive observations strictly calmer than the current state
-    /// required before de-escalating (hysteresis).
-    pub recovery_observations: u32,
-}
+/// `failure_streak >= DEGRADED_STREAK` → at least [`HealthState::Degraded`].
+pub const DEGRADED_STREAK: i64 = 1;
 
-impl Default for HealthThresholds {
-    fn default() -> Self {
-        HealthThresholds {
-            degraded_streak: 1,
-            failing_streak: 3,
-            max_queue_depth: 64,
-            min_runs_per_sec: 1.0,
-            recovery_observations: 2,
-        }
-    }
-}
+/// `failure_streak >= FAILING_STREAK` → [`HealthState::Failing`] (the
+/// runbook's "3 consecutive failed cycles" rule).
+pub const FAILING_STREAK: i64 = 3;
+
+/// `queue_depth > MAX_QUEUE_DEPTH` → at least degraded: workers are not
+/// keeping up with dispatch.
+pub const MAX_QUEUE_DEPTH: i64 = 64;
+
+/// With work queued, `runs_per_sec < MIN_RUNS_PER_SEC` → at least
+/// degraded: throughput collapsed while jobs wait.
+pub const MIN_RUNS_PER_SEC: f64 = 1.0;
+
+/// Consecutive observations strictly calmer than the current state
+/// required before de-escalating (hysteresis).
+pub const RECOVERY_OBSERVATIONS: u32 = 2;
 
 /// One poll of the pipeline: the gauge/counter-derived inputs the state
 /// machine classifies. Plain data, so tests drive the machine without a
@@ -204,7 +191,6 @@ impl HealthReport {
 /// The stateful health model: feed it [`Observation`]s, read the state.
 #[derive(Debug)]
 pub struct HealthEngine {
-    thresholds: HealthThresholds,
     state: HealthState,
     /// Consecutive observations strictly calmer than `state`.
     calm: u32,
@@ -214,26 +200,19 @@ pub struct HealthEngine {
 
 impl Default for HealthEngine {
     fn default() -> Self {
-        HealthEngine::new(HealthThresholds::default())
+        HealthEngine::new()
     }
 }
 
 impl HealthEngine {
-    /// A fresh engine (state [`HealthState::Healthy`]) with the given
-    /// thresholds.
-    pub fn new(thresholds: HealthThresholds) -> HealthEngine {
+    /// A fresh engine (state [`HealthState::Healthy`]).
+    pub fn new() -> HealthEngine {
         HealthEngine {
-            thresholds,
             state: HealthState::Healthy,
             calm: 0,
             seq: 0,
             transitions: Vec::new(),
         }
-    }
-
-    /// The thresholds in force.
-    pub fn thresholds(&self) -> &HealthThresholds {
-        &self.thresholds
     }
 
     /// The current state.
@@ -249,35 +228,34 @@ impl HealthEngine {
     /// Classifies one observation in isolation: its severity and the
     /// reasons. Pure — no state machine involved.
     pub fn classify(&self, obs: &Observation) -> (HealthState, Vec<String>) {
-        let t = &self.thresholds;
         let mut state = HealthState::Healthy;
         let mut reasons = Vec::new();
-        if obs.failure_streak >= t.failing_streak {
+        if obs.failure_streak >= FAILING_STREAK {
             state = HealthState::Failing;
             reasons.push(format!(
-                "failure_streak {} reached failing threshold {}",
-                obs.failure_streak, t.failing_streak
+                "failure_streak {} reached failing threshold {FAILING_STREAK}",
+                obs.failure_streak
             ));
-        } else if obs.failure_streak >= t.degraded_streak {
+        } else if obs.failure_streak >= DEGRADED_STREAK {
             state = HealthState::Degraded;
             reasons.push(format!(
-                "failure_streak {} reached degraded threshold {}",
-                obs.failure_streak, t.degraded_streak
+                "failure_streak {} reached degraded threshold {DEGRADED_STREAK}",
+                obs.failure_streak
             ));
         }
-        if obs.queue_depth > t.max_queue_depth {
+        if obs.queue_depth > MAX_QUEUE_DEPTH {
             state = state.max(HealthState::Degraded);
             reasons.push(format!(
-                "queue_depth {} above limit {}",
-                obs.queue_depth, t.max_queue_depth
+                "queue_depth {} above limit {MAX_QUEUE_DEPTH}",
+                obs.queue_depth
             ));
         }
         if let Some(rps) = obs.runs_per_sec {
-            if obs.queue_depth > 0 && rps < t.min_runs_per_sec {
+            if obs.queue_depth > 0 && rps < MIN_RUNS_PER_SEC {
                 state = state.max(HealthState::Degraded);
                 reasons.push(format!(
-                    "runs_per_sec {rps:.2} below floor {} with {} jobs queued",
-                    t.min_runs_per_sec, obs.queue_depth
+                    "runs_per_sec {rps:.2} below floor {MIN_RUNS_PER_SEC} with {} jobs queued",
+                    obs.queue_depth
                 ));
             }
         }
@@ -288,7 +266,7 @@ impl HealthEngine {
     ///
     /// Escalation (raw severity above the current state) takes effect
     /// immediately. De-escalation waits for
-    /// [`HealthThresholds::recovery_observations`] *consecutive* calmer
+    /// [`RECOVERY_OBSERVATIONS`] *consecutive* calmer
     /// observations, then drops straight to the latest raw severity.
     pub fn observe(&mut self, obs: Observation) -> HealthReport {
         self.seq += 1;
@@ -297,7 +275,7 @@ impl HealthEngine {
             self.record(raw, reasons.clone());
         } else if raw < self.state {
             self.calm += 1;
-            if self.calm >= self.thresholds.recovery_observations {
+            if self.calm >= RECOVERY_OBSERVATIONS {
                 self.record(raw, reasons.clone());
             }
         } else {
@@ -353,11 +331,11 @@ mod tests {
 
     #[test]
     fn failure_streak_walks_healthy_degraded_failing() {
-        // The explicit threshold walk: streak 1 degrades (degraded_streak),
-        // streak 3 fails (failing_streak) — each escalation immediate.
+        // The explicit threshold walk: streak 1 degrades (DEGRADED_STREAK),
+        // streak 3 fails (FAILING_STREAK) — each escalation immediate.
         let mut e = HealthEngine::default();
-        assert_eq!(e.thresholds().degraded_streak, 1);
-        assert_eq!(e.thresholds().failing_streak, 3);
+        assert_eq!(DEGRADED_STREAK, 1);
+        assert_eq!(FAILING_STREAK, 3);
         assert_eq!(e.observe(obs(0, 0, None)).state, HealthState::Healthy);
         let r = e.observe(obs(0, 1, None));
         assert_eq!(r.state, HealthState::Degraded);
@@ -385,7 +363,7 @@ mod tests {
         let mut e = HealthEngine::default();
         e.observe(obs(0, 3, None));
         assert_eq!(e.state(), HealthState::Failing);
-        // One clean poll is not recovery (recovery_observations = 2)...
+        // One clean poll is not recovery (RECOVERY_OBSERVATIONS = 2)...
         assert_eq!(e.observe(obs(0, 0, None)).state, HealthState::Failing);
         // ...and a relapse resets the calm count.
         assert_eq!(e.observe(obs(0, 3, None)).state, HealthState::Failing);
@@ -404,7 +382,7 @@ mod tests {
     #[test]
     fn saturated_queue_degrades_and_recovers() {
         let mut e = HealthEngine::default();
-        let limit = e.thresholds().max_queue_depth;
+        let limit = MAX_QUEUE_DEPTH;
         let r = e.observe(obs(limit + 1, 0, Some(50.0)));
         assert_eq!(r.state, HealthState::Degraded);
         assert!(r.reasons[0].contains("queue_depth"), "{:?}", r.reasons);

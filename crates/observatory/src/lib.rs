@@ -6,7 +6,7 @@
 //!
 //! | module | provides |
 //! |---|---|
-//! | [`health`] | `healthy` / `degraded` / `failing` state machine with explicit thresholds and reasons |
+//! | [`health`] | `healthy` / `degraded` / `failing` state machine with named-constant thresholds and reasons |
 //! | [`prom`] | Prometheus text exposition (0.0.4) for a [`stm_telemetry::MetricsSnapshot`] |
 //! | [`server`] | [`MetricsServer`]: `TcpListener` serving `/metrics`, `/health`, `/events` |
 //! | [`watch`] | HTTP GET, Prometheus parser, and board renderer for `stm_watch` |
@@ -37,5 +37,5 @@ pub mod prom;
 pub mod server;
 pub mod watch;
 
-pub use health::{HealthEngine, HealthReport, HealthState, HealthThresholds, Observation};
+pub use health::{HealthEngine, HealthReport, HealthState, Observation};
 pub use server::MetricsServer;

@@ -20,7 +20,7 @@
 //! thread. [`MetricsServer::stop`] (also run on drop) flips a flag and
 //! self-connects to unblock `accept`.
 
-use crate::health::{HealthEngine, HealthThresholds, Observation};
+use crate::health::{HealthEngine, Observation};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,18 +51,13 @@ struct ServerState {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// starts serving with default [`HealthThresholds`].
+    /// starts serving.
     pub fn start(addr: &str) -> std::io::Result<MetricsServer> {
-        MetricsServer::start_with(addr, HealthThresholds::default())
-    }
-
-    /// Binds `addr` and starts serving with explicit thresholds.
-    pub fn start_with(addr: &str, thresholds: HealthThresholds) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let state = Mutex::new(ServerState {
-            health: HealthEngine::new(thresholds),
+            health: HealthEngine::new(),
             last_rate: None,
         });
         let thread_stop = Arc::clone(&stop);

@@ -190,6 +190,22 @@ impl GroundTruth {
         self.fpe
             .is_some_and(|f| f.loc == e.loc && f.conf2_state == Some(e.state))
     }
+
+    /// Whether an event's display form — the string a causal-chain link
+    /// or a report carries — names the root cause: `{target_branch}=…`
+    /// agrees with [`GroundTruth::is_root_branch`] and
+    /// `…@{fpe.loc}:{conf2_state}` with [`GroundTruth::is_root_event`].
+    /// The two forms cannot be confused: a branch display never contains
+    /// `@`, and a coherence display always starts with `load@` or
+    /// `store@`.
+    pub fn is_root_display(&self, display: &str) -> bool {
+        self.target_branch()
+            .is_some_and(|t| display.starts_with(&format!("{t}=")))
+            || self.fpe.is_some_and(|f| {
+                f.conf2_state
+                    .is_some_and(|s| display.ends_with(&format!("@{}:{s}", f.loc)))
+            })
+    }
 }
 
 /// The workload sets of a benchmark.
@@ -278,5 +294,68 @@ mod tests {
             fault_locs: vec![],
         };
         assert_eq!(t.target_branch(), Some(BranchId::new(4)));
+    }
+
+    /// The display-form predicate agrees with the typed ones on every
+    /// branch outcome and every (access, state) at the FPE location of
+    /// all 31 benchmarks, and rejects near misses.
+    #[test]
+    fn root_display_agrees_with_typed_predicates() {
+        use stm_machine::events::AccessKind;
+        use stm_machine::ids::FileId;
+        let benches = crate::all();
+        assert_eq!(benches.len(), 31);
+        let mut hits = 0;
+        for b in &benches {
+            let (id, t) = (b.info.id, &b.truth);
+            for i in 0..b.program.branches.len() as u32 {
+                for outcome in [false, true] {
+                    let e = BranchOutcome {
+                        branch: BranchId::new(i),
+                        outcome,
+                    };
+                    let root = t.is_root_branch(&e);
+                    assert_eq!(t.is_root_display(&e.to_string()), root, "{id} {e}");
+                    hits += usize::from(root);
+                }
+            }
+            if let Some(target) = t.target_branch() {
+                // A neighbouring branch, and one whose id extends the
+                // target's digits.
+                for other in [target.index() as u32 + 1, target.index() as u32 * 10 + 1] {
+                    let e = BranchOutcome {
+                        branch: BranchId::new(other),
+                        outcome: true,
+                    };
+                    assert!(!t.is_root_display(&e.to_string()), "{id} {e}");
+                }
+            }
+            let Some(fpe) = t.fpe else { continue };
+            for access in [AccessKind::Load, AccessKind::Store] {
+                for state in [
+                    CoherenceState::Modified,
+                    CoherenceState::Exclusive,
+                    CoherenceState::Shared,
+                    CoherenceState::Invalid,
+                ] {
+                    let e = CoherenceEvent {
+                        loc: fpe.loc,
+                        state,
+                        access,
+                    };
+                    let root = t.is_root_event(&e);
+                    assert_eq!(t.is_root_display(&e.to_string()), root, "{id} {e}");
+                    hits += usize::from(root);
+                    let next_line = SourceLoc::new(fpe.loc.file, fpe.loc.line + 1);
+                    let other_file =
+                        SourceLoc::new(FileId::new(fpe.loc.file.index() as u32 + 10), fpe.loc.line);
+                    for loc in [next_line, other_file] {
+                        let e = CoherenceEvent { loc, ..e };
+                        assert!(!t.is_root_display(&e.to_string()), "{id} {e}");
+                    }
+                }
+            }
+        }
+        assert!(hits > 0, "some display names a root cause");
     }
 }

@@ -1,5 +1,6 @@
-//! Exporters: human-readable summary table, JSONL metrics dump, and the
-//! Chrome `trace_event` span export.
+//! Exporters: human-readable summary table, the JSON metrics object
+//! embedded in `results/BENCH_*` artifacts, and the Chrome `trace_event`
+//! span export.
 //!
 //! The Chrome format is the JSON Object Format of the Trace Event
 //! specification: `{"traceEvents": [...]}` where each span is a complete
@@ -104,36 +105,6 @@ fn histogram_json(h: &HistogramSnapshot) -> Json {
             ),
         ),
     ])
-}
-
-/// Renders the snapshot as JSONL: one JSON object per line, counters
-/// first, then gauges, then histograms.
-#[must_use = "rendering has no side effects; print or write the returned text"]
-pub fn jsonl(m: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, value) in &m.counters {
-        let line = Json::obj([
-            ("type", "counter".into()),
-            ("name", name.clone().into()),
-            ("value", (*value).into()),
-        ]);
-        out.push_str(&line.encode());
-        out.push('\n');
-    }
-    for (name, value) in &m.gauges {
-        let line = Json::obj([
-            ("type", "gauge".into()),
-            ("name", name.clone().into()),
-            ("value", Json::from(*value as f64)),
-        ]);
-        out.push_str(&line.encode());
-        out.push('\n');
-    }
-    for h in &m.histograms {
-        out.push_str(&histogram_json(h).encode());
-        out.push('\n');
-    }
-    out
 }
 
 /// Renders the whole snapshot as one JSON object (for `results/BENCH_*`
@@ -263,17 +234,6 @@ mod tests {
         assert!(s.contains("g.depth"));
         assert!(s.contains("-3"));
         assert!(s.contains("h.latency"));
-    }
-
-    #[test]
-    fn jsonl_lines_each_parse() {
-        let text = jsonl(&sample_snapshot());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in lines {
-            let v = Json::parse(line).expect("valid JSON line");
-            assert!(v.get("type").is_some());
-        }
     }
 
     fn record(name: &'static str, start_us: u64, dur_us: Option<u64>, id: u64) -> SpanRecord {

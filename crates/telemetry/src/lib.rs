@@ -26,8 +26,8 @@
 //! every operation is a load of one relaxed atomic and an early return —
 //! no locks, no allocation, no timestamps.
 //!
-//! Export lives in [`export`]: a human-readable summary table, a JSONL
-//! metrics dump, and a Chrome `trace_event` JSON loadable in
+//! Export lives in [`export`]: a human-readable summary table, a JSON
+//! metrics object, and a Chrome `trace_event` JSON loadable in
 //! `chrome://tracing` or <https://ui.perfetto.dev>. A minimal JSON value
 //! type with an encoder *and* parser lives in [`json`] (the build is
 //! offline; no serde).

@@ -184,7 +184,7 @@ fn lbr_is_the_suffix_of_admitted_branches() {
                 ring: Ring::User,
             });
         }
-        let snap = lbr.snapshot();
+        let snap = lbr.read();
         assert!(snap.len() <= capacity, "case {case}");
         let expected: Vec<u64> = froms
             .iter()
