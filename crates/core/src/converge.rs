@@ -3,23 +3,24 @@
 //!
 //! A [`RankingModel`] stores its profiles as per-event postings, so
 //! adding one witness profile costs `O(|profile| log U)` and a fresh
-//! count-only ranking ([`RankingModel::scores`]) costs `O(U log U)`,
+//! ranking, which reads match counts and no run ids, costs `O(U log U)`,
 //! whatever the number of profiles. That is cheap enough to re-rank after
 //! every consumed job, so an operator can watch the diagnosis converge
 //! instead of waiting for the quota.
 //!
 //! Two layers sit on top of the model:
 //!
-//! * [`ConvergenceTracker`] — owns the model, re-scores it after every
+//! * [`ConvergenceTracker`] — owns the model, re-ranks it after every
 //!   witness and polls top-k rank churn (Kendall-style discordant-pair
-//!   count) and the top-1 stability streak. Its final ranking is the
-//!   model's own `rank()` / `rank_with_absence()`, so it equals the batch
-//!   ranking over the same profiles by construction (pinned in
-//!   `tests/engine_determinism.rs`);
-//! * [`StabilityPolicy`] — when the engine may stop collecting early:
-//!   top-1 unchanged for `stable_for` consecutive witnesses, with floor
-//!   counts on both profile classes so a failure-only prefix can never
-//!   declare victory.
+//!   count) and the top-1 stability streak. Its final ranking is the one
+//!   its last witness produced: the model's own `rank()` /
+//!   `rank_with_absence()`, so it equals the batch ranking over the same
+//!   profiles by construction (pinned in `tests/engine_determinism.rs`);
+//! * [`StabilityPolicy`] — whether the engine may stop collecting early
+//!   once the ranking is stable: top-1 unchanged for [`STABLE_FOR`]
+//!   consecutive witnesses, with at least [`MIN_FAILURES`] and
+//!   [`MIN_SUCCESSES`] profiles so a failure-only prefix can never declare
+//!   victory.
 //!
 //! The snapshot-level ingest entry point ([`SnapshotIngest`]) lives here
 //! too: owned, publication-free per-diagnosis state that decodes ring
@@ -36,7 +37,7 @@ use crate::diagnose::{failure_profile, success_profile};
 use crate::profile::{
     decode_lbr, decode_lcr, BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry,
 };
-use crate::ranking::{Polarity, RankedEvent, RankingModel, ScoredPredictor};
+use crate::ranking::{Polarity, RankedEvent, RankingModel};
 use crate::runner::FailureSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Display;
@@ -48,22 +49,26 @@ use stm_telemetry::json::Json;
 /// track. Ten mirrors the paper's "top 10" reporting cut-off.
 pub const TOP_K: usize = 10;
 
-/// When an incremental diagnosis may stop collecting early.
-///
-/// The default asks for a top-1 predictor that has survived five
-/// consecutive witness ingests unchanged, with at least three profiles of
-/// each class seen — precision is meaningless before both populations
-/// exist, and witness-mode sessions ingest all failures before the first
-/// success, so the floors keep a failure-only prefix from stopping the
-/// session before the success phase begins.
+/// Consecutive witness ingests the top-1 predictor must survive unchanged
+/// before the ranking counts as stable.
+pub const STABLE_FOR: usize = 5;
+
+/// Failure profiles a stable ranking needs: precision is meaningless
+/// before both populations exist.
+pub const MIN_FAILURES: usize = 3;
+
+/// Success profiles a stable ranking needs. Witness-mode sessions ingest
+/// all failures before the first success, so this floor keeps a
+/// failure-only prefix from stopping the session before the success phase
+/// begins.
+pub const MIN_SUCCESSES: usize = 3;
+
+/// Whether an incremental diagnosis may stop collecting early, once the
+/// ranking is stable: a top-1 predictor that has survived [`STABLE_FOR`]
+/// consecutive witness ingests unchanged, with at least [`MIN_FAILURES`]
+/// failure and [`MIN_SUCCESSES`] success profiles seen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StabilityPolicy {
-    /// Consecutive witnesses the top-1 predictor must survive unchanged.
-    pub stable_for: usize,
-    /// Minimum failure profiles ingested before stopping is allowed.
-    pub min_failures: usize,
-    /// Minimum success profiles ingested before stopping is allowed.
-    pub min_successes: usize,
     /// Whether the policy may stop the session at all. `false` keeps the
     /// full observability surface (gauges, trajectories, verdict) while
     /// guaranteeing the session runs to its quota.
@@ -72,50 +77,24 @@ pub struct StabilityPolicy {
 
 impl Default for StabilityPolicy {
     fn default() -> Self {
-        StabilityPolicy {
-            stable_for: 5,
-            min_failures: 3,
-            min_successes: 3,
-            stop: true,
-        }
+        StabilityPolicy { stop: true }
     }
 }
 
 impl StabilityPolicy {
-    /// Monitor-only policy: track convergence but never stop early. The
-    /// verdict thresholds (`stable_for` and the class floors) keep their
-    /// defaults so a full-quota run still reports `stable` or `stalled`.
+    /// Monitor-only policy: track convergence but never stop early. A
+    /// full-quota run still reports `stable` or `stalled`.
     pub fn never() -> StabilityPolicy {
-        StabilityPolicy {
-            stop: false,
-            ..StabilityPolicy::default()
-        }
+        StabilityPolicy { stop: false }
     }
 
-    /// Sets the required top-1 stability streak.
-    pub fn stable_for(mut self, n: usize) -> Self {
-        self.stable_for = n;
-        self
-    }
-
-    /// Sets the failure-profile floor.
-    pub fn min_failures(mut self, n: usize) -> Self {
-        self.min_failures = n;
-        self
-    }
-
-    /// Sets the success-profile floor.
-    pub fn min_successes(mut self, n: usize) -> Self {
-        self.min_successes = n;
-        self
-    }
-
-    /// The policy as a JSON object (for the `/diagnosis` document).
+    /// The policy as a JSON object (for the `/diagnosis` document),
+    /// stability thresholds included.
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("stable_for", Json::from(self.stable_for)),
-            ("min_failures", Json::from(self.min_failures)),
-            ("min_successes", Json::from(self.min_successes)),
+            ("stable_for", Json::from(STABLE_FOR)),
+            ("min_failures", Json::from(MIN_FAILURES)),
+            ("min_successes", Json::from(MIN_SUCCESSES)),
             ("stop", Json::from(self.stop)),
         ])
     }
@@ -165,7 +144,7 @@ pub struct PollPoint {
 type Trajectories = BTreeMap<String, Vec<(usize, f64)>>;
 
 /// Display form of a predictor (`!` prefix marks absence).
-fn label<E: Display>(p: &ScoredPredictor<E>) -> String {
+fn label<E: Display>(p: &RankedEvent<E>) -> String {
     match p.polarity {
         Polarity::Present => format!("{}", p.event),
         Polarity::Absent => format!("!{}", p.event),
@@ -183,7 +162,7 @@ pub struct ConvergenceTracker<E: Ord + Clone + Display> {
     churn: u64,
     top1_streak: usize,
     history: Vec<PollPoint>,
-    scored: Vec<ScoredPredictor<E>>,
+    scored: Vec<RankedEvent<E>>,
 }
 
 impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
@@ -241,14 +220,14 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
     }
 
     /// The latest top-k ranking.
-    pub fn top(&self) -> &[ScoredPredictor<E>] {
+    pub fn top(&self) -> &[RankedEvent<E>] {
         &self.scored[..self.scored.len().min(TOP_K)]
     }
 
     /// The full live ranking over every observed event, as scored at the
     /// latest poll — the causal-chain reconstructor's support source (link
     /// candidates deep in a ring window rarely make the top-k).
-    pub fn scores(&self) -> &[ScoredPredictor<E>] {
+    pub fn scores(&self) -> &[RankedEvent<E>] {
         &self.scored
     }
 
@@ -289,9 +268,9 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
     /// Whether the policy's stability conditions hold right now
     /// (regardless of whether the policy is allowed to stop).
     pub fn is_stable(&self) -> bool {
-        self.top1_streak >= self.policy.stable_for
-            && self.failures() >= self.policy.min_failures
-            && self.successes() >= self.policy.min_successes
+        self.top1_streak >= STABLE_FOR
+            && self.failures() >= MIN_FAILURES
+            && self.successes() >= MIN_SUCCESSES
     }
 
     /// Whether the engine should stop collecting: the stability
@@ -300,9 +279,9 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
         self.policy.stop && self.is_stable()
     }
 
-    /// Finalises the tracker: the model's batch ranking (`rank()`, or
-    /// `rank_with_absence()` for the LCRA shape) plus the accumulated
-    /// convergence evidence.
+    /// Finalises the tracker: the ranking its last witness produced —
+    /// bit-identical to the model's `rank()`, or `rank_with_absence()` for
+    /// the LCRA shape — plus the accumulated convergence evidence.
     #[must_use = "finishing consumes the tracker; use the returned parts"]
     pub fn finish(self) -> (Vec<RankedEvent<E>>, ConvergenceEvidence) {
         let evidence = ConvergenceEvidence {
@@ -315,12 +294,7 @@ impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
             top1: self.top1(),
             history: self.history,
         };
-        let ranked = if self.absence {
-            self.model.rank_with_absence()
-        } else {
-            self.model.rank()
-        };
-        (ranked, evidence)
+        (self.scored, evidence)
     }
 
     /// Appends the latest top-k scores to `trajectories`.
@@ -519,14 +493,14 @@ pub enum LiveRanking<'a> {
     /// LBRA: presence predictors over branch outcomes.
     Lbr {
         /// The full scored ranking, best first.
-        scores: &'a [ScoredPredictor<BranchOutcome>],
+        scores: &'a [RankedEvent<BranchOutcome>],
         /// Retained failing traces, decoded.
         traces: &'a [(String, Vec<DecodedLbrEntry>)],
     },
     /// LCRA: presence and absence predictors over coherence events.
     Lcr {
         /// The full scored ranking, best first.
-        scores: &'a [ScoredPredictor<CoherenceEvent>],
+        scores: &'a [RankedEvent<CoherenceEvent>],
         /// Retained failing traces, decoded.
         traces: &'a [(String, Vec<DecodedLcrEntry>)],
     },
@@ -829,7 +803,6 @@ impl ConvergenceMonitor {
         let verdict = self.ingest.verdict()?;
         let terminal = stm_telemetry::enabled().then(|| self.document(verdict.as_str()));
         let report = self.ingest.finish()?;
-        let policy = report.policy;
         let e = &report.evidence;
         let fields = || {
             vec![
@@ -855,7 +828,7 @@ impl ConvergenceMonitor {
             }
             Verdict::Stalled => {
                 let mut fields = fields();
-                fields.push(("stable_for_required", policy.stable_for.to_string()));
+                fields.push(("stable_for_required", STABLE_FOR.to_string()));
                 stm_telemetry::log::warn("engine", "diagnosis.stalled", fields);
             }
         }
@@ -939,7 +912,7 @@ mod tests {
 
     #[test]
     fn stable_stream_builds_a_streak_and_stops() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::default().stable_for(3));
+        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
         // Alternate failure/success so both class floors fill.
         for i in 0..8 {
             let is_failure = i % 2 == 0;

@@ -14,9 +14,7 @@
 //! vs. 1000 failure occurrences).
 
 use crate::engine::CollectedProfiles;
-use crate::profile::{
-    decode_lbr, decode_lcr, lbr_events, lcr_events, BranchOutcome, CoherenceEvent,
-};
+use crate::profile::{decode_lbr, decode_lcr, BranchOutcome, CoherenceEvent};
 use crate::ranking::{RankedEvent, RankingModel};
 use crate::runner::FailureSpec;
 use std::collections::{BTreeSet, HashMap};
@@ -183,6 +181,7 @@ impl CollectedProfiles {
         LbraDiagnosis {
             ranked,
             stats: *self.stats(),
+            model,
         }
     }
 
@@ -212,33 +211,8 @@ impl CollectedProfiles {
         LcraDiagnosis {
             ranked,
             stats: *self.stats(),
+            model,
         }
-    }
-
-    /// The raw batch [`RankingModel`] over the collected LBR profiles —
-    /// the exact model [`CollectedProfiles::lbra`] ranks before its
-    /// proximity tie-break. A monitored session's final ranking
-    /// ([`crate::converge::FinalRanking::Lbr`]) is pinned bit-identical
-    /// to this model's `rank()`.
-    pub fn lbr_model(&self) -> RankingModel<BranchOutcome> {
-        let layout = self.runner().machine().layout();
-        build_model(self, "lbra.profile_extraction", |p| match &p.data {
-            ProfileData::Lbr(records) => Some(lbr_events(layout, records)),
-            ProfileData::Lcr(_) => None,
-        })
-    }
-
-    /// The raw batch [`RankingModel`] over the collected LCR profiles —
-    /// the exact model [`CollectedProfiles::lcra`] ranks before its
-    /// proximity tie-break. A monitored session's final ranking
-    /// ([`crate::converge::FinalRanking::Lcr`]) is pinned bit-identical
-    /// to this model's `rank_with_absence()`.
-    pub fn lcr_model(&self) -> RankingModel<CoherenceEvent> {
-        let layout = self.runner().machine().layout();
-        build_model(self, "lcra.profile_extraction", |p| match &p.data {
-            ProfileData::Lcr(records) => Some(lcr_events(layout, records)),
-            ProfileData::Lbr(_) => None,
-        })
     }
 }
 
@@ -249,6 +223,12 @@ pub struct LbraDiagnosis {
     pub ranked: Vec<RankedEvent<BranchOutcome>>,
     /// Run accounting.
     pub stats: DiagnosisStats,
+    /// The model `ranked` was scored from, before the proximity
+    /// tie-break: the witness ids of any predictor
+    /// ([`RankingModel::witnesses`]) and the raw `rank()` that a monitored
+    /// session's [`FinalRanking::Lbr`](crate::converge::FinalRanking::Lbr)
+    /// is pinned bit-identical to.
+    pub model: RankingModel<BranchOutcome>,
 }
 
 impl LbraDiagnosis {
@@ -312,6 +292,13 @@ pub struct LcraDiagnosis {
     pub ranked: Vec<RankedEvent<CoherenceEvent>>,
     /// Run accounting.
     pub stats: DiagnosisStats,
+    /// The model `ranked` was scored from, before the proximity
+    /// tie-break: the witness ids of any predictor
+    /// ([`RankingModel::witnesses`]) and the raw `rank_with_absence()` that
+    /// a monitored session's
+    /// [`FinalRanking::Lcr`](crate::converge::FinalRanking::Lcr) is pinned
+    /// bit-identical to.
+    pub model: RankingModel<CoherenceEvent>,
 }
 
 impl LcraDiagnosis {
@@ -536,15 +523,16 @@ mod tests {
             .iter()
             .find(|r| r.event.branch == root)
             .expect("root branch ranked");
-        assert_eq!(top.failure_witnesses.len(), 2);
+        let (failure_witnesses, _) = d.model.witnesses(&top.event, top.polarity);
+        assert_eq!(failure_witnesses.len(), 2);
         assert!(
-            top.failure_witnesses[0].starts_with("fail:w0:seed42"),
+            failure_witnesses[0].starts_with("fail:w0:seed42"),
             "{:?}",
-            top.failure_witnesses
+            failure_witnesses
         );
         // The second profile comes from the seed-perturbed second lap.
-        assert!(top.failure_witnesses[1].starts_with("fail:w0:seed"));
-        assert_ne!(top.failure_witnesses[0], top.failure_witnesses[1]);
+        assert!(failure_witnesses[1].starts_with("fail:w0:seed"));
+        assert_ne!(failure_witnesses[0], failure_witnesses[1]);
     }
 
     #[test]

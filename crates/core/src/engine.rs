@@ -65,7 +65,9 @@
 //! * Workers are spawned on first use and never exit. The pool only
 //!   grows, to the widest session seen, and each worker has its own
 //!   channel, so a session at or below that width spawns nothing and a
-//!   `threads(n)` session runs on exactly `n` threads.
+//!   `threads(n)` session runs on exactly `n` threads. A session may ask
+//!   for at most [`MAX_THREADS`]; a wider request, or a spawn the OS
+//!   refuses, is a typed [`SessionError`], never a panic.
 //! * Workers outlive phases and sessions, so each keeps its thread-local
 //!   run cache (hardware context and interpreter scratch, see
 //!   `crate::runner`) warm.
@@ -129,6 +131,12 @@ pub enum ProfileKind {
     Lcr,
 }
 
+/// The widest collection session: `threads(n)` above it is rejected before
+/// any run, since the pool starts one OS thread per requested worker. Eight
+/// times the host default's cap (`stm_suite::eval::default_threads`); the
+/// thread count never changes results.
+pub const MAX_THREADS: usize = 64;
+
 /// Why a [`DiagnosisSession::collect`] call could not produce profiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
@@ -142,6 +150,17 @@ pub enum SessionError {
     /// executes, so a bad sweep setting fails fast with the reason rather
     /// than panicking inside a worker.
     InvalidHardware(stm_hardware::HwConfigError),
+    /// `threads(n)` asked for more than [`MAX_THREADS`] workers. Surfaced
+    /// before any run executes or any worker starts.
+    TooManyThreads {
+        /// The requested worker count.
+        requested: usize,
+    },
+    /// The OS refused to start a collection worker.
+    SpawnFailed {
+        /// The OS error.
+        message: String,
+    },
     /// A worker panicked while executing a run. The engine reports this
     /// instead of hanging or unwinding across the pool.
     WorkerPanicked {
@@ -167,6 +186,13 @@ impl std::fmt::Display for SessionError {
             }
             SessionError::InvalidHardware(e) => {
                 write!(f, "invalid hardware configuration: {e}")
+            }
+            SessionError::TooManyThreads { requested } => write!(
+                f,
+                "{requested} collection threads requested; at most {MAX_THREADS} are allowed"
+            ),
+            SessionError::SpawnFailed { message } => {
+                write!(f, "could not start a collection worker: {message}")
             }
         }
     }
@@ -398,7 +424,10 @@ impl DiagnosisSession {
         self
     }
 
-    /// Sets the worker-thread count (`0` = available parallelism).
+    /// Sets the worker-thread count: `0` = available parallelism, capped
+    /// at [`MAX_THREADS`]; an explicit count above it makes
+    /// [`collect`](DiagnosisSession::collect) fail with
+    /// [`SessionError::TooManyThreads`].
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -452,10 +481,10 @@ impl DiagnosisSession {
     /// `engine.witnesses_ingested` gauges and the `/diagnosis` document
     /// (live, then terminal), and — when `policy.stop` is set — stops
     /// collecting as soon as the top-1 predictor has been stable for
-    /// `policy.stable_for` consecutive witnesses (both class floors
-    /// permitting). The stop decision is taken at the strict-ordered
-    /// consumption seam, so an early-stopped session is still
-    /// bit-identical across thread counts. The resulting
+    /// [`STABLE_FOR`](crate::converge::STABLE_FOR) consecutive witnesses
+    /// (both class floors permitting). The stop decision is taken at the
+    /// strict-ordered consumption seam, so an early-stopped session is
+    /// still bit-identical across thread counts. The resulting
     /// [`ConvergenceReport`] rides on
     /// [`CollectedProfiles::convergence`].
     pub fn converge(mut self, policy: StabilityPolicy) -> Self {
@@ -526,6 +555,7 @@ impl DiagnosisSession {
     fn collect_inner(self) -> Result<(CollectedProfiles, SessionLoss), SessionError> {
         let spec = self.spec.ok_or(SessionError::MissingFailureSpec)?;
         self.hw.validate().map_err(SessionError::InvalidHardware)?;
+        let threads = resolve_threads(self.threads)?;
         let scan = !self.bases.is_empty();
         if scan && (!self.failing.is_empty() || !self.passing.is_empty()) {
             return Err(SessionError::ConflictingWorkloads);
@@ -533,7 +563,6 @@ impl DiagnosisSession {
         let runner = Runner::new(self.machine)
             .with_run_config(self.run.clone())
             .with_hw_config(self.hw);
-        let threads = resolve_threads(self.threads);
         // Speculation window: how many jobs may be dispatched beyond the
         // consumed prefix. Bounds the work discarded when the quota
         // early-stop triggers.
@@ -697,14 +726,15 @@ impl SessionLoss {
     }
 }
 
-/// `0` = ask the OS; otherwise the explicit count.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
+/// `0` = ask the OS, capped at [`MAX_THREADS`]; otherwise the explicit
+/// count, which must not exceed it.
+fn resolve_threads(threads: usize) -> Result<usize, SessionError> {
+    match threads {
+        0 => Ok(std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(MAX_THREADS)),
+        n if n > MAX_THREADS => Err(SessionError::TooManyThreads { requested: n }),
+        n => Ok(n),
     }
 }
 
@@ -1104,9 +1134,9 @@ static POOL: Mutex<Vec<mpsc::Sender<ChunkTask>>> = Mutex::new(Vec::new());
 
 /// The queues of the pool's first `n` workers, spawning any that do not
 /// exist yet. Workers never exit, so the pool only grows.
-fn pool_workers(n: usize) -> Vec<mpsc::Sender<ChunkTask>> {
-    // A queue is pushed only once its worker runs, so the list is valid
-    // even if a spawn panicked while the lock was held.
+fn pool_workers(n: usize) -> Result<Vec<mpsc::Sender<ChunkTask>>, SessionError> {
+    // A queue is pushed only once its worker runs, so a failed spawn
+    // leaves the list valid.
     let mut pool = POOL.lock().unwrap_or_else(|p| p.into_inner());
     while pool.len() < n {
         let (tx, rx) = mpsc::channel::<ChunkTask>();
@@ -1115,11 +1145,13 @@ fn pool_workers(n: usize) -> Vec<mpsc::Sender<ChunkTask>> {
         std::thread::Builder::new()
             .name(format!("stm-collect-{}", pool.len()))
             .spawn(move || rx.into_iter().for_each(ChunkTask::run))
-            .expect("spawn a collection worker");
+            .map_err(|e| SessionError::SpawnFailed {
+                message: e.to_string(),
+            })?;
         stm_telemetry::counter!("engine.pool_spawns").incr();
         pool.push(tx);
     }
-    pool[..n].to_vec()
+    Ok(pool[..n].to_vec())
 }
 
 /// Where consumed runs accumulate: the run accounting plus the collected
@@ -1227,13 +1259,13 @@ fn run_plan(
         return Ok(());
     }
 
+    let queues = pool_workers(threads)?;
     let depth = stm_telemetry::gauge!("engine.queue_depth");
     // Session-width gauge: one call site for both `set`s (snapshots sum
     // same-name gauges across call sites, so a second site could not
     // zero this one).
     let workers = stm_telemetry::gauge!("engine.workers");
     workers.set(threads as i64);
-    let queues = pool_workers(threads);
     let share = Arc::new(PlanShare {
         plan,
         exec: Arc::clone(exec),
@@ -1719,6 +1751,23 @@ mod tests {
             assert_eq!(profiles.stats().failure_runs_used, 6);
             assert_eq!(profiles.stats().total_runs, 6 + 40);
         }
+    }
+
+    #[test]
+    fn thread_count_above_the_cap_is_rejected_before_any_spawn() {
+        assert_eq!(
+            session(MAX_THREADS + 1).unwrap_err(),
+            SessionError::TooManyThreads {
+                requested: MAX_THREADS + 1
+            }
+        );
+        // Had the session reached `pool_workers`, the pool would now be
+        // wider than the cap.
+        let width = POOL.lock().unwrap_or_else(|p| p.into_inner()).len();
+        assert!(width <= MAX_THREADS, "pool grew to {width}");
+        assert_eq!(resolve_threads(MAX_THREADS), Ok(MAX_THREADS));
+        let host = resolve_threads(0).expect("the host default is in range");
+        assert!((1..=MAX_THREADS).contains(&host), "{host}");
     }
 
     #[test]

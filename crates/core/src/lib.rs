@@ -93,7 +93,7 @@ pub mod prelude {
         failure_log, render_failure_log, run_and_log, FailureLog, LogPayload,
     };
     pub use crate::profile::{BranchOutcome, CoherenceEvent};
-    pub use crate::ranking::{Polarity, RankedEvent, RankingModel, ScoredPredictor};
+    pub use crate::ranking::{Polarity, RankedEvent, RankingModel};
     pub use crate::runner::{classify, FailureSpec, RunClass, Runner, Workload};
     pub use crate::transform::{instrument, InstrumentOptions, SuccessSites};
 }

@@ -18,11 +18,12 @@
 //! stores profiles as *postings*: for every event, the ascending indexes
 //! of the failure profiles and of the success profiles that contain it —
 //! the hit-spectrum matrix of spectrum-based fault localization, stored
-//! sparsely. Match counts are posting lengths, so
-//! [`RankingModel::scores`] costs `O(U log U)` over the event universe
-//! `U` however many profiles have accumulated, and
-//! [`RankingModel::rank`] reads its witness ids straight from the
-//! postings. The batch diagnosis drivers and the live
+//! sparsely. Match counts are posting lengths, so [`RankingModel::rank`]
+//! costs `O(U log U)` over the event universe `U` however many profiles
+//! have accumulated, and reads no run id. A ranking is a list of
+//! [`RankedEvent`] rows, the one scored-predictor type; which runs back a
+//! row is a query on the postings, [`RankingModel::witnesses`], answered
+//! only when a report asks. The batch diagnosis drivers and the live
 //! [`ConvergenceTracker`](crate::converge::ConvergenceTracker) share this
 //! one store, so incremental and batch rankings agree by construction.
 
@@ -38,9 +39,9 @@ pub enum Polarity {
     Absent,
 }
 
-/// A scored failure predictor, carrying the full evidence trail that
-/// produced its rank: the precision/recall split, the match counts, and
-/// the ids of the runs supporting (and contradicting) the prediction.
+/// A scored failure predictor: the precision/recall split and the match
+/// counts behind its rank. The runs that match it are a query on the model
+/// that scored it, [`RankingModel::witnesses`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedEvent<E> {
     /// The event.
@@ -57,12 +58,6 @@ pub struct RankedEvent<E> {
     pub failure_matches: usize,
     /// Number of success runs matching the predictor.
     pub success_matches: usize,
-    /// Ids of the failure runs matching the predictor — the runs that
-    /// voted for it.
-    pub failure_witnesses: Vec<String>,
-    /// Ids of the success runs matching the predictor — the runs that
-    /// dilute its precision.
-    pub success_witnesses: Vec<String>,
 }
 
 impl<E> RankedEvent<E> {
@@ -72,28 +67,7 @@ impl<E> RankedEvent<E> {
     }
 }
 
-/// A predictor scored from match counts alone — a [`RankedEvent`]
-/// without its witness lists, cheap enough to recompute after every
-/// profile.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoredPredictor<E> {
-    /// The event.
-    pub event: E,
-    /// Presence or absence predictor.
-    pub polarity: Polarity,
-    /// Prediction precision `|F∧e| / |e|`.
-    pub precision: f64,
-    /// Prediction recall `|F∧e| / |F|`.
-    pub recall: f64,
-    /// Harmonic mean of precision and recall — the ranking key.
-    pub score: f64,
-    /// Failure profiles matching the predictor.
-    pub failure_matches: usize,
-    /// Success profiles matching the predictor.
-    pub success_matches: usize,
-}
-
-impl<E: Clone> ScoredPredictor<E> {
+impl<E: Clone> RankedEvent<E> {
     /// Scores a predictor that `f` of the `total_f` failure profiles and
     /// `s` success profiles match. These are the model's only copies of
     /// the §5.2 float expressions.
@@ -120,7 +94,7 @@ impl<E: Clone> ScoredPredictor<E> {
             precision.is_finite() && recall.is_finite() && score.is_finite(),
             "non-finite ranking score (precision {precision}, recall {recall}, score {score})"
         );
-        ScoredPredictor {
+        RankedEvent {
             event: event.clone(),
             polarity,
             precision,
@@ -136,7 +110,7 @@ impl<E: Clone> ScoredPredictor<E> {
 /// `Present` before `Absent`. Every `(event, polarity)` pair is unique,
 /// so the order is total and a ranking never depends on the order the
 /// predictors were scored in.
-fn rank_order<E: Ord>(a: &ScoredPredictor<E>, b: &ScoredPredictor<E>) -> Ordering {
+fn rank_order<E: Ord>(a: &RankedEvent<E>, b: &RankedEvent<E>) -> Ordering {
     b.score
         .total_cmp(&a.score)
         .then_with(|| a.event.cmp(&b.event))
@@ -145,7 +119,7 @@ fn rank_order<E: Ord>(a: &ScoredPredictor<E>, b: &ScoredPredictor<E>) -> Orderin
 
 /// One event's postings: the ascending indexes of the failure profiles
 /// and of the success profiles that contain it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Postings<E> {
     event: E,
     fail: Vec<u32>,
@@ -155,7 +129,7 @@ struct Postings<E> {
 /// The ids of one class's profiles that match a predictor: those listed
 /// in `postings` for a presence predictor, every other profile (in index
 /// order) for an absence predictor.
-fn witnesses(ids: &[String], postings: &[u32], polarity: Polarity) -> Vec<String> {
+fn matching_ids(ids: &[String], postings: &[u32], polarity: Polarity) -> Vec<String> {
     let index = |i: &u32| usize::try_from(*i).expect("a u32 profile index fits in usize");
     match polarity {
         Polarity::Present => postings.iter().map(|i| ids[index(i)].clone()).collect(),
@@ -171,7 +145,7 @@ fn witnesses(ids: &[String], postings: &[u32], polarity: Polarity) -> Vec<String
 }
 
 /// Accumulates profiles as per-event postings and ranks events.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankingModel<E> {
     /// Failure profile ids, by profile index.
     failure_ids: Vec<String>,
@@ -206,7 +180,7 @@ impl<E: Ord + Clone> RankingModel<E> {
 
     /// Adds one run's profile under an explicit id (e.g. the workload and
     /// scheduler seed that produced it), so ranked events can name the
-    /// exact runs that voted for them.
+    /// exact runs that voted for them ([`RankingModel::witnesses`]).
     pub fn add_profile_named(
         &mut self,
         is_failure: bool,
@@ -248,17 +222,16 @@ impl<E: Ord + Clone> RankingModel<E> {
         self.success_ids.len()
     }
 
-    /// The current ranking from match counts alone, best first: every
-    /// presence predictor and, with `absence`, every absence predictor.
-    /// The order and the scores are those of [`RankingModel::rank`] /
-    /// [`RankingModel::rank_with_absence`], bit for bit.
-    #[must_use = "scoring computes a fresh ranking; use the returned list"]
-    pub fn scores(&self, absence: bool) -> Vec<ScoredPredictor<E>> {
+    /// Every presence predictor and, with `absence`, every absence
+    /// predictor, scored from posting lengths and sorted best first. The
+    /// one scoring pass behind [`RankingModel::rank`],
+    /// [`RankingModel::rank_with_absence`] and the live tracker.
+    pub(crate) fn scores(&self, absence: bool) -> Vec<RankedEvent<E>> {
         let (total_f, total_s) = (self.failure_count(), self.success_count());
         let mut out = Vec::with_capacity(self.postings.len() * (1 + usize::from(absence)));
         for p in &self.postings {
             let (f, s) = (p.fail.len(), p.succ.len());
-            out.push(ScoredPredictor::from_counts(
+            out.push(RankedEvent::from_counts(
                 &p.event,
                 Polarity::Present,
                 f,
@@ -266,7 +239,7 @@ impl<E: Ord + Clone> RankingModel<E> {
                 total_f,
             ));
             if absence {
-                out.push(ScoredPredictor::from_counts(
+                out.push(RankedEvent::from_counts(
                     &p.event,
                     Polarity::Absent,
                     total_f - f,
@@ -279,28 +252,6 @@ impl<E: Ord + Clone> RankingModel<E> {
         out
     }
 
-    /// [`RankingModel::scores`] with each predictor's witness ids read
-    /// from its event's postings.
-    fn ranked(&self, absence: bool) -> Vec<RankedEvent<E>> {
-        self.scores(absence)
-            .into_iter()
-            .map(|p| {
-                let postings = &self.postings[self.slots[&p.event]];
-                RankedEvent {
-                    failure_witnesses: witnesses(&self.failure_ids, &postings.fail, p.polarity),
-                    success_witnesses: witnesses(&self.success_ids, &postings.succ, p.polarity),
-                    event: p.event,
-                    polarity: p.polarity,
-                    precision: p.precision,
-                    recall: p.recall,
-                    score: p.score,
-                    failure_matches: p.failure_matches,
-                    success_matches: p.success_matches,
-                }
-            })
-            .collect()
-    }
-
     /// Ranks all presence predictors, best first.
     ///
     /// Tie-breaking is deterministic: predictors with equal harmonic score
@@ -311,7 +262,7 @@ impl<E: Ord + Clone> RankingModel<E> {
     /// identical profile sets.
     #[must_use = "ranking computes scores without storing them; use the returned list"]
     pub fn rank(&self) -> Vec<RankedEvent<E>> {
-        self.ranked(false)
+        self.scores(false)
     }
 
     /// Ranks presence *and* absence predictors, best first.
@@ -319,11 +270,28 @@ impl<E: Ord + Clone> RankingModel<E> {
     /// Tie-breaking is deterministic: equal harmonic scores order by the
     /// event's `Ord` order, then `Present` before `Absent` — so a
     /// presence predictor always precedes its own absence twin when both
-    /// score the same. An absence predictor's witnesses are the profiles
-    /// missing its event, in insertion order.
+    /// score the same.
     #[must_use = "ranking computes scores without storing them; use the returned list"]
     pub fn rank_with_absence(&self) -> Vec<RankedEvent<E>> {
-        self.ranked(true)
+        self.scores(true)
+    }
+
+    /// The ids of the failure runs and of the success runs that match the
+    /// `polarity` predictor of `event`, each in insertion order: the runs
+    /// that voted for it and the runs that dilute its precision. An
+    /// absence predictor matches the profiles missing the event, so for an
+    /// event no profile contains, presence matches no run and absence
+    /// matches every run.
+    #[must_use = "the witness lists are the result; use them"]
+    pub fn witnesses(&self, event: &E, polarity: Polarity) -> (Vec<String>, Vec<String>) {
+        let (fail, succ): (&[u32], &[u32]) = match self.slots.get(event) {
+            Some(&slot) => (&self.postings[slot].fail, &self.postings[slot].succ),
+            None => (&[], &[]),
+        };
+        (
+            matching_ids(&self.failure_ids, fail, polarity),
+            matching_ids(&self.success_ids, succ, polarity),
+        )
     }
 
     /// 1-based rank of the first predictor satisfying `pred` in the given
@@ -380,25 +348,25 @@ pub(crate) mod tests {
             class.push((id.into(), events));
         }
 
-        fn score_one(&self, event: &E, polarity: Polarity) -> RankedEvent<E> {
-            let matches = |(_, events): &&(String, BTreeSet<E>)| match polarity {
-                Polarity::Present => events.contains(event),
-                Polarity::Absent => !events.contains(event),
+        /// The ids of the failure and of the success profiles matching the
+        /// `polarity` predictor of `event`, in insertion order.
+        fn witnesses(&self, event: &E, polarity: Polarity) -> (Vec<String>, Vec<String>) {
+            let ids = |class: &[(String, BTreeSet<E>)]| -> Vec<String> {
+                class
+                    .iter()
+                    .filter(|(_, events)| match polarity {
+                        Polarity::Present => events.contains(event),
+                        Polarity::Absent => !events.contains(event),
+                    })
+                    .map(|(id, _)| id.clone())
+                    .collect()
             };
-            let failure_witnesses: Vec<String> = self
-                .failures
-                .iter()
-                .filter(matches)
-                .map(|(id, _)| id.clone())
-                .collect();
-            let success_witnesses: Vec<String> = self
-                .successes
-                .iter()
-                .filter(matches)
-                .map(|(id, _)| id.clone())
-                .collect();
-            let f = failure_witnesses.len();
-            let s = success_witnesses.len();
+            (ids(&self.failures), ids(&self.successes))
+        }
+
+        fn score_one(&self, event: &E, polarity: Polarity) -> RankedEvent<E> {
+            let (fail, succ) = self.witnesses(event, polarity);
+            let (f, s) = (fail.len(), succ.len());
             let total_f = self.failures.len();
             let precision = if f + s > 0 {
                 f as f64 / (f + s) as f64
@@ -423,8 +391,6 @@ pub(crate) mod tests {
                 score,
                 failure_matches: f,
                 success_matches: s,
-                failure_witnesses,
-                success_witnesses,
             }
         }
 
@@ -455,28 +421,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// A ranked event without its witness lists.
-    fn counts_only<E: Clone>(r: &RankedEvent<E>) -> ScoredPredictor<E> {
-        ScoredPredictor {
-            event: r.event.clone(),
-            polarity: r.polarity,
-            precision: r.precision,
-            recall: r.recall,
-            score: r.score,
-            failure_matches: r.failure_matches,
-            success_matches: r.success_matches,
-        }
-    }
-
-    /// Asserts that `live` is the oracle ranking without its witness
-    /// lists: same order and polarities, same counts, floats equal bit
-    /// for bit.
+    /// Asserts that `live` is the oracle ranking: same order and
+    /// polarities, same counts, floats equal bit for bit.
     pub(crate) fn assert_scores_match<E: Clone + PartialEq + Debug>(
-        live: &[ScoredPredictor<E>],
+        live: &[RankedEvent<E>],
         oracle: &[RankedEvent<E>],
         context: &str,
     ) {
-        let bits = |p: &ScoredPredictor<E>| {
+        let bits = |p: &RankedEvent<E>| {
             let floats = [p.precision, p.recall, p.score].map(f64::to_bits);
             (
                 p.event.clone(),
@@ -487,36 +439,27 @@ pub(crate) mod tests {
             )
         };
         let live: Vec<_> = live.iter().map(bits).collect();
-        let oracle: Vec<_> = oracle.iter().map(|r| bits(&counts_only(r))).collect();
+        let oracle: Vec<_> = oracle.iter().map(bits).collect();
         assert_eq!(live, oracle, "{context}");
     }
 
-    /// Asserts that a full ranking is the oracle's: everything
-    /// [`assert_scores_match`] checks, plus both witness id lists.
-    fn assert_rank_matches<E: Clone + PartialEq + Debug>(
-        ranked: &[RankedEvent<E>],
-        oracle: &[RankedEvent<E>],
-        context: &str,
-    ) {
-        let scores: Vec<_> = ranked.iter().map(counts_only).collect();
-        assert_scores_match(&scores, oracle, context);
-        let witnesses =
-            |r: &RankedEvent<E>| (r.failure_witnesses.clone(), r.success_witnesses.clone());
-        assert_eq!(
-            ranked.iter().map(witnesses).collect::<Vec<_>>(),
-            oracle.iter().map(witnesses).collect::<Vec<_>>(),
-            "{context}"
-        );
-    }
-
+    /// Checks both rankings and, for every event of the streams' universe
+    /// (`0..12`) plus one no stream ever draws, both polarities' witness
+    /// ids.
     fn assert_model_matches(model: &RankingModel<u64>, oracle: &Oracle<u64>, context: &str) {
         assert_eq!(model.failure_count(), oracle.failures.len(), "{context}");
         assert_eq!(model.success_count(), oracle.successes.len(), "{context}");
-        for absence in [false, true] {
-            assert_scores_match(&model.scores(absence), &oracle.rank(absence), context);
+        assert_scores_match(&model.rank(), &oracle.rank(false), context);
+        assert_scores_match(&model.rank_with_absence(), &oracle.rank(true), context);
+        for event in 0..=12 {
+            for polarity in [Polarity::Present, Polarity::Absent] {
+                assert_eq!(
+                    model.witnesses(&event, polarity),
+                    oracle.witnesses(&event, polarity),
+                    "{context}, {polarity:?} {event}"
+                );
+            }
         }
-        assert_rank_matches(&model.rank(), &oracle.rank(false), context);
-        assert_rank_matches(&model.rank_with_absence(), &oracle.rank(true), context);
     }
 
     #[test]
@@ -649,12 +592,14 @@ pub(crate) mod tests {
         m.add_profile_named(false, "pass:seed1", set(&["noise"]));
         let ranked = m.rank();
         let root = ranked.iter().find(|r| r.event == "root").unwrap();
-        assert_eq!(root.failure_witnesses, vec!["fail:seed7", "fail:seed9"]);
-        assert!(root.success_witnesses.is_empty());
+        let (fail, succ) = m.witnesses(&root.event, root.polarity);
+        assert_eq!(fail, vec!["fail:seed7", "fail:seed9"]);
+        assert!(succ.is_empty());
         assert_eq!(root.total_matches(), 2);
         let noise = ranked.iter().find(|r| r.event == "noise").unwrap();
-        assert_eq!(noise.failure_witnesses, vec!["fail:seed7"]);
-        assert_eq!(noise.success_witnesses, vec!["pass:seed1"]);
+        let (fail, succ) = m.witnesses(&noise.event, noise.polarity);
+        assert_eq!(fail, vec!["fail:seed7"]);
+        assert_eq!(succ, vec!["pass:seed1"]);
     }
 
     #[test]
@@ -664,9 +609,9 @@ pub(crate) mod tests {
         m.add_profile(false, set(&["a"]));
         m.add_profile(true, set(&["a"]));
         let ranked = m.rank();
-        let a = &ranked[0];
-        assert_eq!(a.failure_witnesses, vec!["F#0", "F#1"]);
-        assert_eq!(a.success_witnesses, vec!["S#0"]);
+        let (fail, succ) = m.witnesses(&ranked[0].event, ranked[0].polarity);
+        assert_eq!(fail, vec!["F#0", "F#1"]);
+        assert_eq!(succ, vec!["S#0"]);
     }
 
     #[test]
@@ -679,8 +624,29 @@ pub(crate) mod tests {
             .iter()
             .find(|r| r.event == "guard" && r.polarity == Polarity::Absent)
             .unwrap();
-        assert_eq!(absent.failure_witnesses, vec!["f0"]);
-        assert!(absent.success_witnesses.is_empty());
+        let (fail, succ) = m.witnesses(&absent.event, absent.polarity);
+        assert_eq!(fail, vec!["f0"]);
+        assert!(succ.is_empty());
+    }
+
+    #[test]
+    fn unseen_event_is_absent_from_every_run() {
+        // No profile contains "ghost": its presence predictor matches no
+        // run, and its absence predictor matches every run of both classes.
+        let mut m = RankingModel::new();
+        m.add_profile_named(true, "f0", set(&["noise"]));
+        m.add_profile_named(false, "s0", set(&[]));
+        m.add_profile_named(true, "f1", set(&["root"]));
+        let ghost = "ghost".to_string();
+        let none: (Vec<String>, Vec<String>) = (vec![], vec![]);
+        assert_eq!(m.witnesses(&ghost, Polarity::Present), none);
+        assert_eq!(
+            m.witnesses(&ghost, Polarity::Absent),
+            (
+                vec!["f0".to_string(), "f1".to_string()],
+                vec!["s0".to_string()]
+            )
+        );
     }
 
     #[test]

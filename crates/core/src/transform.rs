@@ -57,8 +57,6 @@ pub struct InstrumentOptions {
     pub toggle_libraries: bool,
     /// Success-site scheme.
     pub success_sites: SuccessSites,
-    /// `LBR_SELECT` mask programmed at startup.
-    pub lbr_select: u32,
     /// LCR event selection programmed at startup.
     pub lcr_config: LcrConfig,
 }
@@ -71,7 +69,6 @@ impl InstrumentOptions {
             lcr: false,
             toggle_libraries: true,
             success_sites: SuccessSites::None,
-            lbr_select: lbr_select::DIAGNOSIS,
             lcr_config: LcrConfig::default(),
         }
     }
@@ -111,7 +108,6 @@ impl InstrumentOptions {
             lcr: true,
             toggle_libraries: true,
             success_sites: SuccessSites::None,
-            lbr_select: lbr_select::DIAGNOSIS,
             lcr_config,
         }
     }
@@ -456,7 +452,7 @@ fn insert_entry_enable(p: &mut Program, opts: &InstrumentOptions) {
         .unwrap_or(SourceLoc::UNKNOWN);
     let mut seq = Vec::new();
     if opts.lbr {
-        seq.push(hwctl(HwCtlOp::ConfigLbr(opts.lbr_select), loc));
+        seq.push(hwctl(HwCtlOp::ConfigLbr(lbr_select::DIAGNOSIS), loc));
         seq.push(hwctl(HwCtlOp::CleanLbr, loc));
         seq.push(hwctl(HwCtlOp::EnableLbr, loc));
     }

@@ -1,5 +1,6 @@
-//! Allocation counts of the collection hot path, pinned exactly, and the
-//! heap a snapshot ingest retains per snapshot, pinned from above.
+//! Allocation counts of the collection hot path and of a batch ranking,
+//! pinned exactly, and the heap a snapshot ingest retains per snapshot,
+//! pinned from above.
 //!
 //! A counting `#[global_allocator]` tallies allocation calls and net heap
 //! bytes per thread, so tests running concurrently in this binary never
@@ -82,9 +83,13 @@ fn retained<T>(f: impl FnOnce() -> T) -> (T, i64) {
     (out, LIVE_BYTES.with(Cell::get) - before)
 }
 
-fn sort() -> Deployment {
-    let b = stm_suite::by_id("sort").expect("sort benchmark");
+fn deploy(id: &str) -> Deployment {
+    let b = stm_suite::by_id(id).expect("benchmark exists");
     Deployment::new(b, default_threads())
+}
+
+fn sort() -> Deployment {
+    deploy("sort")
 }
 
 #[test]
@@ -126,6 +131,26 @@ fn sequential_witness_session_allocation_count() {
     // Mostly per kept run: the report's buffers, the witness name and
     // the replayed workload. The machine is shared, not copied.
     assert_eq!(n, 193, "allocation calls of one warm 10 + 10 session");
+}
+
+#[test]
+fn warm_batch_ranking_allocation_counts() {
+    // A ranking reads match counts only; the ids of a predictor's runs are
+    // read from the model when a report asks, so no witness list is cloned
+    // here.
+    let d = sort();
+    let profiles = d.session(1).collect().expect("collection succeeds");
+    assert_eq!(profiles.stats().failure_runs_used, 10);
+    assert_eq!(profiles.stats().success_runs_used, 10);
+    let _ = profiles.lbra();
+    let (_, n) = allocations(|| profiles.lbra());
+    assert_eq!(n, 127, "allocation calls of a warm lbra() on sort");
+
+    let d = deploy("apache4");
+    let profiles = d.session(1).collect().expect("collection succeeds");
+    let _ = profiles.lcra();
+    let (_, n) = allocations(|| profiles.lcra());
+    assert_eq!(n, 105, "allocation calls of a warm lcra() on apache4");
 }
 
 #[test]

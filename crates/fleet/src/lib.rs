@@ -708,7 +708,7 @@ mod tests {
     #[test]
     fn daemon_matches_batch_ranking() {
         let (profiles, _site) = collected();
-        let expected = profiles.lbr_model().rank();
+        let expected = profiles.lbra().model.rank();
 
         let mut fleet = FleetDaemon::new();
         fleet.add_shard(
@@ -854,12 +854,7 @@ mod tests {
             "s",
             profiles.runner().machine().layout().clone(),
             profiles.spec().clone(),
-            ShardConfig::default().policy(
-                StabilityPolicy::default()
-                    .stable_for(2)
-                    .min_failures(2)
-                    .min_successes(2),
-            ),
+            ShardConfig::default().policy(StabilityPolicy::default()),
         );
         fleet.start();
         // Interleave so the policy can see both classes early.

@@ -43,7 +43,7 @@ use stm_core::engine::CollectedProfiles;
 use stm_core::profile::{
     decode_lbr, decode_lcr, BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry,
 };
-use stm_core::ranking::{Polarity, RankedEvent, ScoredPredictor};
+use stm_core::ranking::{Polarity, RankedEvent};
 use stm_machine::ir::Program;
 use stm_machine::report::ProfileData;
 use stm_telemetry::json::Json;
@@ -160,75 +160,6 @@ pub struct CausalChain {
     pub symptom: Option<String>,
     /// The links, root cause first.
     pub links: Vec<ChainLink>,
-}
-
-/// Per-event support statistics, source-agnostic: read from either the
-/// batch [`RankedEvent`]s or the live [`ScoredPredictor`]s.
-#[derive(Debug, Clone, Copy)]
-struct Support {
-    precision: f64,
-    recall: f64,
-    score: f64,
-    failure_matches: usize,
-    success_matches: usize,
-}
-
-impl Support {
-    const NONE: Support = Support {
-        precision: 0.0,
-        recall: 0.0,
-        score: 0.0,
-        failure_matches: 0,
-        success_matches: 0,
-    };
-}
-
-/// A predictor in ranking order — what the reconstructor reads from either
-/// ranking representation, borrowed in place.
-trait Predictor<E> {
-    fn event(&self) -> &E;
-    fn polarity(&self) -> Polarity;
-    fn support(&self) -> Support;
-}
-
-impl<E> Predictor<E> for RankedEvent<E> {
-    fn event(&self) -> &E {
-        &self.event
-    }
-
-    fn polarity(&self) -> Polarity {
-        self.polarity
-    }
-
-    fn support(&self) -> Support {
-        Support {
-            precision: self.precision,
-            recall: self.recall,
-            score: self.score,
-            failure_matches: self.failure_matches,
-            success_matches: self.success_matches,
-        }
-    }
-}
-
-impl<E> Predictor<E> for ScoredPredictor<E> {
-    fn event(&self) -> &E {
-        &self.event
-    }
-
-    fn polarity(&self) -> Polarity {
-        self.polarity
-    }
-
-    fn support(&self) -> Support {
-        Support {
-            precision: self.precision,
-            recall: self.recall,
-            score: self.score,
-            failure_matches: self.failure_matches,
-            success_matches: self.success_matches,
-        }
-    }
 }
 
 /// One decoded ring record the walk reads: its 1-based position and
@@ -553,21 +484,30 @@ struct Candidate<'a, D> {
 }
 
 /// A link before the cap: everything the ordering needs, with the label and
-/// mechanism strings left unrendered until the link survives.
-struct Draft<'a, E, D> {
+/// mechanism strings left unrendered until the link survives. `support` is
+/// the event's presence predictor; an event the ranking never scored has
+/// none, and zero support.
+struct Draft<'a, 'r, E, D> {
     event: E,
     display: String,
     source: &'a D,
     mean_position: f64,
     marks: Vec<WitnessMark>,
-    support: Support,
+    support: Option<&'r RankedEvent<E>>,
 }
 
-/// The shared reconstruction walk over decoded traces. `stats` must be in
+impl<E, D> Draft<'_, '_, E, D> {
+    /// The link's support score, 0 when its event was never scored.
+    fn score(&self) -> f64 {
+        self.support.map_or(0.0, |r| r.score)
+    }
+}
+
+/// The shared reconstruction walk over decoded traces. `ranked` must be in
 /// ranking order (best predictor first).
-fn reconstruct<E, P, D>(
+fn reconstruct<E, D>(
     kind: ChainKind,
-    stats: &[P],
+    ranked: &[RankedEvent<E>],
     traces: &[(String, Vec<D>)],
     failures: usize,
     successes: usize,
@@ -575,27 +515,26 @@ fn reconstruct<E, P, D>(
 ) -> Option<CausalChain>
 where
     E: Ord + Clone + Display,
-    P: Predictor<E>,
     D: TraceRecord<Event = E>,
 {
-    let top = stats.first()?;
-    let top_display = match top.polarity() {
-        Polarity::Present => format!("{}", top.event()),
-        Polarity::Absent => format!("!{}", top.event()),
+    let top = ranked.first()?;
+    let top_display = match top.polarity {
+        Polarity::Present => format!("{}", top.event),
+        Polarity::Absent => format!("!{}", top.event),
     };
     // The anchor must be a presence predictor that actually occurs in a
     // retained failing trace — an absence predictor never does, and a
     // presence predictor can be missing from the (capped) retained set.
-    let anchor = stats
+    let anchor = ranked
         .iter()
-        .filter(|s| s.polarity() == Polarity::Present)
+        .filter(|s| s.polarity == Polarity::Present)
         .find(|s| {
             traces.iter().any(|(_, t)| {
                 t.iter()
-                    .any(|r| r.occurrence().is_some_and(|(_, e)| e == *s.event()))
+                    .any(|r| r.occurrence().is_some_and(|(_, e)| e == s.event))
             })
         })?;
-    let anchor_event = anchor.event();
+    let anchor_event = &anchor.event;
 
     // Per-witness window: from the anchor's deepest occurrence down to
     // the failure at position 1. Witnesses without the anchor contribute
@@ -639,14 +578,13 @@ where
         return None;
     }
 
-    let support_of = |event: &E| -> Support {
-        stats
+    let support_of = |event: &E| {
+        ranked
             .iter()
-            .find(|s| s.polarity() == Polarity::Present && s.event() == event)
-            .map_or(Support::NONE, Predictor::support)
+            .find(|s| s.polarity == Polarity::Present && s.event == *event)
     };
 
-    let mut links: Vec<Draft<'_, E, D>> = candidates
+    let mut links: Vec<Draft<'_, '_, E, D>> = candidates
         .into_iter()
         .map(|(event, c)| Draft {
             display: format!("{event}"),
@@ -663,7 +601,7 @@ where
     links.sort_by(|a, b| {
         b.mean_position
             .total_cmp(&a.mean_position)
-            .then_with(|| b.support.score.total_cmp(&a.support.score))
+            .then_with(|| b.score().total_cmp(&a.score()))
             .then_with(|| a.display.cmp(&b.display))
     });
 
@@ -684,16 +622,15 @@ where
         let mut order: Vec<usize> = (0..links.len()).collect();
         order.sort_by(|&a, &b| {
             links[b]
-                .support
-                .score
-                .total_cmp(&links[a].support.score)
+                .score()
+                .total_cmp(&links[a].score())
                 .then_with(|| links[a].display.cmp(&links[b].display))
         });
         let mut keep: Vec<bool> = vec![false; links.len()];
         for &i in order.iter().take(MAX_LINKS - 2) {
             keep[i] = true;
         }
-        let mut kept: Vec<Draft<'_, E, D>> = links
+        let mut kept: Vec<Draft<'_, '_, E, D>> = links
             .into_iter()
             .zip(keep)
             .filter_map(|(l, k)| k.then_some(l))
@@ -720,11 +657,11 @@ where
             mechanism: d.source.mechanism(),
             mean_position: d.mean_position,
             witnesses: d.marks,
-            precision: d.support.precision,
-            recall: d.support.recall,
-            support: d.support.score,
-            failure_matches: d.support.failure_matches,
-            success_matches: d.support.success_matches,
+            precision: d.support.map_or(0.0, |r| r.precision),
+            recall: d.support.map_or(0.0, |r| r.recall),
+            support: d.support.map_or(0.0, |r| r.score),
+            failure_matches: d.support.map_or(0, |r| r.failure_matches),
+            success_matches: d.support.map_or(0, |r| r.success_matches),
         })
         .collect();
 
@@ -770,8 +707,6 @@ mod tests {
             score,
             failure_matches: f,
             success_matches: s,
-            failure_witnesses: vec![],
-            success_witnesses: vec![],
         }
     }
 
@@ -921,8 +856,6 @@ mod tests {
             score: 1.0,
             failure_matches: 1,
             success_matches: 0,
-            failure_witnesses: vec![],
-            success_witnesses: vec![],
         }];
         let traces = vec![(
             "fail:w0:seed1".to_string(),

@@ -8,7 +8,7 @@
 //! as strict JSON and as markdown with a "why ranked here" section.
 
 use stm_core::diagnose::{DiagnosisStats, LbraDiagnosis, LcraDiagnosis};
-use stm_core::ranking::{Polarity, RankedEvent};
+use stm_core::ranking::{Polarity, RankedEvent, RankingModel};
 use stm_machine::ir::Program;
 use stm_telemetry::json::Json;
 
@@ -41,7 +41,15 @@ pub struct EvidenceRow {
 }
 
 impl EvidenceRow {
-    fn from_ranked<E>(rank: usize, label: String, r: &RankedEvent<E>) -> EvidenceRow {
+    /// The row of `r`, with the runs that match it read from the `model`
+    /// that scored it.
+    fn from_ranked<E: Ord + Clone>(
+        rank: usize,
+        label: String,
+        r: &RankedEvent<E>,
+        model: &RankingModel<E>,
+    ) -> EvidenceRow {
+        let (failure_witnesses, success_witnesses) = model.witnesses(&r.event, r.polarity);
         EvidenceRow {
             rank,
             label,
@@ -54,8 +62,8 @@ impl EvidenceRow {
             score: r.score,
             failure_matches: r.failure_matches,
             success_matches: r.success_matches,
-            failure_witnesses: r.failure_witnesses.clone(),
-            success_witnesses: r.success_witnesses.clone(),
+            failure_witnesses,
+            success_witnesses,
         }
     }
 
@@ -137,10 +145,11 @@ pub struct RankingReport {
 }
 
 impl RankingReport {
-    fn build<E>(
+    fn build<E: Ord + Clone>(
         system: &str,
         benchmark: &str,
         ranked: &[RankedEvent<E>],
+        model: &RankingModel<E>,
         stats: DiagnosisStats,
         top_k: usize,
         label: impl Fn(&E) -> String,
@@ -160,7 +169,7 @@ impl RankingReport {
                 .iter()
                 .take(top_k)
                 .enumerate()
-                .map(|(i, r)| EvidenceRow::from_ranked(i + 1, label(&r.event), r))
+                .map(|(i, r)| EvidenceRow::from_ranked(i + 1, label(&r.event), r, model))
                 .collect(),
         }
     }
@@ -172,9 +181,15 @@ impl RankingReport {
         d: &LbraDiagnosis,
         top_k: usize,
     ) -> RankingReport {
-        RankingReport::build("LBRA", benchmark, &d.ranked, d.stats, top_k, |e| {
-            branch_label(Some(program), e)
-        })
+        RankingReport::build(
+            "LBRA",
+            benchmark,
+            &d.ranked,
+            &d.model,
+            d.stats,
+            top_k,
+            |e| branch_label(Some(program), e),
+        )
     }
 
     /// Builds the report from an LCRA diagnosis.
@@ -184,9 +199,15 @@ impl RankingReport {
         d: &LcraDiagnosis,
         top_k: usize,
     ) -> RankingReport {
-        RankingReport::build("LCRA", benchmark, &d.ranked, d.stats, top_k, |e| {
-            coherence_label(Some(program), e)
-        })
+        RankingReport::build(
+            "LCRA",
+            benchmark,
+            &d.ranked,
+            &d.model,
+            d.stats,
+            top_k,
+            |e| coherence_label(Some(program), e),
+        )
     }
 
     /// Serializes the report as a strict-JSON value.

@@ -40,8 +40,6 @@ fn ranked_bo(
         score,
         failure_matches: f,
         success_matches: s,
-        failure_witnesses: vec![],
-        success_witnesses: vec![],
     }
 }
 
@@ -207,8 +205,6 @@ fn golden_lcr_chain() {
         score,
         failure_matches: f,
         success_matches: s,
-        failure_witnesses: vec![],
-        success_witnesses: vec![],
     };
     let ranked = vec![
         mk(40, CoherenceState::Invalid, 1.0, 2, 0),

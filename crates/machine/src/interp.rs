@@ -39,6 +39,10 @@ use crate::report::{
 use crate::rng::SplitMix64;
 use crate::sched::{SchedPolicy, Scheduler};
 
+/// Call depth at which a call fails with
+/// [`FailureKind::StackOverflow`].
+pub const MAX_CALL_DEPTH: usize = 128;
+
 /// Configuration of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunConfig {
@@ -52,8 +56,6 @@ pub struct RunConfig {
     pub sample_mean: u32,
     /// Seed of the sampling countdown PRNG.
     pub sample_seed: u64,
-    /// Maximum call depth before a stack-overflow failure.
-    pub max_call_depth: usize,
     /// Guest-profiler sampling period: every `profile_period` retired
     /// instructions the interpreter captures the scheduled thread's call
     /// stack into [`RunReport::stack_samples`] and tracks contended lock
@@ -71,7 +73,6 @@ impl Default for RunConfig {
             num_cores: 4,
             sample_mean: 100,
             sample_seed: 0,
-            max_call_depth: 128,
             profile_period: 0,
         }
     }
@@ -744,7 +745,7 @@ impl<'m, 'h, 's, H: Hardware> Exec<'m, 'h, 's, H> {
         args: &[Val],
         kind: BranchKind,
     ) -> Flow {
-        if self.scratch.threads[tid.index()].frames.len() >= self.cfg.max_call_depth {
+        if self.scratch.threads[tid.index()].frames.len() >= MAX_CALL_DEPTH {
             return Flow::Fault(FailureKind::StackOverflow);
         }
         self.emit_branch(tid, pc, entry, kind, Ring::User);

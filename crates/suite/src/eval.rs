@@ -5,7 +5,9 @@
 
 use crate::benchmark::{Benchmark, BugClass};
 use stm_core::diagnose::{Diagnosis, LbraDiagnosis, LcraDiagnosis};
-use stm_core::engine::{CollectedProfiles, DiagnosisSession, ProfileKind, SessionError};
+use stm_core::engine::{
+    CollectedProfiles, DiagnosisSession, ProfileKind, SessionError, MAX_THREADS,
+};
 use stm_core::logging::{failure_log_for, FailureLog};
 use stm_core::runner::{FailureSpec, RunClass, Runner, Workload};
 use stm_core::transform::InstrumentOptions;
@@ -16,19 +18,26 @@ use stm_machine::ir::SourceLoc;
 /// How many seeds to scan when expanding concurrency workloads.
 const SEED_SCAN: u64 = 400;
 
-/// Worker threads for profile collection: `STM_THREADS` when set,
-/// otherwise the machine's available parallelism capped at 8. Thread
-/// count never changes results (the engine consumes runs in job order),
-/// only wall-clock time.
+/// Worker threads for profile collection: `STM_THREADS` when set to a
+/// number, clamped into `1..=`[`MAX_THREADS`], otherwise the machine's
+/// available parallelism capped at 8. Thread count never changes results
+/// (the engine consumes runs in job order), only wall-clock time.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("STM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1)
+    std::env::var("STM_THREADS")
+        .ok()
+        .and_then(|v| threads_from_env(&v))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get().min(8))
+                .unwrap_or(1)
+        })
+}
+
+/// An `STM_THREADS` value as a worker count clamped into
+/// `1..=MAX_THREADS`; `None` when it is not a number.
+fn threads_from_env(value: &str) -> Option<usize> {
+    let n = value.trim().parse::<usize>().ok()?;
+    Some(n.clamp(1, MAX_THREADS))
 }
 
 /// Builds the reactive-scheme instrumentation options implied by a
@@ -395,5 +404,18 @@ pub fn evaluate_concurrency(b: &Benchmark) -> ConcRow {
         lcrlog_conf1: lcrlog_position(b, true),
         lcrlog_conf2: lcrlog_position(b, false),
         lcra: lcra_rank(b),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stm_threads_is_clamped_into_the_engine_range() {
+        assert_eq!(threads_from_env("0"), Some(1));
+        assert_eq!(threads_from_env(" 4\n"), Some(4));
+        assert_eq!(threads_from_env("100000"), Some(MAX_THREADS));
+        assert_eq!(threads_from_env("abc"), None);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! 1. A shard's final ranking is **bit-identical** to the batch
 //!    [`RankingModel`] built by `DiagnosisSession` over the same
-//!    snapshots — `FinalRanking::Lbr` to `lbr_model().rank()`,
-//!    `FinalRanking::Lcr` to `lcr_model().rank_with_absence()`.
+//!    snapshots — `FinalRanking::Lbr` to `lbra().model.rank()`,
+//!    `FinalRanking::Lcr` to `lcra().model.rank_with_absence()`.
 //! 2. Two daemon runs over the same seeded endpoint schedule produce
 //!    identical evidence and rankings.
 //! 3. Backpressure accounting is exact: a paused shard fed
@@ -111,7 +111,7 @@ fn shard_rankings_are_bit_identical_to_the_batch_models() {
         .expect("sort produced a report");
     match &lbr.final_ranking {
         FinalRanking::Lbr(ranked) => {
-            assert_eq!(ranked, &sort_profiles.lbr_model().rank());
+            assert_eq!(ranked, &sort_profiles.lbra().model.rank());
         }
         other => panic!("sort shard ranked the wrong profile kind: {other:?}"),
     }
@@ -121,7 +121,7 @@ fn shard_rankings_are_bit_identical_to_the_batch_models() {
         .expect("apache4 produced a report");
     match &lcr.final_ranking {
         FinalRanking::Lcr(ranked) => {
-            assert_eq!(ranked, &apache_profiles.lcr_model().rank_with_absence());
+            assert_eq!(ranked, &apache_profiles.lcra().model.rank_with_absence());
         }
         other => panic!("apache4 shard ranked the wrong profile kind: {other:?}"),
     }
