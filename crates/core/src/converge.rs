@@ -8,30 +8,31 @@
 //! every consumed job, so an operator can watch the diagnosis converge
 //! instead of waiting for the quota.
 //!
-//! Two layers sit on top of the model:
+//! [`SnapshotIngest`] is the one live diagnosis state: owned,
+//! publication-free, it decodes ring snapshots exactly as the batch
+//! extractors do, adds each to its model and re-ranks — the seam the
+//! fleet daemon feeds externally-produced snapshots through, one per
+//! shard. It keeps the convergence bookkeeping once, whatever the ring:
+//! class counts, top-k rank churn (Kendall-style discordant-pair count),
+//! the top-1 stability streak, the poll history and the stop latch. Only
+//! the ranking is per ring: the model, its latest scores and the retained
+//! failing traces. Its final ranking is the one its last snapshot
+//! produced, the model's own `rank()` / `rank_with_absence()`, so it
+//! equals the batch ranking over the same profiles by construction
+//! (pinned in `tests/engine_determinism.rs`).
 //!
-//! * [`ConvergenceTracker`] — owns the model, re-ranks it after every
-//!   witness and polls top-k rank churn (Kendall-style discordant-pair
-//!   count) and the top-1 stability streak. Its final ranking is the one
-//!   its last witness produced: the model's own `rank()` /
-//!   `rank_with_absence()`, so it equals the batch ranking over the same
-//!   profiles by construction (pinned in `tests/engine_determinism.rs`);
-//! * [`StabilityPolicy`] — whether the engine may stop collecting early
-//!   once the ranking is stable: top-1 unchanged for [`STABLE_FOR`]
-//!   consecutive witnesses, with at least [`MIN_FAILURES`] and
-//!   [`MIN_SUCCESSES`] profiles so a failure-only prefix can never declare
-//!   victory.
+//! [`StabilityPolicy`] says whether the ingest may stop collecting early
+//! once the ranking is stable: top-1 unchanged for [`STABLE_FOR`]
+//! consecutive snapshots, with at least [`MIN_FAILURES`] and
+//! [`MIN_SUCCESSES`] profiles so a failure-only prefix can never declare
+//! victory.
 //!
-//! The snapshot-level ingest entry point ([`SnapshotIngest`]) lives here
-//! too: owned, publication-free per-diagnosis state that decodes ring
-//! snapshots exactly as the batch extractors do — the seam the fleet
-//! daemon feeds externally-produced snapshots through, one per shard.
-//! The engine-facing [`ConvergenceMonitor`] wraps it and owns the single
-//! call sites for the `engine.rank_churn` / `engine.top1_stable_for` /
-//! `engine.witnesses_ingested` gauges, the per-predictor score
-//! trajectories, and the `/diagnosis` status document (live and
-//! terminal). A fleet shard's ingest records no trajectories: nothing in
-//! the fleet reads them.
+//! The engine-facing [`ConvergenceMonitor`] wraps an ingest and owns the
+//! single call sites for the `engine.rank_churn` /
+//! `engine.top1_stable_for` / `engine.witnesses_ingested` gauges, the
+//! per-predictor score trajectories, and the `/diagnosis` status document
+//! (live and terminal). A fleet shard's ingest records no trajectories:
+//! nothing in the fleet reads them.
 
 use crate::diagnose::{failure_profile, success_profile};
 use crate::profile::{
@@ -151,201 +152,42 @@ fn label<E: Display>(p: &RankedEvent<E>) -> String {
     }
 }
 
-/// Live convergence state over a [`RankingModel`]: churn and streak,
-/// polled once per ingested witness.
-#[derive(Debug, Clone)]
-pub struct ConvergenceTracker<E: Ord + Clone + Display> {
-    model: RankingModel<E>,
-    absence: bool,
-    policy: StabilityPolicy,
-    prev_top: Vec<(E, Polarity)>,
-    churn: u64,
-    top1_streak: usize,
-    history: Vec<PollPoint>,
-    scored: Vec<RankedEvent<E>>,
+/// The leading [`TOP_K`] rows of a ranking.
+fn top<E>(scores: &[RankedEvent<E>]) -> &[RankedEvent<E>] {
+    &scores[..scores.len().min(TOP_K)]
 }
 
-impl<E: Ord + Clone + Display> ConvergenceTracker<E> {
-    /// A tracker over an empty presence-only ranking (the LBRA shape).
-    pub fn new(policy: StabilityPolicy) -> Self {
-        ConvergenceTracker {
-            model: RankingModel::new(),
-            absence: false,
-            policy,
-            prev_top: Vec::new(),
-            churn: 0,
-            top1_streak: 0,
-            history: Vec::new(),
-            scored: Vec::new(),
-        }
+/// Appends the top-k scores of a ranking to `trajectories`, as sampled
+/// after `witnesses` ingests.
+fn sample<E: Display>(
+    scores: &[RankedEvent<E>],
+    witnesses: usize,
+    trajectories: &mut Trajectories,
+) {
+    for p in top(scores) {
+        trajectories
+            .entry(label(p))
+            .or_default()
+            .push((witnesses, p.score));
     }
+}
 
-    /// A tracker over an empty ranking that also scores absence
-    /// predictors (the LCRA shape, §4.2.2).
-    pub fn with_absence(policy: StabilityPolicy) -> Self {
-        ConvergenceTracker {
-            absence: true,
-            ..ConvergenceTracker::new(policy)
-        }
-    }
-
-    /// The policy the tracker evaluates.
-    pub fn policy(&self) -> &StabilityPolicy {
-        &self.policy
-    }
-
-    /// Witnesses ingested so far (both classes).
-    pub fn witnesses(&self) -> usize {
-        self.model.failure_count() + self.model.success_count()
-    }
-
-    /// Failure profiles ingested so far.
-    pub fn failures(&self) -> usize {
-        self.model.failure_count()
-    }
-
-    /// Success profiles ingested so far.
-    pub fn successes(&self) -> usize {
-        self.model.success_count()
-    }
-
-    /// Top-k churn measured at the latest poll.
-    pub fn churn(&self) -> u64 {
-        self.churn
-    }
-
-    /// Consecutive witnesses the current top-1 predictor has survived.
-    pub fn top1_streak(&self) -> usize {
-        self.top1_streak
-    }
-
-    /// The latest top-k ranking.
-    pub fn top(&self) -> &[RankedEvent<E>] {
-        &self.scored[..self.scored.len().min(TOP_K)]
-    }
-
-    /// The full live ranking over every observed event, as scored at the
-    /// latest poll — the causal-chain reconstructor's support source (link
-    /// candidates deep in a ring window rarely make the top-k).
-    pub fn scores(&self) -> &[RankedEvent<E>] {
-        &self.scored
-    }
-
-    /// Display form of the latest top-1 predictor (`!` prefix = absence).
-    fn top1(&self) -> Option<String> {
-        self.top().first().map(label)
-    }
-
-    /// Per-witness poll history.
-    pub fn history(&self) -> &[PollPoint] {
-        &self.history
-    }
-
-    /// Ingests one witness profile and re-polls the convergence state.
-    pub fn observe(&mut self, is_failure: bool, id: impl Into<String>, events: BTreeSet<E>) {
-        self.model.add_profile_named(is_failure, id, events);
-        self.scored = self.model.scores(self.absence);
-        let keys: Vec<(E, Polarity)> = self
-            .top()
-            .iter()
-            .map(|p| (p.event.clone(), p.polarity))
-            .collect();
-        self.churn = rank_churn(&self.prev_top, &keys);
-        let top1 = keys.first();
-        self.top1_streak = match (self.prev_top.first(), top1) {
-            (Some(prev), Some(cur)) if prev == cur => self.top1_streak + 1,
-            (_, Some(_)) => 1,
-            (_, None) => 0,
-        };
-        self.history.push(PollPoint {
-            witness: self.witnesses(),
-            churn: self.churn,
-            top1_streak: self.top1_streak,
-        });
-        self.prev_top = keys;
-    }
-
-    /// Whether the policy's stability conditions hold right now
-    /// (regardless of whether the policy is allowed to stop).
-    pub fn is_stable(&self) -> bool {
-        self.top1_streak >= STABLE_FOR
-            && self.failures() >= MIN_FAILURES
-            && self.successes() >= MIN_SUCCESSES
-    }
-
-    /// Whether the engine should stop collecting: the stability
-    /// conditions hold *and* the policy is armed.
-    pub fn should_stop(&self) -> bool {
-        self.policy.stop && self.is_stable()
-    }
-
-    /// Finalises the tracker: the ranking its last witness produced —
-    /// bit-identical to the model's `rank()`, or `rank_with_absence()` for
-    /// the LCRA shape — plus the accumulated convergence evidence.
-    #[must_use = "finishing consumes the tracker; use the returned parts"]
-    pub fn finish(self) -> (Vec<RankedEvent<E>>, ConvergenceEvidence) {
-        let evidence = ConvergenceEvidence {
-            witnesses: self.witnesses(),
-            failures: self.failures(),
-            successes: self.successes(),
-            churn: self.churn,
-            top1_streak: self.top1_streak,
-            stable: self.is_stable(),
-            top1: self.top1(),
-            history: self.history,
-        };
-        (self.scored, evidence)
-    }
-
-    /// Appends the latest top-k scores to `trajectories`.
-    fn sample(&self, trajectories: &mut Trajectories) {
-        for p in self.top() {
-            trajectories
-                .entry(label(p))
-                .or_default()
-                .push((self.witnesses(), p.score));
-        }
-    }
-
-    /// The tracker's state under `verdict`, with `trajectories`, as the
-    /// `/diagnosis` JSON document.
-    fn to_json(&self, verdict: &str, trajectories: &Trajectories) -> Json {
-        let top = self
-            .top()
-            .iter()
-            .map(|p| {
-                Json::obj([
-                    ("predictor", Json::from(label(p))),
-                    ("precision", Json::from(p.precision)),
-                    ("recall", Json::from(p.recall)),
-                    ("score", Json::from(p.score)),
-                    ("failure_matches", Json::from(p.failure_matches)),
-                    ("success_matches", Json::from(p.success_matches)),
-                ])
-            })
-            .collect();
-        let trajectories = trajectories
-            .iter()
-            .map(|(label, points)| {
-                let pts = points
-                    .iter()
-                    .map(|(w, s)| Json::Arr(vec![Json::from(*w), Json::from(*s)]))
-                    .collect();
-                (label.clone(), Json::Arr(pts))
-            })
-            .collect();
-        Json::obj([
-            ("verdict", Json::from(verdict)),
-            ("witnesses_ingested", Json::from(self.witnesses())),
-            ("failures", Json::from(self.failures())),
-            ("successes", Json::from(self.successes())),
-            ("rank_churn", Json::from(self.churn)),
-            ("top1_stable_for", Json::from(self.top1_streak)),
-            ("policy", self.policy.to_json()),
-            ("top", Json::Arr(top)),
-            ("trajectories", Json::Obj(trajectories)),
-        ])
-    }
+/// The top-k rows of a ranking, as the `/diagnosis` document's `top`.
+fn top_rows<E: Display>(scores: &[RankedEvent<E>]) -> Json {
+    let rows = top(scores)
+        .iter()
+        .map(|p| {
+            Json::obj([
+                ("predictor", Json::from(label(p))),
+                ("precision", Json::from(p.precision)),
+                ("recall", Json::from(p.recall)),
+                ("score", Json::from(p.score)),
+                ("failure_matches", Json::from(p.failure_matches)),
+                ("success_matches", Json::from(p.success_matches)),
+            ])
+        })
+        .collect();
+    Json::Arr(rows)
 }
 
 /// How a monitored session ended, convergence-wise.
@@ -378,7 +220,7 @@ impl Display for Verdict {
     }
 }
 
-/// The type-erased convergence evidence a tracker accumulated.
+/// The type-erased convergence evidence an ingest accumulated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceEvidence {
     /// Witnesses ingested (both classes).
@@ -445,18 +287,18 @@ pub struct ConvergenceReport {
 /// engine executes itself.
 ///
 /// One ingest owns everything a diagnosis needs — the program [`Layout`]
-/// (for snapshot decoding), the [`FailureSpec`] (for profile selection)
-/// and the ring-appropriate [`ConvergenceTracker`] — and publishes
-/// nothing: no gauges, no status documents, no structured events. The
-/// engine-facing [`ConvergenceMonitor`] wraps it and adds the global
-/// observability surface; a fleet shard uses it directly and publishes
-/// per-shard series instead.
+/// (for snapshot decoding), the [`FailureSpec`] (for profile selection),
+/// the convergence bookkeeping and the ring's live ranking — and
+/// publishes nothing: no gauges, no status documents, no structured
+/// events. The engine-facing [`ConvergenceMonitor`] wraps it and adds the
+/// global observability surface; a fleet shard uses it directly and
+/// publishes per-shard series instead.
 ///
 /// **Determinism contract** (pinned in `tests/fleet_determinism.rs`):
 /// observing the same `(is_failure, witness, report)` sequence always
 /// produces the same stop decision at the same snapshot, and
 /// [`SnapshotIngest::finish`] returns a final ranking bit-identical to
-/// the batch [`RankingModel`] over the ingested snapshots — the tracker
+/// the batch [`RankingModel`] over the ingested snapshots — the ingest
 /// ranks its own model. Snapshots whose profile is missing or of the
 /// wrong ring are skipped exactly as the batch extractors skip them.
 #[derive(Debug)]
@@ -464,7 +306,15 @@ pub struct SnapshotIngest {
     layout: Layout,
     spec: FailureSpec,
     policy: StabilityPolicy,
-    inner: Option<MonitorInner>,
+    /// The live ranking, typed by the ring kind the first profile-bearing
+    /// snapshot pinned.
+    ring: Option<LiveRing>,
+    failures: usize,
+    successes: usize,
+    churn: u64,
+    top1_streak: usize,
+    history: Vec<PollPoint>,
+    /// Latched once the policy fires.
     fired: bool,
 }
 
@@ -477,10 +327,64 @@ pub const CHAIN_TRACE_CAP: usize = 8;
 /// Retained failing-witness traces: witness id plus its decoded ring.
 type Traces<D> = Vec<(String, Vec<D>)>;
 
+/// One ring's live ranking: the model over events `E`, its latest scores,
+/// the keys of the previous top-k and the retained failing traces,
+/// decoded to `D`.
 #[derive(Debug)]
-enum MonitorInner {
-    Lbr(ConvergenceTracker<BranchOutcome>, Traces<DecodedLbrEntry>),
-    Lcr(ConvergenceTracker<CoherenceEvent>, Traces<DecodedLcrEntry>),
+struct Live<E, D> {
+    model: RankingModel<E>,
+    absence: bool,
+    scores: Vec<RankedEvent<E>>,
+    prev_top: Vec<(E, Polarity)>,
+    traces: Traces<D>,
+}
+
+impl<E: Ord + Clone, D> Live<E, D> {
+    /// An empty ranking; `absence` also scores absence predictors (the
+    /// LCRA shape, §4.2.2).
+    fn new(absence: bool) -> Self {
+        Live {
+            model: RankingModel::new(),
+            absence,
+            scores: Vec::new(),
+            prev_top: Vec::new(),
+            traces: Vec::new(),
+        }
+    }
+
+    /// Adds one profile, re-scores the model, and keeps `decoded` when it
+    /// is one of the first [`CHAIN_TRACE_CAP`] failures — the same decode
+    /// that fed the ranking, so no second pass. Returns the top-k churn
+    /// against the previous scores and whether the top-1 survived them
+    /// (`None` while nothing is ranked).
+    fn add(
+        &mut self,
+        is_failure: bool,
+        witness: &str,
+        events: BTreeSet<E>,
+        decoded: Vec<D>,
+    ) -> (u64, Option<bool>) {
+        self.model.add_profile_named(is_failure, witness, events);
+        self.scores = self.model.scores(self.absence);
+        let keys: Vec<(E, Polarity)> = top(&self.scores)
+            .iter()
+            .map(|p| (p.event.clone(), p.polarity))
+            .collect();
+        let churn = rank_churn(&self.prev_top, &keys);
+        let survived = keys.first().map(|k| self.prev_top.first() == Some(k));
+        self.prev_top = keys;
+        if is_failure && self.traces.len() < CHAIN_TRACE_CAP {
+            self.traces.push((witness.to_string(), decoded));
+        }
+        (churn, survived)
+    }
+}
+
+/// The part of an ingest typed by ring kind.
+#[derive(Debug)]
+enum LiveRing {
+    Lbr(Live<BranchOutcome, DecodedLbrEntry>),
+    Lcr(Live<CoherenceEvent, DecodedLcrEntry>),
 }
 
 /// The live state of an ingest that a causal-chain reconstructor walks,
@@ -506,14 +410,6 @@ pub enum LiveRanking<'a> {
     },
 }
 
-/// Keeps a decoded ring when it is one of the first [`CHAIN_TRACE_CAP`]
-/// failures — the same decode that fed the ranking, so no second pass.
-fn retain<D>(traces: &mut Traces<D>, is_failure: bool, witness: &str, decoded: Vec<D>) {
-    if is_failure && traces.len() < CHAIN_TRACE_CAP {
-        traces.push((witness.to_string(), decoded));
-    }
-}
-
 impl SnapshotIngest {
     /// An empty ingest. The ring kind is inferred from the first
     /// profile-bearing snapshot (so unpinned witness streams work).
@@ -522,7 +418,12 @@ impl SnapshotIngest {
             layout,
             spec,
             policy,
-            inner: None,
+            ring: None,
+            failures: 0,
+            successes: 0,
+            churn: 0,
+            top1_streak: 0,
+            history: Vec::new(),
             fired: false,
         }
     }
@@ -544,52 +445,65 @@ impl SnapshotIngest {
             return false;
         };
         // The first profile-bearing snapshot pins the ring kind.
-        let policy = self.policy;
-        let inner = self.inner.get_or_insert_with(|| match &profile.data {
-            ProfileData::Lbr(_) => MonitorInner::Lbr(ConvergenceTracker::new(policy), Vec::new()),
-            ProfileData::Lcr(_) => {
-                MonitorInner::Lcr(ConvergenceTracker::with_absence(policy), Vec::new())
-            }
+        let ring = self.ring.get_or_insert_with(|| match &profile.data {
+            ProfileData::Lbr(_) => LiveRing::Lbr(Live::new(false)),
+            ProfileData::Lcr(_) => LiveRing::Lcr(Live::new(true)),
         });
-        let ingested = match (&profile.data, inner) {
-            (ProfileData::Lbr(records), MonitorInner::Lbr(t, traces)) => {
+        let poll = match (&profile.data, ring) {
+            (ProfileData::Lbr(records), LiveRing::Lbr(live)) => {
                 let decoded = decode_lbr(&self.layout, records);
                 let events = decoded.iter().filter_map(DecodedLbrEntry::branch_outcome);
-                t.observe(is_failure, witness, events.collect());
-                retain(traces, is_failure, witness, decoded);
-                true
+                live.add(is_failure, witness, events.collect(), decoded)
             }
-            (ProfileData::Lcr(records), MonitorInner::Lcr(t, traces)) => {
+            (ProfileData::Lcr(records), LiveRing::Lcr(live)) => {
                 let decoded = decode_lcr(&self.layout, records);
                 let events = decoded.iter().map(|e| e.event);
-                t.observe(is_failure, witness, events.collect());
-                retain(traces, is_failure, witness, decoded);
-                true
+                live.add(is_failure, witness, events.collect(), decoded)
             }
             // A profile of the other ring: the batch model skips it too.
-            _ => false,
+            _ => return false,
         };
-        if ingested && self.should_stop() {
-            self.fired = true;
+        self.poll(is_failure, poll);
+        true
+    }
+
+    /// Records one ingested snapshot of class `is_failure` with the churn
+    /// and top-1 survival its re-ranking measured, and latches the stop
+    /// once the policy may stop and the ranking is stable.
+    fn poll(&mut self, is_failure: bool, (churn, survived): (u64, Option<bool>)) {
+        if is_failure {
+            self.failures += 1;
+        } else {
+            self.successes += 1;
         }
-        ingested
+        self.churn = churn;
+        self.top1_streak = match survived {
+            Some(true) => self.top1_streak + 1,
+            Some(false) => 1,
+            None => 0,
+        };
+        self.history.push(PollPoint {
+            witness: self.witnesses(),
+            churn,
+            top1_streak: self.top1_streak,
+        });
+        self.fired |= self.policy.stop && self.is_stable();
     }
 
     /// The live scored ranking and the retained decoded failing traces,
     /// typed by ring kind — borrowed, nothing is re-scored or re-decoded.
     /// `None` before the first profile-bearing snapshot pins the kind.
     pub fn live_ranking(&self) -> Option<LiveRanking<'_>> {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t, traces)) => Some(LiveRanking::Lbr {
-                scores: t.scores(),
-                traces,
-            }),
-            Some(MonitorInner::Lcr(t, traces)) => Some(LiveRanking::Lcr {
-                scores: t.scores(),
-                traces,
-            }),
-            None => None,
-        }
+        Some(match self.ring.as_ref()? {
+            LiveRing::Lbr(live) => LiveRanking::Lbr {
+                scores: &live.scores,
+                traces: &live.traces,
+            },
+            LiveRing::Lcr(live) => LiveRanking::Lcr {
+                scores: &live.scores,
+                traces: &live.traces,
+            },
+        })
     }
 
     /// Whether the policy has decided to stop the stream. Latches once
@@ -597,64 +511,47 @@ impl SnapshotIngest {
     /// cannot un-stop a diagnosis.
     pub fn should_stop(&self) -> bool {
         self.fired
-            || match &self.inner {
-                Some(MonitorInner::Lbr(t, _)) => t.should_stop(),
-                Some(MonitorInner::Lcr(t, _)) => t.should_stop(),
-                None => false,
-            }
+    }
+
+    /// Whether the policy's stability conditions hold now, whether or not
+    /// the policy may stop.
+    fn is_stable(&self) -> bool {
+        self.top1_streak >= STABLE_FOR
+            && self.failures >= MIN_FAILURES
+            && self.successes >= MIN_SUCCESSES
     }
 
     /// Snapshots ingested so far (both classes).
     pub fn witnesses(&self) -> usize {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t, _)) => t.witnesses(),
-            Some(MonitorInner::Lcr(t, _)) => t.witnesses(),
-            None => 0,
-        }
+        self.failures + self.successes
     }
 
     /// Failure snapshots ingested so far.
     pub fn failures(&self) -> usize {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t, _)) => t.failures(),
-            Some(MonitorInner::Lcr(t, _)) => t.failures(),
-            None => 0,
-        }
+        self.failures
     }
 
     /// Success snapshots ingested so far.
     pub fn successes(&self) -> usize {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t, _)) => t.successes(),
-            Some(MonitorInner::Lcr(t, _)) => t.successes(),
-            None => 0,
-        }
+        self.successes
     }
 
     /// Top-k churn at the latest ingest.
     pub fn churn(&self) -> u64 {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t, _)) => t.churn(),
-            Some(MonitorInner::Lcr(t, _)) => t.churn(),
-            None => 0,
-        }
+        self.churn
     }
 
     /// Consecutive snapshots the current top-1 predictor has survived.
     pub fn top1_streak(&self) -> usize {
-        match &self.inner {
-            Some(MonitorInner::Lbr(t, _)) => t.top1_streak(),
-            Some(MonitorInner::Lcr(t, _)) => t.top1_streak(),
-            None => 0,
-        }
+        self.top1_streak
     }
 
     /// Display form of the current top-1 predictor (`!` prefix =
     /// absence); `None` before the first ingested snapshot.
     pub fn top1(&self) -> Option<String> {
-        match self.inner.as_ref()? {
-            MonitorInner::Lbr(t, _) => t.top1(),
-            MonitorInner::Lcr(t, _) => t.top1(),
+        match self.live_ranking()? {
+            LiveRanking::Lbr { scores, .. } => scores.first().map(label),
+            LiveRanking::Lcr { scores, .. } => scores.first().map(label),
         }
     }
 
@@ -673,16 +570,14 @@ impl SnapshotIngest {
     /// conditions hold, `stalled` otherwise. `None` before the first
     /// ingested snapshot, when there is no report to end with.
     pub fn verdict(&self) -> Option<Verdict> {
-        let stable = match self.inner.as_ref()? {
-            MonitorInner::Lbr(t, _) => t.is_stable(),
-            MonitorInner::Lcr(t, _) => t.is_stable(),
-        };
-        Some(if self.fired {
-            Verdict::ConvergedEarly
-        } else if stable {
-            Verdict::Stable
-        } else {
-            Verdict::Stalled
+        (self.witnesses() > 0).then(|| {
+            if self.fired {
+                Verdict::ConvergedEarly
+            } else if self.is_stable() {
+                Verdict::Stable
+            } else {
+                Verdict::Stalled
+            }
         })
     }
 
@@ -692,15 +587,19 @@ impl SnapshotIngest {
     #[must_use = "finishing consumes the ingest; use the returned report"]
     pub fn finish(self) -> Option<ConvergenceReport> {
         let verdict = self.verdict()?;
-        let (final_ranking, evidence) = match self.inner? {
-            MonitorInner::Lbr(t, _) => {
-                let (r, e) = t.finish();
-                (FinalRanking::Lbr(r), e)
-            }
-            MonitorInner::Lcr(t, _) => {
-                let (r, e) = t.finish();
-                (FinalRanking::Lcr(r), e)
-            }
+        let evidence = ConvergenceEvidence {
+            witnesses: self.witnesses(),
+            failures: self.failures,
+            successes: self.successes,
+            churn: self.churn,
+            top1_streak: self.top1_streak,
+            stable: self.is_stable(),
+            top1: self.top1(),
+            history: self.history,
+        };
+        let final_ranking = match self.ring? {
+            LiveRing::Lbr(live) => FinalRanking::Lbr(live.scores),
+            LiveRing::Lcr(live) => FinalRanking::Lcr(live.scores),
         };
         Some(ConvergenceReport {
             verdict,
@@ -750,9 +649,14 @@ impl ConvergenceMonitor {
     pub fn observe(&mut self, is_failure: bool, witness: &str, report: &RunReport) -> bool {
         let ingested = self.ingest.observe(is_failure, witness, report);
         if ingested {
-            match &self.ingest.inner {
-                Some(MonitorInner::Lbr(t, _)) => t.sample(&mut self.trajectories),
-                Some(MonitorInner::Lcr(t, _)) => t.sample(&mut self.trajectories),
+            let witnesses = self.ingest.witnesses();
+            match self.ingest.live_ranking() {
+                Some(LiveRanking::Lbr { scores, .. }) => {
+                    sample(scores, witnesses, &mut self.trajectories)
+                }
+                Some(LiveRanking::Lcr { scores, .. }) => {
+                    sample(scores, witnesses, &mut self.trajectories)
+                }
                 None => {}
             }
             self.publish();
@@ -768,15 +672,40 @@ impl ConvergenceMonitor {
     /// The `/diagnosis` document under `verdict`: the one renderer of the
     /// live, pre-first-witness and terminal documents.
     fn document(&self, verdict: &str) -> Json {
-        match &self.ingest.inner {
-            Some(MonitorInner::Lbr(t, _)) => t.to_json(verdict, &self.trajectories),
-            Some(MonitorInner::Lcr(t, _)) => t.to_json(verdict, &self.trajectories),
-            None => Json::obj([
-                ("verdict", Json::from(verdict)),
-                ("witnesses_ingested", Json::from(0usize)),
-                ("policy", self.ingest.policy.to_json()),
-            ]),
-        }
+        let ingest = &self.ingest;
+        let top = match ingest.live_ranking() {
+            Some(LiveRanking::Lbr { scores, .. }) => top_rows(scores),
+            Some(LiveRanking::Lcr { scores, .. }) => top_rows(scores),
+            None => {
+                return Json::obj([
+                    ("verdict", Json::from(verdict)),
+                    ("witnesses_ingested", Json::from(0usize)),
+                    ("policy", ingest.policy.to_json()),
+                ])
+            }
+        };
+        let trajectories = self
+            .trajectories
+            .iter()
+            .map(|(label, points)| {
+                let pts = points
+                    .iter()
+                    .map(|(w, s)| Json::Arr(vec![Json::from(*w), Json::from(*s)]))
+                    .collect();
+                (label.clone(), Json::Arr(pts))
+            })
+            .collect();
+        Json::obj([
+            ("verdict", Json::from(verdict)),
+            ("witnesses_ingested", Json::from(ingest.witnesses())),
+            ("failures", Json::from(ingest.failures)),
+            ("successes", Json::from(ingest.successes)),
+            ("rank_churn", Json::from(ingest.churn)),
+            ("top1_stable_for", Json::from(ingest.top1_streak)),
+            ("policy", ingest.policy.to_json()),
+            ("top", top),
+            ("trajectories", Json::Obj(trajectories)),
+        ])
     }
 
     /// Pushes the gauges and the live `/diagnosis` status document. These
@@ -843,16 +772,40 @@ impl ConvergenceMonitor {
 mod tests {
     use super::*;
     use crate::ranking::tests::{assert_scores_match, Oracle};
+    use stm_machine::builder::ProgramBuilder;
 
     fn set(items: &[&str]) -> BTreeSet<String> {
         items.iter().map(|s| s.to_string()).collect()
     }
 
-    fn tracker(absence: bool, policy: StabilityPolicy) -> ConvergenceTracker<String> {
-        if absence {
-            ConvergenceTracker::with_absence(policy)
-        } else {
-            ConvergenceTracker::new(policy)
+    /// A string-event ranking feeding an ingest's bookkeeping: what
+    /// [`SnapshotIngest::observe`] does after it decodes a snapshot.
+    struct Stream {
+        live: Live<String, ()>,
+        ingest: SnapshotIngest,
+    }
+
+    impl Stream {
+        fn new(absence: bool, policy: StabilityPolicy) -> Self {
+            let mut pb = ProgramBuilder::new("p");
+            let main = pb.declare_function("main");
+            let mut f = pb.build_function(main, "m.c");
+            f.ret(None);
+            f.finish();
+            let layout = Layout::build(&pb.finish(main));
+            Stream {
+                live: Live::new(absence),
+                ingest: SnapshotIngest::new(layout, FailureSpec::AnyCrash, policy),
+            }
+        }
+
+        fn observe(&mut self, is_failure: bool, id: &str, events: BTreeSet<String>) {
+            let poll = self.live.add(is_failure, id, events, Vec::new());
+            self.ingest.poll(is_failure, poll);
+        }
+
+        fn top(&self) -> &[RankedEvent<String>] {
+            top(&self.live.scores)
         }
     }
 
@@ -871,13 +824,14 @@ mod tests {
     fn finish_is_bit_identical_to_batch_rank() {
         let profiles = mixed_profiles();
         for absence in [false, true] {
-            let mut t = tracker(absence, StabilityPolicy::never());
+            let mut s = Stream::new(absence, StabilityPolicy::never());
             let mut oracle = Oracle::new();
             for (i, (is_failure, events)) in profiles.iter().enumerate() {
-                t.observe(*is_failure, format!("p{i}"), events.clone());
+                s.observe(*is_failure, &format!("p{i}"), events.clone());
                 oracle.add(*is_failure, format!("p{i}"), events.clone());
             }
-            assert_eq!(t.finish().0, oracle.rank(absence), "absence={absence}");
+            // `finish` hands back these scores as the final ranking.
+            assert_eq!(s.live.scores, oracle.rank(absence), "absence={absence}");
         }
     }
 
@@ -885,13 +839,13 @@ mod tests {
     fn live_scores_match_batch_scores_at_every_prefix() {
         let profiles = mixed_profiles();
         for absence in [false, true] {
-            let mut t = tracker(absence, StabilityPolicy::never());
+            let mut s = Stream::new(absence, StabilityPolicy::never());
             let mut oracle = Oracle::new();
             for (i, (is_failure, events)) in profiles.iter().enumerate() {
-                t.observe(*is_failure, format!("p{i}"), events.clone());
+                s.observe(*is_failure, &format!("p{i}"), events.clone());
                 oracle.add(*is_failure, format!("p{i}"), events.clone());
                 let context = format!("absence={absence} cut={}", i + 1);
-                assert_scores_match(t.scores(), &oracle.rank(absence), &context);
+                assert_scores_match(&s.live.scores, &oracle.rank(absence), &context);
             }
         }
     }
@@ -912,7 +866,7 @@ mod tests {
 
     #[test]
     fn stable_stream_builds_a_streak_and_stops() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
+        let mut s = Stream::new(false, StabilityPolicy::default());
         // Alternate failure/success so both class floors fill.
         for i in 0..8 {
             let is_failure = i % 2 == 0;
@@ -921,16 +875,18 @@ mod tests {
             } else {
                 set(&["noise"])
             };
-            t.observe(is_failure, format!("w{i}"), events);
+            s.observe(is_failure, &format!("w{i}"), events);
         }
-        assert!(t.top1_streak() >= 3, "streak {}", t.top1_streak());
-        assert_eq!(t.top()[0].event, "root");
-        assert!(t.should_stop());
-        let (ranked, evidence) = t.finish();
-        assert_eq!(ranked[0].event, "root");
-        assert!(evidence.stable);
-        assert_eq!(evidence.top1.as_deref(), Some("root"));
-        assert_eq!(evidence.history.len(), 8);
+        let streak = s.ingest.top1_streak();
+        assert!(streak >= 3, "streak {streak}");
+        assert_eq!(s.top()[0].event, "root");
+        assert!(s.ingest.should_stop());
+        // The evidence `finish` copies out of the same state
+        // (`tests/engine_determinism.rs` checks it on a finished report).
+        assert_eq!(s.live.scores[0].event, "root");
+        assert!(s.ingest.is_stable());
+        assert_eq!(label(&s.live.scores[0]), "root");
+        assert_eq!(s.ingest.history.len(), 8);
     }
 
     #[test]
@@ -938,48 +894,51 @@ mod tests {
         // Ten failures, zero successes: however stable the top-1, the
         // success floor must hold the stop (witness mode ingests all
         // failures before the first success).
-        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
+        let mut s = Stream::new(false, StabilityPolicy::default());
         for i in 0..10 {
-            t.observe(true, format!("f{i}"), set(&["root"]));
+            s.observe(true, &format!("f{i}"), set(&["root"]));
         }
-        assert!(t.top1_streak() >= 5);
-        assert!(!t.should_stop(), "success floor must block the stop");
-        t.observe(false, "s0", set(&["noise"]));
-        t.observe(false, "s1", set(&["noise"]));
-        assert!(!t.should_stop(), "two successes are below the floor");
-        t.observe(false, "s2", set(&["noise"]));
-        assert!(t.should_stop(), "three successes satisfy the floor");
+        assert!(s.ingest.top1_streak() >= 5);
+        assert!(!s.ingest.should_stop(), "success floor must block the stop");
+        s.observe(false, "s0", set(&["noise"]));
+        s.observe(false, "s1", set(&["noise"]));
+        assert!(!s.ingest.should_stop(), "two successes are below the floor");
+        s.observe(false, "s2", set(&["noise"]));
+        assert!(s.ingest.should_stop(), "three successes satisfy the floor");
     }
 
     #[test]
     fn never_policy_tracks_but_does_not_stop() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
+        let mut s = Stream::new(false, StabilityPolicy::never());
         for i in 0..20 {
-            t.observe(i % 2 == 0, format!("w{i}"), set(&["root"]));
+            s.observe(i % 2 == 0, &format!("w{i}"), set(&["root"]));
         }
-        assert!(t.is_stable(), "the stability conditions themselves hold");
-        assert!(!t.should_stop(), "never() must not stop the session");
+        assert!(
+            s.ingest.is_stable(),
+            "the stability conditions themselves hold"
+        );
+        assert!(!s.ingest.should_stop(), "never() must not stop the session");
     }
 
     #[test]
     fn churny_stream_resets_the_streak() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::never());
+        let mut s = Stream::new(false, StabilityPolicy::never());
         // Each failure profile carries a different singleton event, so
         // the top-1 keeps flipping to the newest tie-break winner or an
         // earlier event — the streak must stay short.
         let events = ["a", "b", "c", "d"];
         for (i, e) in events.iter().enumerate() {
-            t.observe(true, format!("f{i}"), set(&[e]));
+            s.observe(true, &format!("f{i}"), set(&[e]));
         }
         // All four tie at the same score; tie-break keeps "a" first, so
         // after the first ingest the top-1 settles on "a".
-        assert_eq!(t.top()[0].event, "a");
+        assert_eq!(s.top()[0].event, "a");
         // Now a success profile containing "a" dilutes its precision:
         // the top-1 flips and the streak resets.
-        t.observe(false, "s0", set(&["a"]));
-        assert_ne!(t.top()[0].event, "a");
-        assert_eq!(t.top1_streak(), 1, "flip must reset the streak");
-        assert!(t.churn() > 0, "the flip must register as churn");
+        s.observe(false, "s0", set(&["a"]));
+        assert_ne!(s.top()[0].event, "a");
+        assert_eq!(s.ingest.top1_streak(), 1, "flip must reset the streak");
+        assert!(s.ingest.churn() > 0, "the flip must register as churn");
     }
 
     #[test]
@@ -991,28 +950,17 @@ mod tests {
 
     #[test]
     fn tracker_json_document_is_parseable_and_complete() {
-        let mut t = ConvergenceTracker::new(StabilityPolicy::default());
+        // The document's ranking parts; `tests/observability.rs` checks
+        // the whole first live document of a real monitor the same way.
+        let mut s = Stream::new(false, StabilityPolicy::default());
         let mut trajectories = Trajectories::new();
-        t.observe(true, "f0", set(&["root"]));
-        t.sample(&mut trajectories);
-        let doc = t.to_json("collecting", &trajectories);
-        let round = Json::parse(&doc.encode()).expect("valid JSON");
-        assert_eq!(
-            round.get("verdict").and_then(Json::as_str),
-            Some("collecting")
-        );
-        assert_eq!(
-            round.get("witnesses_ingested").and_then(Json::as_f64),
-            Some(1.0)
-        );
-        assert!(round.get("policy").is_some());
-        assert!(round.get("top").and_then(Json::as_array).is_some());
-        assert_eq!(
-            round.get("trajectories").and_then(|t| t.get("root")),
-            Some(&Json::Arr(vec![Json::Arr(vec![
-                Json::from(1usize),
-                Json::from(1.0)
-            ])]))
-        );
+        s.observe(true, "f0", set(&["root"]));
+        sample(&s.live.scores, s.ingest.witnesses(), &mut trajectories);
+        let top = Json::parse(&top_rows(&s.live.scores).encode()).expect("valid JSON");
+        let top = top.as_array().expect("a top array");
+        assert_eq!(top[0].get("predictor").and_then(Json::as_str), Some("root"));
+        assert_eq!(s.ingest.witnesses(), 1);
+        assert_eq!(s.ingest.live_verdict(), "collecting");
+        assert_eq!(trajectories.get("root"), Some(&vec![(1, 1.0)]));
     }
 }

@@ -476,8 +476,8 @@ impl DiagnosisSession {
 
     /// Attaches a convergence monitor: the session feeds every consumed
     /// witness into a live ranking
-    /// ([`ConvergenceTracker`](crate::converge::ConvergenceTracker)),
-    /// publishes the `engine.rank_churn` / `engine.top1_stable_for` /
+    /// ([`SnapshotIngest`](crate::converge::SnapshotIngest)), publishes
+    /// the `engine.rank_churn` / `engine.top1_stable_for` /
     /// `engine.witnesses_ingested` gauges and the `/diagnosis` document
     /// (live, then terminal), and — when `policy.stop` is set — stops
     /// collecting as soon as the top-1 predictor has been stable for

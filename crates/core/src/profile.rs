@@ -136,31 +136,26 @@ pub fn lcr_events(layout: &Layout, snapshot: &[CoherenceRecord]) -> BTreeSet<Coh
         .collect()
 }
 
-/// Position (1 = most recent) of the first LBR entry proving an outcome of
-/// `branch`, as LBRLOG reports it (Table 6's "n-th latest entry").
-pub fn lbr_position_of_branch(
-    layout: &Layout,
-    snapshot: &[BranchRecord],
-    branch: BranchId,
-) -> Option<usize> {
-    decode_lbr(layout, snapshot)
-        .iter()
-        .find(|e| e.branch_outcome().map(|b| b.branch) == Some(branch))
-        .map(|e| e.position)
-}
-
-/// Position (1 = most recent) of the first LCR entry matching a location
-/// and state, as LCRLOG reports it (Table 7).
-pub fn lcr_position_of_event(
-    layout: &Layout,
-    snapshot: &[CoherenceRecord],
-    loc: SourceLoc,
-    state: CoherenceState,
-) -> Option<usize> {
-    decode_lcr(layout, snapshot)
-        .iter()
-        .find(|e| e.event.loc == loc && e.event.state == state)
-        .map(|e| e.position)
+/// Describes what a decoded LBR record proves, for the LBRLOG listing and
+/// the failure dossier: the branch and outcome, a plain jump, a call or a
+/// return with its source location, or `<unmapped>`.
+pub fn describe_lbr(program: &Program, decoded: Option<Decoded>) -> String {
+    match decoded {
+        Some(Decoded::SourceBranch {
+            branch,
+            outcome,
+            loc,
+            ..
+        }) => format!(
+            "branch {branch} at {} taken {}",
+            program.render_loc(loc),
+            if outcome { "TRUE" } else { "FALSE" }
+        ),
+        Some(Decoded::PlainJump { loc, .. }) => format!("jump at {}", program.render_loc(loc)),
+        Some(Decoded::Call { loc, .. }) => format!("call at {}", program.render_loc(loc)),
+        Some(Decoded::Return { loc, .. }) => format!("return at {}", program.render_loc(loc)),
+        None => "<unmapped>".to_string(),
+    }
 }
 
 /// Renders a decoded LBR snapshot as the human-readable listing LBRLOG
@@ -169,32 +164,13 @@ pub fn render_lbr_log(program: &Program, entries: &[DecodedLbrEntry]) -> String 
     use std::fmt::Write as _;
     let mut out = String::new();
     for e in entries {
-        let desc = match e.decoded {
-            Some(Decoded::SourceBranch {
-                branch,
-                outcome,
-                loc,
-                ..
-            }) => {
-                format!(
-                    "branch {branch} at {} taken {}",
-                    program.render_loc(loc),
-                    if outcome { "TRUE" } else { "FALSE" }
-                )
-            }
-            Some(Decoded::PlainJump { loc, .. }) => {
-                format!("jump at {}", program.render_loc(loc))
-            }
-            Some(Decoded::Call { loc, .. }) => format!("call at {}", program.render_loc(loc)),
-            Some(Decoded::Return { loc, .. }) => {
-                format!("return at {}", program.render_loc(loc))
-            }
-            None => "<unmapped>".to_string(),
-        };
         let _ = writeln!(
             out,
             "  [{:2}] {:#010x} -> {:#010x}  {}",
-            e.position, e.record.from, e.record.to, desc
+            e.position,
+            e.record.from,
+            e.record.to,
+            describe_lbr(program, e.decoded)
         );
     }
     out
@@ -283,8 +259,11 @@ mod tests {
         let (m, snap) = run_with_lbr(42);
         let decoded = decode_lbr(m.layout(), &snap);
         assert_eq!(decoded[0].position, 1);
-        let pos = lbr_position_of_branch(m.layout(), &snap, BranchId::new(0));
-        assert!(pos.is_some());
+        let log = crate::logging::FailureLog {
+            lbr: decoded,
+            ..Default::default()
+        };
+        assert!(log.lbr_position_of_branch(BranchId::new(0)).is_some());
     }
 
     #[test]

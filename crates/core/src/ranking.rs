@@ -24,8 +24,8 @@
 //! [`RankedEvent`] rows, the one scored-predictor type; which runs back a
 //! row is a query on the postings, [`RankingModel::witnesses`], answered
 //! only when a report asks. The batch diagnosis drivers and the live
-//! [`ConvergenceTracker`](crate::converge::ConvergenceTracker) share this
-//! one store, so incremental and batch rankings agree by construction.
+//! [`SnapshotIngest`](crate::converge::SnapshotIngest) share this one
+//! store, so incremental and batch rankings agree by construction.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -225,7 +225,7 @@ impl<E: Ord + Clone> RankingModel<E> {
     /// Every presence predictor and, with `absence`, every absence
     /// predictor, scored from posting lengths and sorted best first. The
     /// one scoring pass behind [`RankingModel::rank`],
-    /// [`RankingModel::rank_with_absence`] and the live tracker.
+    /// [`RankingModel::rank_with_absence`] and the live ranking.
     pub(crate) fn scores(&self, absence: bool) -> Vec<RankedEvent<E>> {
         let (total_f, total_s) = (self.failure_count(), self.success_count());
         let mut out = Vec::with_capacity(self.postings.len() * (1 + usize::from(absence)));

@@ -209,13 +209,9 @@ impl FailureSpec {
 }
 
 /// Executes runs of one (instrumented) machine, each on logically fresh
-/// hardware.
-///
-/// [`Runner::run`] and the classified variants recycle a thread-local
-/// hardware context and interpreter scratch (reset to the fresh state
-/// between runs); [`Runner::run_with_hw`] builds a genuinely fresh
-/// [`HardwareCtx`] because it hands the final hardware state back to the
-/// caller.
+/// hardware: [`Runner::run`] and the classified variants recycle a
+/// thread-local hardware context and interpreter scratch, reset to the
+/// fresh state between runs.
 ///
 /// `Runner` is `Clone + Send + Sync`. The machine is immutable once built
 /// and shared behind an [`Arc`], and both configs are small plain data,
@@ -316,24 +312,6 @@ impl Runner {
             hw.counters().flush_run_telemetry();
             report
         })
-    }
-
-    /// Runs one workload and also returns the final hardware state.
-    ///
-    /// Unlike [`Runner::run`], this builds a genuinely fresh
-    /// [`HardwareCtx`] every time — the context escapes to the caller, so
-    /// it cannot come from the thread-local cache.
-    pub fn run_with_hw(&self, workload: &Workload) -> (RunReport, HardwareCtx) {
-        let _span = stm_telemetry::span_cat("runner.run", "runner");
-        let mut hw = HardwareCtx::new(self.hw_config);
-        hw.seed_perturbations(workload.seed);
-        let mut cfg = self.run_config.clone();
-        cfg.scheduler = SchedPolicy::Random {
-            seed: workload.seed,
-        };
-        let report = self.machine.run(&workload.inputs, &cfg, &mut hw);
-        hw.counters().flush_run_telemetry();
-        (report, hw)
     }
 
     /// Runs one workload and classifies it.

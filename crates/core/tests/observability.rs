@@ -271,11 +271,37 @@ fn top(doc: &Json) -> &[Json] {
         .expect("a top array")
 }
 
+/// Compares `doc` with the committed golden `tests/golden/<name>`;
+/// `BLESS=1` rewrites the golden instead.
+fn check_golden(name: &str, doc: &Json) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let actual = doc.encode() + "\n";
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {}: {e}; regenerate with BLESS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual,
+        expected,
+        "document diverged from {}; re-bless if intentional",
+        path.display()
+    );
+}
+
 #[test]
 fn terminal_diagnosis_document_is_the_live_one_under_the_final_verdict() {
     let _g = lock();
     let p1 = monitored_sort_session(1);
     let terminal = diagnosis_doc();
+    check_golden("diagnosis_sort.json", &terminal);
     monitored_sort_session(4);
     assert_eq!(
         diagnosis_doc().encode(),
@@ -299,6 +325,27 @@ fn terminal_diagnosis_document_is_the_live_one_under_the_final_verdict() {
     }
     monitor.finish().expect("the monitor ingested witnesses");
     assert_eq!(diagnosis_doc().encode(), terminal.encode());
+
+    // The document after the first witness, a lone failure: every event
+    // it holds scores 1, so the top-1 has one sample, `[1, 1.0]`.
+    let first = Json::parse(&live[0].encode()).expect("valid JSON");
+    assert_eq!(
+        first.get("verdict").and_then(Json::as_str),
+        Some("collecting")
+    );
+    assert_eq!(
+        first.get("witnesses_ingested").and_then(Json::as_f64),
+        Some(1.0)
+    );
+    assert!(first.get("policy").is_some());
+    let top1 = top(&first)[0].get("predictor").and_then(Json::as_str);
+    assert_eq!(
+        first.get("trajectories").and_then(|t| t.get(top1.unwrap())),
+        Some(&Json::Arr(vec![Json::Arr(vec![
+            Json::from(1usize),
+            Json::from(1.0)
+        ])]))
+    );
 
     let last = live.last().expect("live documents");
     assert_eq!(

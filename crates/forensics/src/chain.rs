@@ -10,14 +10,15 @@
 //! propagation → failure** chain:
 //!
 //! 1. **Anchor.** The walk anchors at the *deepest* ring occurrence of
-//!    the top-ranked presence predictor in each failing witness
-//!    ([`stm_machine::ring::deepest_position_of`]). When the top
+//!    the top-ranked presence predictor in each failing witness: the
+//!    largest decoded position (1 = most recent,
+//!    [`stm_machine::ring::walk`]) whose event it is. When the top
 //!    predictor is an absence predictor (§4.2.2's read-too-early
 //!    signature never appears in failing rings), the walk anchors at
 //!    the best *presence* predictor instead and reports both.
 //! 2. **Window.** Everything between the anchor and the failure
-//!    (positions 1..=anchor, [`stm_machine::ring::window`]) happened
-//!    after the root cause fired — the candidate propagation events.
+//!    (decoded positions 1..=anchor) happened after the root cause
+//!    fired — the candidate propagation events.
 //! 3. **Support.** Each candidate is scored against the passing
 //!    population with the same precision/recall harmonic the ranking
 //!    uses (program-spectra-style, per Abreu et al.), so a link's

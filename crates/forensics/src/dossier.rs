@@ -11,10 +11,10 @@
 //! developer-facing markdown.
 
 use stm_core::logging::{failure_log, failure_log_for, FailureLog};
+use stm_core::profile::describe_lbr;
 use stm_core::runner::{FailureSpec, Runner, Workload};
 use stm_machine::events::{AccessKind, CoherenceState};
-use stm_machine::ir::{LogKind, Program};
-use stm_machine::layout::Decoded;
+use stm_machine::ir::LogKind;
 use stm_machine::report::{RunOutcome, RunReport};
 use stm_telemetry::json::Json;
 
@@ -186,25 +186,6 @@ fn log_kind_str(kind: LogKind) -> &'static str {
         LogKind::Error => "error",
         LogKind::Warning => "warning",
         LogKind::Info => "info",
-    }
-}
-
-fn describe_lbr(program: &Program, decoded: Option<Decoded>) -> String {
-    match decoded {
-        Some(Decoded::SourceBranch {
-            branch,
-            outcome,
-            loc,
-            ..
-        }) => format!(
-            "branch {branch} at {} taken {}",
-            program.render_loc(loc),
-            if outcome { "TRUE" } else { "FALSE" }
-        ),
-        Some(Decoded::PlainJump { loc, .. }) => format!("jump at {}", program.render_loc(loc)),
-        Some(Decoded::Call { loc, .. }) => format!("call at {}", program.render_loc(loc)),
-        Some(Decoded::Return { loc, .. }) => format!("return at {}", program.render_loc(loc)),
-        None => "<unmapped>".to_string(),
     }
 }
 

@@ -416,10 +416,9 @@ impl Hardware for HardwareCtx {
 }
 
 // Send/Sync audit: each collection-engine worker builds and keeps its own
-// `HardwareCtx` on whichever thread runs it, and `Runner::run_with_hw`
-// hands one back to its caller, so the simulated hardware must be safe to
-// build and move across threads. Compile-time check that no thread-bound state
-// sneaks into the rings or cache model.
+// `HardwareCtx` on whichever thread runs it, so the simulated hardware must
+// be safe to build and move across threads. Compile-time check that no
+// thread-bound state sneaks into the rings or cache model.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<HardwareCtx>();

@@ -538,11 +538,6 @@ impl<'p> FunctionBuilder<'p> {
         });
     }
 
-    /// Emits a syscall retiring `kernel_branches` ring-0 branches.
-    pub fn syscall(&mut self, kernel_branches: u8) {
-        self.push(Instr::Syscall { kernel_branches });
-    }
-
     /// Terminates the whole program with `code`.
     pub fn exit(&mut self, code: impl Into<Operand>) {
         self.push(Instr::Exit { code: code.into() });

@@ -138,8 +138,6 @@ pub(crate) enum Op {
     Sample { id: SampleId, value: Val },
     /// Assertion.
     Assert { cond: Val, message: Box<str> },
-    /// Syscall with `kernel_branches` ring-0 branches.
-    Syscall { kernel_branches: u8 },
     /// Program exit.
     Exit { code: Val },
     /// No-op (`Nop` and the scheduling-hint `Yield`).
@@ -400,9 +398,6 @@ fn lower_instr(instr: &Instr, _program: &Program, layout: &Layout) -> Op {
         Instr::Assert { cond, message } => Op::Assert {
             cond: Val::of(*cond),
             message: message.clone().into_boxed_str(),
-        },
-        Instr::Syscall { kernel_branches } => Op::Syscall {
-            kernel_branches: *kernel_branches,
         },
         Instr::Exit { code } => Op::Exit {
             code: Val::of(*code),

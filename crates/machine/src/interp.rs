@@ -1092,10 +1092,6 @@ impl<'m, 'h, 's, H: Hardware> Exec<'m, 'h, 's, H> {
                     Flow::Next
                 }
             }
-            Op::Syscall { kernel_branches } => {
-                self.emit_kernel_branches(tid, pc, *kernel_branches);
-                Flow::Next
-            }
             Op::Exit { code } => Flow::Exit(self.val(tid, base, *code)),
             Op::Nop => Flow::Next,
             Op::Br {

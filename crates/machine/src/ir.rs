@@ -386,12 +386,6 @@ pub enum Instr {
         /// Message reported on violation.
         message: String,
     },
-    /// Performs `kernel_branches` ring-0 branches (a syscall), exercising
-    /// the LBR privilege filter.
-    Syscall {
-        /// Number of kernel-level branches retired.
-        kernel_branches: u8,
-    },
     /// Terminates the whole program immediately with the given exit code.
     Exit {
         /// Process exit code.
@@ -851,11 +845,7 @@ impl Program {
                         Instr::Sample { value, .. } => check_op(value)?,
                         Instr::Assert { cond, .. } => check_op(cond)?,
                         Instr::Exit { code } => check_op(code)?,
-                        Instr::Log { .. }
-                        | Instr::HwCtl { .. }
-                        | Instr::Syscall { .. }
-                        | Instr::Yield
-                        | Instr::Nop => {}
+                        Instr::Log { .. } | Instr::HwCtl { .. } | Instr::Yield | Instr::Nop => {}
                     }
                 }
                 match &block.term {

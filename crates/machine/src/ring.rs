@@ -5,33 +5,12 @@
 //! taken. Diagnosis layers speak in 1-based *positions* — position 1 is
 //! the record closest to the failure, larger positions lie further back
 //! in time (Table 6's "n-th latest entry"). This module is the single
-//! home for that convention: decoding walks forward with [`walk`], and
-//! causal reconstruction anchors with [`deepest_position_of`] and then
-//! inspects the backward [`window`] between the anchor and the failure.
+//! home for that convention: decoding walks a snapshot with [`walk`], and
+//! every later layer reads the positions the decoded entries carry.
 
 /// Iterates a snapshot with 1-based positions, position 1 = most recent.
 pub fn walk<T>(snapshot: &[T]) -> impl DoubleEndedIterator<Item = (usize, &T)> + ExactSizeIterator {
     snapshot.iter().enumerate().map(|(i, r)| (i + 1, r))
-}
-
-/// Position (1 = most recent) of the first record matching `pred`.
-pub fn position_of<T>(snapshot: &[T], pred: impl FnMut(&T) -> bool) -> Option<usize> {
-    snapshot.iter().position(pred).map(|i| i + 1)
-}
-
-/// Position of the deepest (oldest) record matching `pred` — where a
-/// backward causal walk anchors: everything at smaller positions happened
-/// *after* the anchor and before the failure.
-pub fn deepest_position_of<T>(snapshot: &[T], pred: impl FnMut(&T) -> bool) -> Option<usize> {
-    snapshot.iter().rposition(pred).map(|i| i + 1)
-}
-
-/// The backward window from the failure (position 1) to `deepest`
-/// inclusive — the slice a causal walk inspects once it has anchored at
-/// position `deepest`. Clamped to the snapshot length, so a `deepest`
-/// beyond the ring returns the whole snapshot.
-pub fn window<T>(snapshot: &[T], deepest: usize) -> &[T] {
-    &snapshot[..deepest.min(snapshot.len())]
 }
 
 #[cfg(test)]
@@ -45,24 +24,5 @@ mod tests {
         assert_eq!(walked[0], (1, &"newest"));
         assert_eq!(walked[2], (3, &"oldest"));
         assert_eq!(walk(&snap).len(), 3);
-    }
-
-    #[test]
-    fn position_helpers_agree_on_singletons_and_differ_on_repeats() {
-        let snap = vec![1, 2, 1, 3];
-        assert_eq!(position_of(&snap, |&x| x == 2), Some(2));
-        assert_eq!(position_of(&snap, |&x| x == 1), Some(1));
-        assert_eq!(deepest_position_of(&snap, |&x| x == 1), Some(3));
-        assert_eq!(deepest_position_of(&snap, |&x| x == 9), None);
-    }
-
-    #[test]
-    fn window_spans_failure_to_anchor_and_clamps() {
-        let snap = vec![10, 20, 30, 40];
-        assert_eq!(window(&snap, 2), &[10, 20]);
-        assert_eq!(window(&snap, 4), &snap[..]);
-        assert_eq!(window(&snap, 99), &snap[..]);
-        let empty: &[i32] = &[];
-        assert_eq!(window(empty, 3), empty);
     }
 }

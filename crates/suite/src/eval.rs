@@ -324,12 +324,11 @@ pub fn lcrlog_position(b: &Benchmark, space_saving: bool) -> Option<usize> {
                 continue; // this run never reached the success site
             };
             if let stm_machine::report::ProfileData::Lcr(records) = &prof.data {
-                return stm_core::profile::lcr_position_of_event(
-                    runner.machine().layout(),
-                    records,
-                    fpe.loc,
-                    state,
-                );
+                let log = FailureLog {
+                    lcr: stm_core::profile::decode_lcr(runner.machine().layout(), records),
+                    ..FailureLog::default()
+                };
+                return log.lcr_position_of_event(fpe.loc, state);
             }
         }
         return None;

@@ -278,7 +278,8 @@ fn early_stop_is_identical_at_1_and_8_threads() {
     // seam, so an early-stopped session must keep every headline
     // determinism guarantee: same witnesses kept, same stop point, same
     // verdict and evidence, same final ranking at any thread count.
-    use stm::core::converge::StabilityPolicy;
+    use stm::core::converge::{FinalRanking, StabilityPolicy};
+    use stm::core::ranking::Polarity;
 
     let p1 = collect_converge("apache4", 1, StabilityPolicy::default());
     let p8 = collect_converge("apache4", 8, StabilityPolicy::default());
@@ -303,6 +304,18 @@ fn early_stop_is_identical_at_1_and_8_threads() {
         "early stop must ingest fewer witnesses than the quota, got {}",
         r1.evidence.witnesses
     );
+    // The evidence names the final ranking's top-1, holds one poll per
+    // ingested witness, and records the stability that stopped it.
+    assert!(r1.evidence.stable);
+    let FinalRanking::Lcr(ranked) = &r1.final_ranking else {
+        panic!("apache4 is diagnosed by LCRA");
+    };
+    let top1 = match ranked[0].polarity {
+        Polarity::Present => ranked[0].event.to_string(),
+        Polarity::Absent => format!("!{}", ranked[0].event),
+    };
+    assert_eq!(r1.evidence.top1, Some(top1));
+    assert_eq!(r1.evidence.history.len(), r1.evidence.witnesses);
 }
 
 /// A reference hardware stack that forwards only the per-event
