@@ -40,8 +40,8 @@
 //!
 //! The witness-session row has no floor at all. A 10 + 10 session lasts
 //! a few hundred microseconds, so its two-thread time swings with
-//! whatever else the host runs: on a 2-vCPU VM, three gate runs of one
-//! build printed t2/t1 ratios of 0.94–1.17 on sort and 1.27–1.89 on
+//! whatever else the host runs: on a 2-vCPU VM, four gate runs of one
+//! build printed t2/t1 ratios of 0.90–1.05 on sort and 1.02–1.52 on
 //! apache4. A wall-clock bound tight enough to catch a regression would
 //! flake there; the spawn counter gates the fixed cost instead.
 

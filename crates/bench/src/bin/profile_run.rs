@@ -160,7 +160,7 @@ fn main() {
     }
     if let Some(c) = &critical {
         println!(
-            "critical path: wall {} us, {} jobs on {} worker(s), parallel efficiency {:.1}%, coverage {:.1}%",
+            "critical path: wall {} us, {} jobs on {} thread(s), parallel efficiency {:.1}%, coverage {:.1}%",
             c.wall_us,
             c.jobs,
             c.workers,

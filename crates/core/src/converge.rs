@@ -144,14 +144,6 @@ pub struct PollPoint {
 /// whenever the predictor sat in the top-k.
 type Trajectories = BTreeMap<String, Vec<(usize, f64)>>;
 
-/// Display form of a predictor (`!` prefix marks absence).
-fn label<E: Display>(p: &RankedEvent<E>) -> String {
-    match p.polarity {
-        Polarity::Present => format!("{}", p.event),
-        Polarity::Absent => format!("!{}", p.event),
-    }
-}
-
 /// The leading [`TOP_K`] rows of a ranking.
 fn top<E>(scores: &[RankedEvent<E>]) -> &[RankedEvent<E>] {
     &scores[..scores.len().min(TOP_K)]
@@ -166,7 +158,7 @@ fn sample<E: Display>(
 ) {
     for p in top(scores) {
         trajectories
-            .entry(label(p))
+            .entry(p.to_string())
             .or_default()
             .push((witnesses, p.score));
     }
@@ -178,7 +170,7 @@ fn top_rows<E: Display>(scores: &[RankedEvent<E>]) -> Json {
         .iter()
         .map(|p| {
             Json::obj([
-                ("predictor", Json::from(label(p))),
+                ("predictor", Json::from(p.to_string())),
                 ("precision", Json::from(p.precision)),
                 ("recall", Json::from(p.recall)),
                 ("score", Json::from(p.score)),
@@ -550,8 +542,8 @@ impl SnapshotIngest {
     /// absence); `None` before the first ingested snapshot.
     pub fn top1(&self) -> Option<String> {
         match self.live_ranking()? {
-            LiveRanking::Lbr { scores, .. } => scores.first().map(label),
-            LiveRanking::Lcr { scores, .. } => scores.first().map(label),
+            LiveRanking::Lbr { scores, .. } => scores.first().map(ToString::to_string),
+            LiveRanking::Lcr { scores, .. } => scores.first().map(ToString::to_string),
         }
     }
 
@@ -885,7 +877,7 @@ mod tests {
         // (`tests/engine_determinism.rs` checks it on a finished report).
         assert_eq!(s.live.scores[0].event, "root");
         assert!(s.ingest.is_stable());
-        assert_eq!(label(&s.live.scores[0]), "root");
+        assert_eq!(s.live.scores[0].to_string(), "root");
         assert_eq!(s.ingest.history.len(), 8);
     }
 

@@ -4,11 +4,10 @@
 //! independent simulated execution: a (workload, seed) pair replayed on a
 //! fresh [`HardwareCtx`](stm_hardware::HardwareCtx), classified against the
 //! failure spec, and mined for a ring snapshot. Nothing couples one run to
-//! the next, so collection is embarrassingly parallel. `threads(1)` runs
-//! every job inline on the calling thread — the reference path — and
-//! `threads(n)` shards the jobs across the first `n` workers of one
+//! the next, so collection is embarrassingly parallel. `threads(n)` runs
+//! the jobs on the calling thread and the first `n − 1` workers of one
 //! process-wide pool of `std::thread` workers, with **zero new
-//! dependencies**.
+//! dependencies**; `threads(1)` is the same loop with no workers.
 //!
 //! ## Job model
 //!
@@ -18,17 +17,14 @@
 //! exactly as the sequential driver did; scan-mode plans enumerate
 //! `bases × seeds` (the retired `find_workloads` seed scan). Because the plan is a
 //! function of the index, jobs need no shared state and can be regenerated
-//! anywhere — which is exactly what the transport exploits: the
-//! coordinator sends each worker a contiguous **index chunk** (two
-//! integers), the worker regenerates its jobs from the shared plan and
-//! answers with one result message per chunk, and the coordinator hands
-//! that worker its next chunk. A chunk is the number of profiles the
-//! quota still owes split across the session's threads — or, on a scan
-//! that keeps missing, the runs the plan has already consumed, so long
-//! scans grow their chunks geometrically — capped at 16 jobs. A 10-witness phase at two threads
-//! is two 5-job chunks, not one 16-job chunk that runs 6 jobs too many
-//! while the other worker idles. Dispatch never runs more than
-//! `threads × 16` jobs ahead of consumption.
+//! anywhere — which is exactly what the claim loop exploits: each of a
+//! plan's threads **claims** the lowest unclaimed index from the plan's
+//! shared counter (one compare-and-swap), regenerates that job from the
+//! plan and runs it. Claims stay at most `max(owed, consumed)` jobs ahead
+//! of the consumed prefix — the profiles the quota still owes or, on a
+//! scan that keeps missing, the runs the plan has already consumed, so
+//! long scans speculate further — and never more than `threads × 16`. A
+//! 10-witness phase claims 10 jobs however many threads share them.
 //!
 //! A witness phase ends when its quota fills, when it reaches `max_runs`,
 //! or as soon as no run it could still execute can be kept. Two exact
@@ -56,34 +52,46 @@
 //! the ordered prefix, where the quota is checked. So `threads(N)` still
 //! equals `threads(1)`.
 //!
-//! ## The warm pool
+//! ## The claim loop and the warm pool
 //!
 //! The paper diagnoses from 10 failing and 10 passing runs (§5.2), so a
 //! diagnosis is a short session whose fixed costs, not its runs, set its
-//! latency. The pool pays those costs once per process:
+//! latency. Waking a worker is one of them, so the caller never waits
+//! for a worker to wake:
 //!
+//! * The caller is one of a session's `n` threads. It claims job 0 before
+//!   any worker gets the plan, so a plan it finishes before a worker
+//!   wakes never waits on the pool. It consumes each of its own runs as
+//!   soon as every lower index is consumed, polls the workers' answers
+//!   between its own jobs, and blocks only when every job below the
+//!   bound is claimed and the lowest unconsumed one still runs on a
+//!   worker.
+//! * A pool worker gets one hand-off per plan: an `Arc` of the plan share
+//!   (the plan, the executor and the claim counters) and the answer
+//!   channel. It registers on the plan, claims and runs jobs until none
+//!   below the bound is left, answering each run as it finishes, then
+//!   flushes its telemetry spans, deregisters and says so. It gets
+//!   another hand-off only if claimable jobs reappear after it left. A
+//!   worker that wakes late finds fewer jobs left.
+//! * To close a plan (the quota fills, a stop rule ends the phase, or
+//!   the plan runs out), the caller zeroes the bound and then waits only
+//!   while a worker is registered, so every `engine.job` span ends inside
+//!   its `engine.collect`. A worker that wakes after that claims nothing
+//!   and is not waited for.
 //! * Workers are spawned on first use and never exit. The pool only
-//!   grows, to the widest session seen, and each worker has its own
-//!   channel, so a session at or below that width spawns nothing and a
+//!   grows, to the widest session seen minus one, and each worker has its
+//!   own queue, so a session at or below that width spawns nothing and a
 //!   `threads(n)` session runs on exactly `n` threads. A session may ask
 //!   for at most [`MAX_THREADS`]; a wider request, or a spawn the OS
 //!   refuses, is a typed [`SessionError`], never a panic.
 //! * Workers outlive phases and sessions, so each keeps its thread-local
 //!   run cache (hardware context and interpreter scratch, see
-//!   `crate::runner`) warm.
-//! * A chunk task carries `Arc`s of the plan and of the executor, which
-//!   holds a [`Runner`] whose machine is itself shared: dispatch copies
-//!   no program.
-//! * Each plan has a cancel flag. When the quota fills, or a stop rule
-//!   ends the phase, the coordinator raises it and workers stop the
-//!   plan's remaining chunks at their next job.
-//!   The coordinator then waits for every chunk it handed out, so every
-//!   `engine.job` span ends inside its `engine.collect`. Workers flush
-//!   their telemetry spans at the end of each chunk, before answering.
+//!   `crate::runner`) warm. The executor holds a [`Runner`] whose machine
+//!   is itself shared: a hand-off copies no program.
 //!
 //! ## Merge determinism
 //!
-//! Workers finish out of order, but the coordinator **consumes results
+//! Threads finish out of order, but the caller **consumes results
 //! strictly in job-index order**: completed jobs park in a `BTreeMap`
 //! until every lower-indexed job has been consumed. Quota checks (how
 //! many failure / success profiles are still needed) and the early-stop
@@ -95,15 +103,18 @@
 //!
 //! ## Thread-safety argument
 //!
-//! All workers of a plan share one executor around one [`Runner`]
+//! All threads of a plan share one executor around one [`Runner`]
 //! (machine + configs, immutable plain data — compile-time `Send + Sync`
 //! assertions live in the machine and hardware crates), and each runs on
 //! its own thread-local hardware context and interpreter scratch (reset to
-//! the exactly-fresh state between runs — see `crate::runner`), so workers
-//! share nothing mutable. A run that panics is caught with `catch_unwind`,
-//! reported in its chunk's answer, and surfaces as
-//! [`SessionError::WorkerPanicked`] instead of a hang; the worker itself
-//! survives and serves the next chunk.
+//! the exactly-fresh state between runs — see `crate::runner`). The only
+//! shared mutable state is the claim loop's three atomic counters: the
+//! next unclaimed index, the claim bound and the number of registered
+//! workers. A claim's compare-and-swap gives each index to exactly one
+//! thread, and runs travel to the caller over a channel. A run that
+//! panics, on the caller or on a worker, is caught with `catch_unwind`
+//! and surfaces as [`SessionError::WorkerPanicked`] instead of a hang; a
+//! worker survives it and serves its next hand-off.
 
 use crate::converge::{ConvergenceMonitor, ConvergenceReport, StabilityPolicy};
 use crate::diagnose::{failure_profile, profile_site, success_profile, DiagnosisStats, Quotas};
@@ -112,7 +123,7 @@ use crate::transform::{instrument, InstrumentOptions};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use stm_hardware::HwConfig;
@@ -132,9 +143,10 @@ pub enum ProfileKind {
 }
 
 /// The widest collection session: `threads(n)` above it is rejected before
-/// any run, since the pool starts one OS thread per requested worker. Eight
-/// times the host default's cap (`stm_suite::eval::default_threads`); the
-/// thread count never changes results.
+/// any run, since the pool starts one OS thread per requested thread
+/// beyond the caller. Eight times the host default's cap
+/// (`stm_suite::eval::default_threads`); the thread count never changes
+/// results.
 pub const MAX_THREADS: usize = 64;
 
 /// Why a [`DiagnosisSession::collect`] call could not produce profiles.
@@ -150,10 +162,10 @@ pub enum SessionError {
     /// executes, so a bad sweep setting fails fast with the reason rather
     /// than panicking inside a worker.
     InvalidHardware(stm_hardware::HwConfigError),
-    /// `threads(n)` asked for more than [`MAX_THREADS`] workers. Surfaced
+    /// `threads(n)` asked for more than [`MAX_THREADS`] threads. Surfaced
     /// before any run executes or any worker starts.
     TooManyThreads {
-        /// The requested worker count.
+        /// The requested thread count.
         requested: usize,
     },
     /// The OS refused to start a collection worker.
@@ -161,8 +173,9 @@ pub enum SessionError {
         /// The OS error.
         message: String,
     },
-    /// A worker panicked while executing a run. The engine reports this
-    /// instead of hanging or unwinding across the pool.
+    /// A run panicked, on a pool worker or on the calling thread. The
+    /// engine reports this instead of hanging or unwinding across the
+    /// pool.
     WorkerPanicked {
         /// Logical index of the job whose run panicked.
         job: u64,
@@ -330,9 +343,9 @@ pub struct DiagnosisSession {
     /// The paper diagnoses from 10 failure occurrences (§5.2; §7.2
     /// contrasts this diagnosis latency with CBI's ~1000).
     quotas: Quotas,
-    /// `1` keeps the sequential driver, `0` asks the OS. Runs are
-    /// independent production executions (§2's per-run short-term memory
-    /// snapshots), so sharding them changes no result.
+    /// The caller plus `threads − 1` pool workers; `0` asks the OS. Runs
+    /// are independent production executions (§2's per-run short-term
+    /// memory snapshots), so sharding them changes no result.
     threads: usize,
     run: RunConfig,
     hw: HwConfig,
@@ -424,8 +437,9 @@ impl DiagnosisSession {
         self
     }
 
-    /// Sets the worker-thread count: `0` = available parallelism, capped
-    /// at [`MAX_THREADS`]; an explicit count above it makes
+    /// Sets the number of threads that run jobs: the calling thread plus
+    /// `n − 1` pool workers. `0` = available parallelism, capped at
+    /// [`MAX_THREADS`]; an explicit count above it makes
     /// [`collect`](DiagnosisSession::collect) fail with
     /// [`SessionError::TooManyThreads`].
     pub fn threads(mut self, n: usize) -> Self {
@@ -492,9 +506,9 @@ impl DiagnosisSession {
         self
     }
 
-    /// Runs the collection: replays jobs (in parallel when
-    /// `threads > 1`), classifies each run, and keeps the deterministic
-    /// prefix that fills the profile quotas.
+    /// Runs the collection: replays jobs (on pool workers beside the
+    /// calling thread when `threads > 1`), classifies each run, and keeps
+    /// the deterministic prefix that fills the profile quotas.
     ///
     /// Besides the result, the session reports its outcome to the
     /// observability layer: the `engine.failure_streak` gauge counts
@@ -563,10 +577,6 @@ impl DiagnosisSession {
         let runner = Runner::new(self.machine)
             .with_run_config(self.run.clone())
             .with_hw_config(self.hw);
-        // Speculation window: how many jobs may be dispatched beyond the
-        // consumed prefix. Bounds the work discarded when the quota
-        // early-stop triggers.
-        let window = threads.saturating_mul(MAX_CHUNK as usize).max(1);
         let _span = stm_telemetry::span_cat("engine.collect", "engine");
 
         let mut sink = Sink::default();
@@ -589,7 +599,6 @@ impl DiagnosisSession {
             run_plan(
                 plan,
                 threads,
-                window,
                 &mut quota,
                 &spec,
                 &mut sink,
@@ -619,7 +628,6 @@ impl DiagnosisSession {
             run_plan(
                 plan,
                 threads,
-                window,
                 &mut quota,
                 &spec,
                 &mut sink,
@@ -636,7 +644,6 @@ impl DiagnosisSession {
             run_plan(
                 plan,
                 threads,
-                window,
                 &mut quota,
                 &spec,
                 &mut sink,
@@ -741,10 +748,11 @@ fn resolve_threads(threads: usize) -> Result<usize, SessionError> {
 /// One replay: its logical index (the determinism key), which workload it
 /// came from (for witness naming), and the exact workload to run.
 ///
-/// `flow` is telemetry plumbing stamped at dispatch time: the flow id
-/// ties the job's enqueue, execution and ordered consumption into one
-/// Chrome-trace causal chain. It stays zero when collection is off and
-/// never influences execution.
+/// `flow` is telemetry plumbing stamped when a pooled plan's job is
+/// claimed: the flow id ties the claim (`engine.enqueue`), execution and
+/// ordered consumption into one Chrome-trace causal chain. It stays zero
+/// when collection is off or the plan has no workers, and never
+/// influences execution.
 #[derive(Debug, Clone)]
 struct Job {
     index: u64,
@@ -1019,132 +1027,180 @@ fn phase_profilable(
 }
 
 /// Replays one job and classifies the run. One executor serves every
-/// worker of a session, so it must be `Sync`; tests inject hostile ones
+/// thread of a session, so it must be `Sync`; tests inject hostile ones
 /// (e.g. a panicking run) without a real machine.
 type Exec = dyn Fn(&Job) -> (RunReport, RunClass) + Send + Sync;
 
-/// The largest chunk a worker is handed, and each thread's share of the
-/// speculation window.
-const MAX_CHUNK: u64 = 16;
+/// Each thread's share of the claim bound: claims run at most
+/// `threads × MAX_AHEAD` jobs ahead of the consumed prefix.
+const MAX_AHEAD: u64 = 16;
 
-/// A chunk's results coming back from a worker in one message. Reports
-/// are boxed so the vector moves pointers, not full profile payloads.
-struct ChunkResult {
-    /// First job index of the chunk this answers.
-    start: u64,
-    /// The chunk's dispatched length (for queue-depth accounting; `runs`
-    /// is shorter when a job panicked or the plan was cancelled).
-    len: u32,
-    /// The session-local worker slot that ran the chunk, free again.
-    slot: usize,
-    /// Per-job outcomes for jobs `start..start + runs.len()`, in order.
-    runs: Vec<(Job, Box<RunReport>, RunClass)>,
-    /// The job that panicked, when one did; the worker stops its chunk
-    /// there.
-    panicked: Option<(u64, String)>,
-}
-
-/// What every chunk of one pooled plan shares.
+/// One plan as its threads share it: the plan, its executor and the
+/// claim loop's counters.
+///
+/// Every counter access is `SeqCst`, because closing a plan relies on a
+/// total order: the caller zeroes `bound` and then reads `active`, and a
+/// worker raises `active` and then reads `bound`. Either the caller sees
+/// the worker registered and waits for it, or the worker sees the zero
+/// bound and claims nothing.
 struct PlanShare {
     plan: JobPlan,
     exec: Arc<Exec>,
-    /// Raised once the consumed prefix no longer needs the plan's
-    /// remaining jobs; workers check it before each job. It publishes no
-    /// data, so `Relaxed` suffices: a worker that sees it late only runs
-    /// a job whose result is discarded anyway.
-    cancel: AtomicBool,
+    /// Pool workers take part: claims stamp flows and keep the queue
+    /// gauges.
+    pooled: bool,
+    /// The lowest unclaimed job index.
+    next: AtomicU64,
+    /// Jobs below it may be claimed. The caller raises it as it consumes
+    /// and zeroes it to close the plan.
+    bound: AtomicU64,
+    /// Pool workers registered on the plan.
+    active: AtomicUsize,
 }
 
-/// One unit of pool work: a contiguous slab of a plan's job indices,
-/// and where to answer. Workers regenerate the jobs themselves from the
-/// shared [`JobPlan`], so the transport moves two integers (plus flow ids
-/// when tracing) instead of a workload clone per run, and a worker wakes
-/// once per chunk: on the paper's microsecond-scale runs, a channel send
-/// and a thread wake per job would cost more than the job.
-struct ChunkTask {
-    share: Arc<PlanShare>,
-    /// First job index in the slab.
-    start: u64,
-    /// Number of consecutive jobs.
-    len: u32,
-    /// Flow ids stamped at enqueue time, one per job, empty when
-    /// telemetry is off.
-    flows: Vec<u64>,
-    /// Enqueue timestamp for the queue-wait histogram.
-    enqueued: Option<std::time::Instant>,
-    /// The session-local worker slot the chunk was handed to.
-    slot: usize,
-    results: mpsc::Sender<ChunkResult>,
-}
-
-impl ChunkTask {
-    /// Runs the chunk's jobs in index order, stopping at a panic or a
-    /// cancelled plan, and answers with one message.
-    fn run(self) {
-        let ChunkTask {
-            share,
-            start,
-            len,
-            flows,
-            enqueued,
-            slot,
-            results,
-        } = self;
-        if let Some(at) = enqueued {
-            stm_telemetry::histogram!("engine.queue_wait_us")
-                .record(at.elapsed().as_micros() as u64);
+impl PlanShare {
+    /// Claims the lowest unclaimed job below the bound: one
+    /// compare-and-swap, retried only when another thread claimed first.
+    fn claim(&self) -> Option<Job> {
+        let below_bound = |n: u64| (n < self.bound.load(Ordering::SeqCst)).then_some(n + 1);
+        let index = self
+            .next
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, below_bound)
+            .ok()?;
+        let mut job = self.plan.job_at(index);
+        if self.pooled {
+            stm_telemetry::counter!("engine.jobs").incr();
+            stm_telemetry::gauge!("engine.queue_depth").add(1);
+            if stm_telemetry::enabled() {
+                // The claim starts the job's causal chain: claim → execution
+                // → ordered consumption share one flow id.
+                job.flow = stm_telemetry::new_flow_id();
+                if stm_telemetry::log::would_log(stm_telemetry::log::Level::Debug) {
+                    stm_telemetry::log::emit(
+                        stm_telemetry::log::Level::Debug,
+                        "engine",
+                        "job.enqueue",
+                        job.flow,
+                        vec![
+                            ("job", job.index.to_string()),
+                            ("seed", job.workload.seed.to_string()),
+                        ],
+                    );
+                }
+                let _enq = stm_telemetry::span_cat("engine.enqueue", "engine")
+                    .with_flow(job.flow, stm_telemetry::FlowPhase::Start);
+            }
         }
+        Some(job)
+    }
+
+    /// Runs a claimed job on the calling thread; a panic becomes the
+    /// session's error.
+    fn run(&self, job: &Job) -> Result<(RunReport, RunClass), SessionError> {
         // Net-zero across add(+1)/add(-1), so the shared static needs no
         // reset between sessions.
         let busy = stm_telemetry::gauge!("engine.workers_busy");
-        busy.add(1);
-        let mut runs = Vec::with_capacity(len as usize);
-        let mut index = start;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            for i in 0..u64::from(len) {
-                if share.cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-                index = start + i;
-                let mut job = share.plan.job_at(index);
-                job.flow = flows.get(i as usize).copied().unwrap_or(0);
-                let _span = stm_telemetry::span_cat("engine.job", "engine")
-                    .with_flow(job.flow, stm_telemetry::FlowPhase::Step);
-                stm_telemetry::counter!("engine.runs").incr();
-                let (report, class) = (share.exec)(&job);
-                runs.push((job, Box::new(report), class));
+        if self.pooled {
+            busy.add(1);
+        }
+        let outcome = {
+            let _span = stm_telemetry::span_cat("engine.job", "engine")
+                .with_flow(job.flow, stm_telemetry::FlowPhase::Step);
+            stm_telemetry::counter!("engine.runs").incr();
+            catch_unwind(AssertUnwindSafe(|| (self.exec)(job)))
+        };
+        if self.pooled {
+            busy.add(-1);
+        }
+        outcome.map_err(|p| {
+            let message = panic_message(p);
+            stm_telemetry::log::error(
+                "engine",
+                "worker.panic",
+                vec![("job", job.index.to_string()), ("message", message.clone())],
+            );
+            SessionError::WorkerPanicked {
+                job: job.index,
+                message,
             }
-        }));
-        busy.add(-1);
-        // The coordinator returns once every chunk has answered, so the spans
-        // must reach the global sink before the answer does.
-        stm_telemetry::flush_thread();
-        let _ = results.send(ChunkResult {
-            start,
-            len,
-            slot,
-            runs,
-            panicked: outcome.err().map(|p| (index, panic_message(p))),
-        });
+        })
+    }
+
+    /// Opens the consume span of a pooled plan's job, the end of its
+    /// flow, and takes the job off the queue depth.
+    fn consuming(&self, job: &Job) -> Option<stm_telemetry::SpanGuard> {
+        self.pooled.then(|| {
+            stm_telemetry::gauge!("engine.queue_depth").add(-1);
+            stm_telemetry::span_cat("engine.consume", "engine")
+                .with_flow(job.flow, stm_telemetry::FlowPhase::End)
+        })
     }
 }
 
-/// The process-wide collection pool: one channel per long-lived worker.
-static POOL: Mutex<Vec<mpsc::Sender<ChunkTask>>> = Mutex::new(Vec::new());
+/// A pool worker's turn on one plan: its slot, where to answer, and when
+/// the hand-off was sent.
+struct Handoff {
+    share: Arc<PlanShare>,
+    slot: usize,
+    answers: mpsc::Sender<Answer>,
+    sent: Option<std::time::Instant>,
+}
+
+/// What a pool worker tells the caller.
+enum Answer {
+    /// A run, sent as soon as it finished; the worker claims nothing more
+    /// after a panic. The report is boxed so the channel moves a pointer,
+    /// not the profile payloads.
+    Ran(Job, Result<Box<(RunReport, RunClass)>, SessionError>),
+    /// The worker in this slot deregistered from the plan.
+    Left(usize),
+}
+
+impl Handoff {
+    /// Registers on the plan, claims and runs jobs until none below the
+    /// bound is left, then deregisters.
+    fn serve(self) {
+        self.share.active.fetch_add(1, Ordering::SeqCst);
+        if let Some(at) = self.sent {
+            stm_telemetry::histogram!("engine.queue_wait_us")
+                .record(at.elapsed().as_micros() as u64);
+        }
+        while let Some(job) = self.share.claim() {
+            let run = self.share.run(&job).map(Box::new);
+            let panicked = run.is_err();
+            // A registered worker's caller is still waiting, so the send
+            // cannot fail.
+            let _ = self.answers.send(Answer::Ran(job, run));
+            if panicked {
+                break;
+            }
+        }
+        // The caller stops waiting once no worker is registered, so the
+        // spans must reach the global sink first.
+        stm_telemetry::flush_thread();
+        self.share.active.fetch_sub(1, Ordering::SeqCst);
+        // Fails only for a worker that woke after the plan closed.
+        let _ = self.answers.send(Answer::Left(self.slot));
+    }
+}
+
+/// The process-wide collection pool: one hand-off queue per long-lived
+/// worker.
+static POOL: Mutex<Vec<mpsc::Sender<Handoff>>> = Mutex::new(Vec::new());
 
 /// The queues of the pool's first `n` workers, spawning any that do not
 /// exist yet. Workers never exit, so the pool only grows.
-fn pool_workers(n: usize) -> Result<Vec<mpsc::Sender<ChunkTask>>, SessionError> {
+fn pool_workers(n: usize) -> Result<Vec<mpsc::Sender<Handoff>>, SessionError> {
     // A queue is pushed only once its worker runs, so a failed spawn
     // leaves the list valid.
     let mut pool = POOL.lock().unwrap_or_else(|p| p.into_inner());
     while pool.len() < n {
-        let (tx, rx) = mpsc::channel::<ChunkTask>();
+        let (tx, rx) = mpsc::channel::<Handoff>();
         // Detached on purpose: the worker lives as long as the process,
-        // and `ChunkTask::run` catches every panic a job can raise.
+        // and `PlanShare::run` catches every panic a job can raise.
         std::thread::Builder::new()
             .name(format!("stm-collect-{}", pool.len()))
-            .spawn(move || rx.into_iter().for_each(ChunkTask::run))
+            .spawn(move || rx.into_iter().for_each(Handoff::serve))
             .map_err(|e| SessionError::SpawnFailed {
                 message: e.to_string(),
             })?;
@@ -1152,6 +1208,75 @@ fn pool_workers(n: usize) -> Result<Vec<mpsc::Sender<ChunkTask>>, SessionError> 
         pool.push(tx);
     }
     Ok(pool[..n].to_vec())
+}
+
+/// A finished run above the consumed prefix, with when it was parked.
+type Parked = (Job, RunReport, RunClass, Option<std::time::Instant>);
+
+/// The caller's side of a pooled plan: the workers' queues, the slots not
+/// on the plan, and the answer channel.
+struct Workers {
+    share: Arc<PlanShare>,
+    queues: Vec<mpsc::Sender<Handoff>>,
+    /// Slots that have not had the plan yet, or have left it.
+    idle: Vec<usize>,
+    tx: mpsc::Sender<Answer>,
+    rx: mpsc::Receiver<Answer>,
+}
+
+impl Workers {
+    /// Hands the plan to idle workers, at most one per claimable job.
+    fn hand_off(&mut self) {
+        let (bound, next) = (&self.share.bound, &self.share.next);
+        let claimable = bound
+            .load(Ordering::SeqCst)
+            .saturating_sub(next.load(Ordering::SeqCst));
+        let keep = self.idle.len().saturating_sub(claimable as usize);
+        for slot in self.idle.drain(keep..) {
+            let handoff = Handoff {
+                share: Arc::clone(&self.share),
+                slot,
+                answers: self.tx.clone(),
+                sent: stm_telemetry::enabled().then(std::time::Instant::now),
+            };
+            if self.queues[slot].send(handoff).is_err() {
+                unreachable!("collection workers never exit");
+            }
+        }
+    }
+
+    /// Files one answer: a run is parked, a panic fails the plan, and a
+    /// worker that left becomes idle.
+    fn file(
+        &mut self,
+        answer: Answer,
+        parked: &mut BTreeMap<u64, Parked>,
+        failure: &mut Option<SessionError>,
+    ) {
+        match answer {
+            Answer::Ran(job, Ok(run)) => {
+                let at = stm_telemetry::enabled().then(std::time::Instant::now);
+                let (report, class) = *run;
+                parked.insert(job.index, (job, report, class, at));
+            }
+            Answer::Ran(_, Err(e)) => {
+                failure.get_or_insert(e);
+            }
+            Answer::Left(slot) => self.idle.push(slot),
+        }
+    }
+
+    /// Closes the plan: zeroes the bound, waits while a worker is
+    /// registered, and accounts the claims that were never consumed.
+    fn close(self, consumed: u64) {
+        self.share.bound.store(0, Ordering::SeqCst);
+        while self.share.active.load(Ordering::SeqCst) > 0 {
+            let _ = self.rx.recv();
+        }
+        let discarded = self.share.next.load(Ordering::SeqCst) - consumed;
+        stm_telemetry::counter!("engine.jobs_discarded").add(discarded);
+        stm_telemetry::gauge!("engine.queue_depth").add(-(discarded as i64));
+    }
 }
 
 /// Where consumed runs accumulate: the run accounting plus the collected
@@ -1218,14 +1343,13 @@ fn converged(monitor: &Option<ConvergenceMonitor>) -> bool {
     monitor.as_ref().is_some_and(|m| m.should_stop())
 }
 
-/// Executes one plan, sequentially or on the pool, consuming results in
-/// strict index order until the quota is done (filled, or ended by a stop
-/// rule) or the plan is exhausted.
-#[allow(clippy::too_many_arguments)] // the engine's one internal seam
+/// Executes one plan on the calling thread and `threads − 1` pool
+/// workers, consuming runs in strict index order until the quota is done
+/// (filled, or ended by a stop rule) or the plan is exhausted; see the
+/// module docs.
 fn run_plan(
     plan: JobPlan,
     threads: usize,
-    window: usize,
     quota: &mut Quota,
     spec: &FailureSpec,
     sink: &mut Sink,
@@ -1236,155 +1360,111 @@ fn run_plan(
     if limit == 0 || quota.done() || converged(monitor) {
         return Ok(());
     }
-
-    if threads <= 1 {
-        let mut index = 0u64;
-        while index < limit && !quota.done() && !converged(monitor) {
-            let job = plan.job_at(index);
-            let _span = stm_telemetry::span_cat("engine.job", "engine");
-            stm_telemetry::counter!("engine.runs").incr();
-            let jid = job.index;
-            let (report, class) = catch_unwind(AssertUnwindSafe(|| exec(&job))).map_err(|p| {
-                let message = panic_message(p);
-                stm_telemetry::log::error(
-                    "engine",
-                    "worker.panic",
-                    vec![("job", jid.to_string()), ("message", message.clone())],
-                );
-                SessionError::WorkerPanicked { job: jid, message }
-            })?;
-            consume(job, report, class, quota, spec, sink, monitor);
-            index += 1;
-        }
-        return Ok(());
-    }
-
-    let queues = pool_workers(threads)?;
-    let depth = stm_telemetry::gauge!("engine.queue_depth");
+    let local = PlanShare {
+        plan,
+        exec: Arc::clone(exec),
+        pooled: threads > 1,
+        next: AtomicU64::new(0),
+        bound: AtomicU64::new(0),
+        active: AtomicUsize::new(0),
+    };
+    // A `threads(1)` plan builds no channel and no `Arc`.
+    let pooled;
+    let (share, mut workers) = if threads > 1 {
+        let queues = pool_workers(threads - 1)?;
+        pooled = Arc::new(local);
+        let (tx, rx) = mpsc::channel();
+        let workers = Workers {
+            share: Arc::clone(&pooled),
+            queues,
+            idle: (0..threads - 1).rev().collect(),
+            tx,
+            rx,
+        };
+        (&*pooled, Some(workers))
+    } else {
+        (&local, None)
+    };
     // Session-width gauge: one call site for both `set`s (snapshots sum
     // same-name gauges across call sites, so a second site could not
     // zero this one).
-    let workers = stm_telemetry::gauge!("engine.workers");
-    workers.set(threads as i64);
-    let share = Arc::new(PlanShare {
-        plan,
-        exec: Arc::clone(exec),
-        cancel: AtomicBool::new(false),
-    });
-    let (res_tx, res_rx) = mpsc::channel::<ChunkResult>();
-    // Worker slots without a chunk; each holds at most one at a time.
-    let mut idle: Vec<usize> = (0..threads).rev().collect();
-    let mut dispatched = 0u64;
+    let width = stm_telemetry::gauge!("engine.workers");
+    if workers.is_some() {
+        width.set(threads as i64);
+    }
+    // Claims stay at most `max(owed, consumed)` jobs, and at most
+    // `threads × MAX_AHEAD`, ahead of the consumed prefix.
+    let cap = threads as u64 * MAX_AHEAD;
+    let raise = |consumed: u64, quota: &Quota| {
+        let ahead = (quota.owed().max(consumed as usize) as u64).clamp(1, cap);
+        share
+            .bound
+            .store(limit.min(consumed.saturating_add(ahead)), Ordering::SeqCst);
+    };
     let mut consumed = 0u64;
-    // Each parked result remembers when it arrived, so ordered
-    // consumption can report how long speculation held it back.
-    type Parked = (Job, RunReport, RunClass, Option<std::time::Instant>);
-    let mut pending: BTreeMap<u64, Parked> = BTreeMap::new();
+    let mut parked: BTreeMap<u64, Parked> = BTreeMap::new();
     let mut failure: Option<SessionError> = None;
-    while consumed < limit && !quota.done() && !converged(monitor) && failure.is_none() {
-        // Hand every idle worker a chunk, within the speculation window.
-        // The chunk is the quota's remaining need split across the
-        // threads; on a scan whose runs keep missing, the need grows
-        // with the runs already consumed.
-        while dispatched < limit && dispatched < consumed + window as u64 {
-            let Some(slot) = idle.pop() else { break };
-            let need = quota.owed().max(consumed as usize).div_ceil(threads) as u64;
-            let len = need
-                .clamp(1, MAX_CHUNK)
-                .min(limit - dispatched)
-                .min(consumed + window as u64 - dispatched);
-            let mut flows = Vec::new();
-            if stm_telemetry::enabled() {
-                // Stamp the causal chain per job: enqueue → worker
-                // execution → ordered consumption share one flow id.
-                flows.reserve(len as usize);
-                for i in 0..len {
-                    let flow = stm_telemetry::new_flow_id();
-                    if stm_telemetry::log::would_log(stm_telemetry::log::Level::Debug) {
-                        let job = share.plan.job_at(dispatched + i);
-                        stm_telemetry::log::emit(
-                            stm_telemetry::log::Level::Debug,
-                            "engine",
-                            "job.enqueue",
-                            flow,
-                            vec![
-                                ("job", job.index.to_string()),
-                                ("seed", job.workload.seed.to_string()),
-                            ],
-                        );
-                    }
-                    let _enq = stm_telemetry::span_cat("engine.enqueue", "engine")
-                        .with_flow(flow, stm_telemetry::FlowPhase::Start);
-                    flows.push(flow);
+    raise(0, quota);
+    // Job 0 is claimed before any worker has the plan.
+    let mut mine = share.claim();
+    loop {
+        if let Some(w) = workers.as_mut() {
+            w.hand_off();
+        }
+        match mine {
+            Some(job) => match share.run(&job) {
+                Ok((report, class)) if job.index == consumed => {
+                    let _span = share.consuming(&job);
+                    consume(job, report, class, quota, spec, sink, monitor);
+                    consumed += 1;
                 }
+                Ok((report, class)) => {
+                    let at = stm_telemetry::enabled().then(std::time::Instant::now);
+                    parked.insert(job.index, (job, report, class, at));
+                }
+                Err(e) => failure = Some(e),
+            },
+            // Every job below the bound is claimed, and the lowest
+            // unconsumed one still runs on a worker.
+            None => {
+                let w = workers
+                    .as_mut()
+                    .expect("a threads(1) plan can always claim its next job");
+                let answer = w.rx.recv().expect("the caller holds an answer sender");
+                w.file(answer, &mut parked, &mut failure);
             }
-            let task = ChunkTask {
-                share: Arc::clone(&share),
-                start: dispatched,
-                len: len as u32,
-                flows,
-                enqueued: stm_telemetry::enabled().then(std::time::Instant::now),
-                slot,
-                results: res_tx.clone(),
-            };
-            if queues[slot].send(task).is_err() {
-                unreachable!("collection workers never exit");
+        }
+        if let Some(w) = workers.as_mut() {
+            while let Ok(answer) = w.rx.try_recv() {
+                w.file(answer, &mut parked, &mut failure);
             }
-            stm_telemetry::counter!("engine.jobs").add(len);
-            depth.add(len as i64);
-            dispatched += len;
         }
-        if idle.len() == threads {
-            break; // nothing in flight, so nothing more can arrive
-        }
-        let msg = res_rx
-            .recv()
-            .expect("the coordinator holds a result sender");
-        depth.add(-(msg.len as i64));
-        idle.push(msg.slot);
-        let arrived = stm_telemetry::enabled().then(std::time::Instant::now);
-        for (i, (job, report, class)) in msg.runs.into_iter().enumerate() {
-            pending.insert(msg.start + i as u64, (job, *report, class, arrived));
-        }
-        if let Some((job, message)) = msg.panicked {
-            stm_telemetry::log::error(
-                "engine",
-                "worker.panic",
-                vec![("job", job.to_string()), ("message", message.clone())],
-            );
-            failure = Some(SessionError::WorkerPanicked { job, message });
-        }
-        // Consume the ready prefix, in order, re-checking the quota
-        // (and the convergence stop) after each job exactly as the
-        // sequential loop does.
+        // Consume the ready prefix, in order, re-checking the quota (and
+        // the convergence stop) after each run exactly as a sequential
+        // loop would.
         while !quota.done() && !converged(monitor) {
-            let Some((job, report, class, arrived)) = pending.remove(&consumed) else {
+            let Some((job, report, class, at)) = parked.remove(&consumed) else {
                 break;
             };
-            if let Some(at) = arrived {
+            if let Some(at) = at {
                 stm_telemetry::histogram!("engine.result_holdback_us")
                     .record(at.elapsed().as_micros() as u64);
             }
-            let _span = stm_telemetry::span_cat("engine.consume", "engine")
-                .with_flow(job.flow, stm_telemetry::FlowPhase::End);
+            let _span = share.consuming(&job);
             consume(job, report, class, quota, spec, sink, monitor);
             consumed += 1;
         }
+        if failure.is_some() || consumed == limit || quota.done() || converged(monitor) {
+            break;
+        }
+        raise(consumed, quota);
+        mine = share.claim();
     }
-
-    // Stop the plan's outstanding chunks at their next job and wait for
-    // their answers, then account the speculative overshoot.
-    share.cancel.store(true, Ordering::Relaxed);
-    for msg in res_rx.iter().take(threads - idle.len()) {
-        depth.add(-(msg.len as i64));
+    if let Some(w) = workers {
+        w.close(consumed);
+        width.set(0);
     }
-    stm_telemetry::counter!("engine.jobs_discarded").add(dispatched.saturating_sub(consumed));
-    depth.set(0);
-    workers.set(0);
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    failure.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -1583,7 +1663,7 @@ mod tests {
             let runner = Runner::new(Machine::new(p));
             runner.run_classified(&job.workload, &FailureSpec::AnyCrash)
         });
-        let err = run_plan(plan, 4, 8, &mut quota, &spec, &mut sink, &mut None, &exec).unwrap_err();
+        let err = run_plan(plan, 4, &mut quota, &spec, &mut sink, &mut None, &exec).unwrap_err();
         match err {
             SessionError::WorkerPanicked { message, .. } => {
                 assert!(message.contains("poisoned run"), "{message}");
@@ -1595,6 +1675,64 @@ mod tests {
         let (seq, par) = (session(1).unwrap(), session(4).unwrap());
         assert_eq!(par.stats(), seq.stats());
         assert_eq!(par.lbra().ranked, seq.lbra().ranked);
+    }
+
+    /// Which thread ran each job, as recorded by [`recording_exec`].
+    type Ran = Arc<Mutex<Vec<(u64, std::thread::ThreadId)>>>;
+
+    /// An executor over real runs of [`guarded_program`] that records the
+    /// thread each job ran on.
+    fn recording_exec() -> (Arc<Exec>, Ran) {
+        let ran = Ran::default();
+        let log = Arc::clone(&ran);
+        let runner = Runner::new(Machine::new(guarded_program().0));
+        let exec: Arc<Exec> = Arc::new(move |job: &Job| {
+            let tid = std::thread::current().id();
+            log.lock().expect("no run panics").push((job.index, tid));
+            runner.run_classified(&job.workload, &FailureSpec::AnyCrash)
+        });
+        (exec, ran)
+    }
+
+    /// Runs a `limit`-job plan of passing runs whose quota keeps up to
+    /// `want_pass` of them, and returns the runs it consumed.
+    fn run_passing_plan(limit: u64, want_pass: usize, threads: usize, exec: &Arc<Exec>) -> usize {
+        let plan = JobPlan::cycle(vec![Workload::new(vec![0])], limit);
+        let mut quota = Quota::scan(0, want_pass);
+        let mut sink = Sink::default();
+        let spec = FailureSpec::AnyCrash;
+        run_plan(plan, threads, &mut quota, &spec, &mut sink, &mut None, exec)
+            .expect("no run panics");
+        sink.stats.total_runs
+    }
+
+    #[test]
+    fn job_zero_of_every_plan_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4] {
+            for limit in [1, 10, 64] {
+                let (exec, ran) = recording_exec();
+                let consumed = run_passing_plan(limit, usize::MAX, threads, &exec);
+                assert_eq!(consumed as u64, limit, "threads({threads})");
+                let ran = ran.lock().expect("no run panics");
+                let job0: Vec<_> = ran.iter().filter(|(i, _)| *i == 0).collect();
+                assert_eq!(job0, [&(0, caller)], "threads({threads}), {limit} jobs");
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_that_needs_one_run_executes_exactly_one_job() {
+        // A one-job plan, and a long plan whose quota owes one profile
+        // that its first run fills.
+        for threads in [2, 4] {
+            for (limit, want_pass) in [(1, usize::MAX), (64, 1)] {
+                let (exec, ran) = recording_exec();
+                assert_eq!(run_passing_plan(limit, want_pass, threads, &exec), 1);
+                let ran = ran.lock().expect("no run panics").len();
+                assert_eq!(ran, 1, "threads({threads}), {limit} jobs");
+            }
+        }
     }
 
     #[test]
@@ -1762,9 +1900,9 @@ mod tests {
             }
         );
         // Had the session reached `pool_workers`, the pool would now be
-        // wider than the cap.
+        // at least as wide as the cap: the caller is one of its threads.
         let width = POOL.lock().unwrap_or_else(|p| p.into_inner()).len();
-        assert!(width <= MAX_THREADS, "pool grew to {width}");
+        assert!(width < MAX_THREADS, "pool grew to {width}");
         assert_eq!(resolve_threads(MAX_THREADS), Ok(MAX_THREADS));
         let host = resolve_threads(0).expect("the host default is in range");
         assert!((1..=MAX_THREADS).contains(&host), "{host}");
@@ -1773,11 +1911,12 @@ mod tests {
     #[test]
     fn warm_pool_spawns_no_thread_at_or_below_its_width() {
         // No test in this crate asks for more than 8 threads, so once the
-        // pool is 8 wide, concurrently running tests cannot grow it either.
+        // pool is 7 wide (the caller is the eighth thread), concurrently
+        // running tests cannot grow it either.
         session(8).expect("warm-up session");
         let width = || POOL.lock().unwrap_or_else(|p| p.into_inner()).len();
         let warmed = width();
-        assert!(warmed >= 8);
+        assert!(warmed >= 7);
         for threads in [2, 4, 8] {
             session(threads).expect("warm session");
             assert_eq!(width(), warmed, "a threads({threads}) session spawned");

@@ -29,6 +29,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Display};
 
 /// Whether a predictor fires on the presence or the absence of its event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,6 +65,17 @@ impl<E> RankedEvent<E> {
     /// Total number of profiles matching the predictor, `|e|` (or `|¬e|`).
     pub fn total_matches(&self) -> usize {
         self.failure_matches + self.success_matches
+    }
+}
+
+/// The predictor's display form: the event, `!`-prefixed for an
+/// absence predictor.
+impl<E: Display> Display for RankedEvent<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.polarity == Polarity::Absent {
+            f.write_str("!")?;
+        }
+        write!(f, "{}", self.event)
     }
 }
 

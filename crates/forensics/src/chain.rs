@@ -519,10 +519,7 @@ where
     D: TraceRecord<Event = E>,
 {
     let top = ranked.first()?;
-    let top_display = match top.polarity {
-        Polarity::Present => format!("{}", top.event),
-        Polarity::Absent => format!("!{}", top.event),
-    };
+    let top_display = top.to_string();
     // The anchor must be a presence predictor that actually occurs in a
     // retained failing trace — an absence predictor never does, and a
     // presence predictor can be missing from the (capped) retained set.

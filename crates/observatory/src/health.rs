@@ -47,8 +47,8 @@ pub const DEGRADED_STREAK: i64 = 1;
 /// runbook's "3 consecutive failed cycles" rule).
 pub const FAILING_STREAK: i64 = 3;
 
-/// `queue_depth > MAX_QUEUE_DEPTH` → at least degraded: workers are not
-/// keeping up with dispatch.
+/// `queue_depth > MAX_QUEUE_DEPTH` → at least degraded: ordered
+/// consumption is not keeping up with claims.
 pub const MAX_QUEUE_DEPTH: i64 = 64;
 
 /// With work queued, `runs_per_sec < MIN_RUNS_PER_SEC` → at least
@@ -64,7 +64,7 @@ pub const RECOVERY_OBSERVATIONS: u32 = 2;
 /// live registry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
-    /// `engine.queue_depth` gauge: jobs dispatched but not yet consumed.
+    /// `engine.queue_depth` gauge: jobs claimed but not yet consumed.
     pub queue_depth: i64,
     /// `engine.failure_streak` gauge: consecutive sessions that errored
     /// or lost profiles (`CtlResponse::Lost`), reset by a clean session.
@@ -72,10 +72,12 @@ pub struct Observation {
     /// Runs per second derived from the `engine.runs` counter delta
     /// between polls; `None` on the first poll.
     pub runs_per_sec: Option<f64>,
-    /// `engine.workers_busy` gauge: workers currently executing a job.
+    /// `engine.workers_busy` gauge: threads currently executing a pooled
+    /// session's job, the calling thread included.
     pub workers_busy: i64,
-    /// `engine.workers` gauge: the running session's worker count (0
-    /// outside a session; idle pool workers do not count).
+    /// `engine.workers` gauge: the running pooled session's thread count,
+    /// the calling thread included (0 outside a session; idle pool
+    /// workers do not count).
     pub workers: i64,
 }
 

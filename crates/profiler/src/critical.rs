@@ -3,19 +3,22 @@
 //! A [`DiagnosisSession::collect`] leaves a well-shaped trace in the
 //! telemetry collector: one `engine.collect` root, and `engine.enqueue` →
 //! `engine.job` → `engine.consume` chains tied per job by flow ids, each
-//! `engine.job` on the thread of the worker that ran it. [`CriticalPathReport`]
+//! `engine.job` on the thread that claimed and ran it — a pool worker or
+//! the calling thread, which runs jobs beside its workers. [`CriticalPathReport`]
 //! walks that DAG and tiles the root's wall-clock **exactly** — every
 //! microsecond between session start and end lands in exactly one
 //! labeled [`PathSegment`] — so phase durations always sum to the
 //! session duration and nothing hides in unattributed gaps.
 //!
-//! The walk is a monotone sweep along the coordinator's timeline. Each
+//! The walk is a monotone sweep along the caller's timeline. Each
 //! ordered consumption closes one job; the gap in front of it is carved
 //! up by that job's own flow chain (enqueue span, execution span) into
 //! *setup/coordinator* (before the enqueue), *enqueue*, *queue wait*
 //! (enqueued but not yet executing), *job execution*, and *result
 //! hold-back* (executed but parked awaiting in-order consumption —
-//! speculation cost). Whatever follows the last consumption is
+//! speculation cost). The enqueue span is the job's claim and the claim
+//! starts the job, so queue wait is near 0 unless the claiming thread
+//! was descheduled in between. Whatever follows the last consumption is
 //! *finalize*. Sequential sessions have no consume spans; their
 //! `engine.job` spans chain directly with *coordinator* gaps.
 //!
@@ -57,7 +60,8 @@ impl PathSegment {
 pub struct CriticalPathReport {
     /// Session wall-clock, microseconds.
     pub wall_us: u64,
-    /// Threads that ran the session's jobs (1 for a sequential session).
+    /// Threads that ran the session's jobs, the calling thread included
+    /// (1 for a sequential session).
     pub workers: usize,
     /// `engine.job` executions inside the session window.
     pub jobs: usize,
@@ -92,8 +96,8 @@ impl CriticalPathReport {
         let mut consumes: Vec<Iv> = vec![];
         let mut jobs: Vec<Iv> = vec![];
         let mut enqueues: BTreeMap<u64, Iv> = BTreeMap::new();
-        // The threads that ran the session's jobs: its pool workers, or
-        // the caller's thread alone for a sequential session.
+        // The threads that ran the session's jobs: the caller's thread
+        // and the pool workers that claimed any.
         let mut job_threads = BTreeSet::new();
         for s in spans {
             let Some(iv) = interval(s) else { continue };
@@ -230,7 +234,7 @@ impl CriticalPathReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "wall {} us · {} jobs on {} worker(s) · busy {} us · parallel efficiency {:.1}% · coverage {:.1}%\n",
+            "wall {} us · {} jobs on {} thread(s) · busy {} us · parallel efficiency {:.1}% · coverage {:.1}%\n",
             self.wall_us,
             self.jobs,
             self.workers,

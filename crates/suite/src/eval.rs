@@ -33,7 +33,7 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// An `STM_THREADS` value as a worker count clamped into
+/// An `STM_THREADS` value as a thread count clamped into
 /// `1..=MAX_THREADS`; `None` when it is not a number.
 fn threads_from_env(value: &str) -> Option<usize> {
     let n = value.trim().parse::<usize>().ok()?;
@@ -82,7 +82,8 @@ pub fn expand_workloads(b: &Benchmark, runner: &Runner) -> (Vec<Workload>, Vec<W
     expand(b, runner, default_threads())
 }
 
-/// [`expand_workloads`] on `threads` workers, which never change the lists.
+/// [`expand_workloads`] on `threads` collection threads, which never
+/// change the lists.
 fn expand(b: &Benchmark, runner: &Runner, threads: usize) -> (Vec<Workload>, Vec<Workload>) {
     match b.info.bug_class {
         BugClass::Sequential => (b.workloads.failing.clone(), b.workloads.passing.clone()),
@@ -206,7 +207,7 @@ pub struct Deployment {
 
 impl Deployment {
     /// Instruments `bench` for its diagnosis and expands its witnesses (a
-    /// seed scan on `threads` workers for a concurrency bug).
+    /// seed scan on `threads` collection threads for a concurrency bug).
     pub fn new(bench: Benchmark, threads: usize) -> Deployment {
         let (kind, lcr_config) = match bench.info.bug_class {
             BugClass::Sequential => (ProfileKind::Lbr, None),
@@ -224,8 +225,9 @@ impl Deployment {
         }
     }
 
-    /// A witness-mode session over the witnesses on `threads` workers, to
-    /// configure further (hardware, interpreter, convergence) and collect.
+    /// A witness-mode session over the witnesses on `threads` collection
+    /// threads, to configure further (hardware, interpreter, convergence)
+    /// and collect.
     pub fn session(&self, threads: usize) -> DiagnosisSession {
         DiagnosisSession::from_runner(&self.runner)
             .failure(self.bench.truth.spec.clone())
@@ -248,8 +250,8 @@ impl Deployment {
         }
     }
 
-    /// Collects under `hw` on `threads` workers and ranks: the diagnosis
-    /// and the collection it read.
+    /// Collects under `hw` on `threads` collection threads and ranks: the
+    /// diagnosis and the collection it read.
     ///
     /// # Errors
     ///

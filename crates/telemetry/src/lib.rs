@@ -897,7 +897,8 @@ pub fn labeled_gauge_set(name: &str, label: &str, value: &str, level: i64) {
 /// [`take_spans`]. Flushing as the last act inside the closure puts the
 /// spans in the sink before the join completes. Long-lived workers need
 /// it too, since they never reach thread exit: the collection engine's
-/// pool workers flush at the end of every chunk, before they answer it.
+/// pool workers flush when they run out of jobs to claim, before they
+/// deregister from the plan.
 pub fn flush_thread() {
     flush_local_spans();
 }

@@ -279,7 +279,6 @@ fn early_stop_is_identical_at_1_and_8_threads() {
     // determinism guarantee: same witnesses kept, same stop point, same
     // verdict and evidence, same final ranking at any thread count.
     use stm::core::converge::{FinalRanking, StabilityPolicy};
-    use stm::core::ranking::Polarity;
 
     let p1 = collect_converge("apache4", 1, StabilityPolicy::default());
     let p8 = collect_converge("apache4", 8, StabilityPolicy::default());
@@ -310,11 +309,7 @@ fn early_stop_is_identical_at_1_and_8_threads() {
     let FinalRanking::Lcr(ranked) = &r1.final_ranking else {
         panic!("apache4 is diagnosed by LCRA");
     };
-    let top1 = match ranked[0].polarity {
-        Polarity::Present => ranked[0].event.to_string(),
-        Polarity::Absent => format!("!{}", ranked[0].event),
-    };
-    assert_eq!(r1.evidence.top1, Some(top1));
+    assert_eq!(r1.evidence.top1, Some(ranked[0].to_string()));
     assert_eq!(r1.evidence.history.len(), r1.evidence.witnesses);
 }
 
