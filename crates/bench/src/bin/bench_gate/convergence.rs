@@ -11,7 +11,7 @@
 //! exact witness count at which the default policy fires.
 //!
 //! Gated metrics (all deterministic — the simulation is fully seeded —
-//! and all higher-is-worse):
+//! so each must repeat its baseline exactly):
 //!
 //! * `witnesses_full` / `witnesses_early` — witnesses ingested by the
 //!   full-quota and early-stopped sessions; early-stop regressing

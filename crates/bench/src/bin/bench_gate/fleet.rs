@@ -19,9 +19,10 @@
 //!   gate; a shed going missing (or an extra one appearing) is a
 //!   backpressure accounting bug.
 //!
-//! Counter baselines are higher-is-worse, so a diff alone would read an
-//! under-count as an improvement. Four harness checks close that hole;
-//! each prints its reason and fails the gate:
+//! The baseline pins every count exactly, so an under-count fails as
+//! surely as an over-count. Four harness checks add what a pinned value
+//! cannot express, relations between values and status documents; each
+//! prints its reason and fails the gate:
 //!
 //! * after the sustained phase drains, the live `"fleet"` status
 //!   document (what `/diagnosis` serves) lists every shard, each with a

@@ -1,10 +1,15 @@
 //! The benchmark regression gate. Runs the harnesses that guard the
 //! paper's checkable claims, writes each one's
-//! `results/BENCH_<name>.json`, and diffs it against the committed
-//! `baselines/BENCH_<name>.json` under
-//! [`stm_forensics::diff_benchmarks`]' rule: ranks, ring positions and
-//! telemetry counters are higher-is-worse, `*_floor` metrics
-//! lower-is-worse.
+//! `results/BENCH_<name>.json`, and gates it against the committed
+//! `baselines/BENCH_<name>.json` under one rule: every leaf the baseline
+//! carries (a value that is not an object), other than `harness`, must
+//! equal the fresh document's value at the same path. A missing key, a
+//! `null` that became a number, and any other change in either direction
+//! fail; keys only the fresh document has are not checked. The simulator
+//! is seeded, so every pinned number repeats exactly.
+//!
+//! A baseline is re-blessed by hand: copy the fresh value the gate prints
+//! into the baseline file.
 //!
 //! Usage: `bench_gate [harness...]`; with no names it runs every harness
 //! in table order.
@@ -14,9 +19,10 @@
 //! the thread count, so the driver pins `STM_THREADS=1` before any
 //! harness runs.
 //!
-//! Exit codes: 0 = no regressions, 1 = a metric regressed or a harness
-//! check failed, 2 = unknown harness name, or an unreadable or malformed
-//! baseline or result.
+//! Exit codes: 0 = every pinned value matches and every harness check
+//! passed, 1 = a pinned value differs or a harness check failed, 2 =
+//! unknown harness name, or an unreadable or malformed baseline or
+//! result.
 
 mod chain;
 mod convergence;
@@ -27,7 +33,6 @@ mod sensitivity;
 use std::fmt::Write as _;
 
 use stm_bench::MetricsEmitter;
-use stm_forensics::{diff_benchmarks, DiffOptions};
 use stm_suite::eval::{default_threads, Deployment};
 use stm_telemetry::json::Json;
 
@@ -41,35 +46,24 @@ fn deploy(id: &str) -> Deployment {
     Deployment::new(bench, default_threads())
 }
 
-/// A metric a harness cannot measure on this host. The driver leaves it
-/// out of the comparison and prints why.
-#[derive(Debug)]
-struct Skip {
-    benchmark: &'static str,
-    metric: &'static str,
-    reason: String,
-}
-
 /// What a harness reports besides the metrics it checkpointed.
 #[derive(Debug, Default)]
 struct Outcome {
-    /// A harness check failed: the gate fails even without a regression.
+    /// A harness check failed: the gate fails even when every pinned
+    /// value matches.
     failed: bool,
-    skipped: Vec<Skip>,
 }
 
 type Harness = fn(&mut MetricsEmitter) -> Outcome;
 
-/// The gated harnesses: name (the `BENCH_<name>.json` stem), relative
-/// tolerance in percent, and body. Scaling gates wall-clock ratios, hence
-/// its wider tolerance; everything else is deterministic.
-const HARNESSES: [(&str, f64, Harness); 6] = [
-    ("table4", 10.0, table4),
-    ("scaling", 25.0, scaling::run),
-    ("sensitivity", 10.0, sensitivity::run),
-    ("convergence", 10.0, convergence::run),
-    ("fleet", 10.0, fleet::run),
-    ("chain", 10.0, chain::run),
+/// The gated harnesses: name (the `BENCH_<name>.json` stem) and body.
+const HARNESSES: [(&str, Harness); 6] = [
+    ("table4", table4),
+    ("scaling", scaling::run),
+    ("sensitivity", sensitivity::run),
+    ("convergence", convergence::run),
+    ("fleet", fleet::run),
+    ("chain", chain::run),
 ];
 
 fn table4(metrics: &mut MetricsEmitter) -> Outcome {
@@ -77,34 +71,47 @@ fn table4(metrics: &mut MetricsEmitter) -> Outcome {
     Outcome::default()
 }
 
-/// The gate's decision on one fresh result: its exit code and the report
-/// to print. The skipped metrics are dropped from the baseline before
-/// the diff.
-fn decide(
-    baseline: &Json,
-    candidate: &Json,
-    tolerance_pct: f64,
-    outcome: &Outcome,
-) -> (i32, String) {
-    let mut baseline = baseline.clone();
-    let mut report = String::new();
-    for s in &outcome.skipped {
-        let _ = writeln!(report, "skipped {}/{}: {}", s.benchmark, s.metric, s.reason);
-        if let Json::Obj(doc) = &mut baseline {
-            if let Some(Json::Obj(benches)) = doc.get_mut("benchmarks") {
-                if let Some(Json::Obj(metrics)) = benches.get_mut(s.benchmark) {
-                    metrics.remove(s.metric);
-                }
+/// Pushes one `path: baseline -> fresh` line for every leaf under
+/// `baseline` that `fresh` lacks or holds a different value for; returns
+/// how many leaves it checked.
+fn mismatches(path: &str, baseline: &Json, fresh: Option<&Json>, out: &mut Vec<String>) -> usize {
+    match baseline {
+        Json::Obj(members) => members
+            .iter()
+            .map(|(key, b)| {
+                let path = format!("{path}/{key}");
+                mismatches(&path, b, fresh.and_then(|f| f.get(key)), out)
+            })
+            .sum(),
+        leaf => {
+            if fresh != Some(leaf) {
+                let fresh = fresh.map_or_else(|| "(missing)".to_string(), Json::encode);
+                out.push(format!("{path}: {} -> {fresh}", leaf.encode()));
             }
+            1
         }
     }
-    match diff_benchmarks(&baseline, candidate, &DiffOptions { tolerance_pct }) {
-        Ok(diff) => {
-            report += &diff.render();
-            (i32::from(diff.has_regressions() || outcome.failed), report)
-        }
-        Err(e) => (2, report + &e + "\n"),
+}
+
+/// The gate's decision on one fresh result: its exit code and the report
+/// to print. Every leaf of `baseline` other than `harness` must equal
+/// `fresh`'s value at the same path; `failed` is a harness check's
+/// verdict.
+fn decide(baseline: &Json, fresh: &Json, failed: bool) -> (i32, String) {
+    let (Json::Obj(pinned), Json::Obj(_)) = (baseline, fresh) else {
+        return (2, "baseline or result is not a JSON object\n".to_string());
+    };
+    let mut lines = Vec::new();
+    let checked: usize = pinned
+        .iter()
+        .filter(|(key, _)| *key != "harness")
+        .map(|(key, b)| mismatches(key, b, fresh.get(key), &mut lines))
+        .sum();
+    let mut report = format!("{} of {checked} pinned values differ\n", lines.len());
+    for line in &lines {
+        let _ = writeln!(report, "  {line}");
     }
+    (i32::from(!lines.is_empty() || failed), report)
 }
 
 fn load(path: &str) -> Result<Json, String> {
@@ -114,7 +121,7 @@ fn load(path: &str) -> Result<Json, String> {
 
 /// Runs one harness, writes its result, and gates it against the
 /// baseline; returns the exit code.
-fn gate(name: &'static str, tolerance_pct: f64, run: Harness) -> i32 {
+fn gate(name: &'static str, run: Harness) -> i32 {
     println!("== {name}");
     // A zeroed registry, as in a fresh process: the document's `totals`
     // cover this harness only.
@@ -130,7 +137,7 @@ fn gate(name: &'static str, tolerance_pct: f64, run: Harness) -> i32 {
     };
     println!("wrote {path}");
     let (code, report) = match (load(&format!("baselines/BENCH_{name}.json")), load(&path)) {
-        (Ok(baseline), Ok(candidate)) => decide(&baseline, &candidate, tolerance_pct, &outcome),
+        (Ok(baseline), Ok(fresh)) => decide(&baseline, &fresh, outcome.failed),
         (Err(e), _) | (_, Err(e)) => (2, e + "\n"),
     };
     print!("{report}");
@@ -173,7 +180,7 @@ fn main() {
     std::env::set_var("STM_THREADS", "1");
     let code = rows
         .into_iter()
-        .map(|(name, tol, run)| gate(name, tol, run))
+        .map(|(name, run)| gate(name, run))
         .fold(0, i32::max);
     std::process::exit(code);
 }
@@ -210,62 +217,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decide_flags_regressions_and_malformed_baselines() {
-        let base = doc(r#"{"harness":"chain","benchmarks":{
-                "sort":{"chain_root_cause_link_rank":1,"counters":{"engine.runs":20}}}}"#);
-        let pass = Outcome::default();
-        assert_eq!(decide(&base, &base, 10.0, &pass).0, 0);
-        let worse = doc(r#"{"harness":"chain","benchmarks":{
-                "sort":{"chain_root_cause_link_rank":2,"counters":{"engine.runs":20}}}}"#);
-        let (code, report) = decide(&base, &worse, 10.0, &pass);
-        assert_eq!(code, 1);
-        assert!(
-            report.contains("REGRESSION: sort/chain_root_cause_link_rank"),
-            "{report}"
-        );
-        let failed = Outcome {
-            failed: true,
-            skipped: Vec::new(),
-        };
-        assert_eq!(
-            decide(&base, &base, 10.0, &failed).0,
-            1,
-            "a failed check fails the gate"
-        );
-        let malformed = doc(r#"{"harness":"chain"}"#);
-        assert_eq!(decide(&malformed, &base, 10.0, &pass).0, 2);
+    /// A fleet-shaped document: one overload shard and the top level.
+    fn fleet(shed: &str, extra: &str) -> Json {
+        doc(&format!(
+            r#"{{"harness":"fleet","endpoints":1200,"benchmarks":{{"sort-0-overload":{{
+                "shed":{shed},"ingested":32,{extra}"counters":{{"fleet.shed_total":64}}}}}}}}"#
+        ))
     }
 
     #[test]
-    fn skipped_metric_is_not_compared() {
-        let base = doc(r#"{"harness":"scaling","benchmarks":{"apache4":{
-                "speedup_t4_x1000_floor":1000,"seq_cost_vs_raw_x1000":1250,"counters":{}}}}"#);
-        let cand = doc(r#"{"harness":"scaling","benchmarks":{"apache4":{
-                "speedup_t4_x1000_floor":null,"seq_cost_vs_raw_x1000":1250,"counters":{}}}}"#);
-        let skip = || Outcome {
-            failed: false,
-            skipped: vec![Skip {
-                benchmark: "apache4",
-                metric: "speedup_t4_x1000_floor",
-                reason: "needs ≥4 CPUs, host has 2".to_string(),
-            }],
-        };
-        let (code, report) = decide(&base, &cand, 25.0, &skip());
+    fn identical_documents_pass() {
+        let base = fleet("16", "");
+        let (code, report) = decide(&base, &base, false);
         assert_eq!(code, 0, "{report}");
-        assert!(report
-            .starts_with("skipped apache4/speedup_t4_x1000_floor: needs ≥4 CPUs, host has 2\n"));
+        assert_eq!(report, "0 of 4 pinned values differ\n");
+    }
+
+    #[test]
+    fn an_under_count_fails() {
+        let (code, report) = decide(&fleet("16", ""), &fleet("15", ""), false);
+        assert_eq!(code, 1);
         assert_eq!(
-            decide(&base, &cand, 25.0, &Outcome::default()).0,
-            1,
-            "unskipped, the lost floor regresses"
+            report,
+            "1 of 4 pinned values differ\n  benchmarks/sort-0-overload/shed: 16 -> 15\n"
         );
-        let slower = doc(r#"{"harness":"scaling","benchmarks":{"apache4":{
-                "speedup_t4_x1000_floor":null,"seq_cost_vs_raw_x1000":2000,"counters":{}}}}"#);
-        assert_eq!(
-            decide(&base, &slower, 25.0, &skip()).0,
-            1,
-            "the other metrics still gate"
+    }
+
+    #[test]
+    fn a_recovered_null_fails() {
+        let (code, report) = decide(&fleet("null", ""), &fleet("16", ""), false);
+        assert_eq!(code, 1);
+        assert!(
+            report.contains("benchmarks/sort-0-overload/shed: null -> 16"),
+            "{report}"
         );
+    }
+
+    #[test]
+    fn a_missing_key_fails() {
+        let base = fleet("16", "");
+        let mut fresh = base.clone();
+        if let Json::Obj(top) = &mut fresh {
+            top.remove("endpoints");
+        }
+        let (code, report) = decide(&base, &fresh, false);
+        assert_eq!(code, 1);
+        assert!(
+            report.contains("  endpoints: 1200 -> (missing)\n"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn fresh_only_keys_are_ignored() {
+        let fresh = fleet("16", r#""endpoints_per_sec":93000.5,"#);
+        assert_eq!(decide(&fleet("16", ""), &fresh, false).0, 0);
+    }
+
+    #[test]
+    fn a_failed_check_or_malformed_baseline_fails_the_gate() {
+        let base = fleet("16", "");
+        assert_eq!(decide(&base, &base, true).0, 1, "a failed check fails");
+        assert_eq!(decide(&doc("[16]"), &base, false).0, 2);
+        assert_eq!(decide(&base, &doc("16"), false).0, 2);
     }
 }

@@ -6,39 +6,37 @@
 //! executes exactly the same set of runs and `runs/sec` is comparable
 //! across thread counts.
 //!
-//! The result carries four kinds of numbers:
+//! The baseline pins one number, the top-level `pool_spawns` (0): a
+//! host-independent count of collection-pool threads spawned during the
+//! sweep. One warm-up session at the widest sweep width runs first, so
+//! every later session must find its workers already alive; a session
+//! that spawns threads again pays that fixed cost per call.
 //!
-//! * informational throughput (`runs_per_sec_t{1,2,4,8}`,
-//!   `speedup_t{2,4,8}_x1000`, `available_parallelism`, and the
-//!   top-level `runs_per_sec` headline — the best throughput any case
-//!   reached at any thread count) and the median time of the paper's
-//!   10 + 10 witness session at one and two threads
-//!   (`witness_session_us_t{1,2}`) — machine-dependent and deliberately
-//!   kept out of the committed baseline, so the gate never checks the
-//!   exact speed of the box;
-//! * a host-independent work counter, the top-level `pool_spawns`
-//!   (**higher is worse**, baseline 0): collection-pool threads spawned
-//!   during the sweep. One warm-up session at the widest sweep width runs
-//!   first, so every later session must find its workers already alive;
-//!   a session that spawns threads again pays that fixed cost per call;
-//! * scale-free ratio gates where **higher is worse**:
-//!   `inv_speedup_t4_x1000` (time at 4 threads relative to 1 thread,
-//!   ×1000 — parallel overhead must not blow up) and
-//!   `seq_cost_vs_raw_x1000` (engine at 1 thread relative to a bare
-//!   `Runner::run_classified` loop, ×1000 — the session machinery must
-//!   stay close to free);
-//! * floor gates (`*_floor`, **lower is worse**): per-case
-//!   `speedup_t4_x1000_floor` — four collection threads must actually
-//!   beat one — and the top-level `runs_per_sec_floor`, a deliberately
-//!   conservative absolute throughput floor that catches
-//!   order-of-magnitude collapses of the interpreter/engine hot path.
+//! Everything else in the result is wall clock and stays out of the
+//! baseline. The harness itself checks four of those numbers against
+//! fixed bounds and fails the gate, saying why, when one is broken:
 //!
-//! The speedup floor needs four hardware threads: with fewer, the
-//! 4-thread sweep timeshares and lands around 0.7–0.9× of sequential.
-//! On such a host the harness reports the floor as not measurable
-//! (`null`) and the driver skips it, saying why.
+//! * per case, `seq_cost_vs_raw_x1000 ≤ 1562` — engine at 1 thread
+//!   relative to a bare `Runner::run_classified` loop, ×1000: the session
+//!   machinery must stay close to free;
+//! * per case, `inv_speedup_t4_x1000 ≤ 1875` — time at 4 threads
+//!   relative to 1 thread, ×1000: parallel overhead must not blow up;
+//! * per case, `speedup_t4_x1000 ≥ 750` — four collection threads must
+//!   not fall far behind one. With fewer than four hardware threads the
+//!   4-thread sweep timeshares and lands around 0.7–0.9× of sequential,
+//!   so on such a host the check is skipped with the reason printed;
+//! * the top-level `runs_per_sec ≥ 75 000` — the best throughput any
+//!   case reached at any thread count, a deliberately conservative bound
+//!   that catches order-of-magnitude collapses of the interpreter/engine
+//!   hot path.
 //!
-//! The witness-session row has no floor at all. A 10 + 10 session lasts
+//! The remaining numbers — `runs_per_sec_t{1,2,4,8}`,
+//! `speedup_t{2,8}_x1000`, `available_parallelism` and the median time
+//! of the paper's 10 + 10 witness session at one and two threads
+//! (`witness_session_us_t{1,2}`) — are printed and written, never
+//! checked.
+//!
+//! The witness-session row has no bound at all. A 10 + 10 session lasts
 //! a few hundred microseconds, so its two-thread time swings with
 //! whatever else the host runs: on a 2-vCPU VM, four gate runs of one
 //! build printed t2/t1 ratios of 0.90–1.05 on sort and 1.02–1.52 on
@@ -54,7 +52,7 @@ use stm_profiler::CriticalPathReport;
 use stm_suite::eval::Deployment;
 use stm_telemetry::json::Json;
 
-use crate::{deploy, Outcome, Skip, SUBJECTS};
+use crate::{deploy, Outcome, SUBJECTS};
 
 /// Thread counts swept per benchmark.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -65,6 +63,50 @@ const REPS: usize = 3;
 const RUNS: u64 = 400;
 /// Witness sessions timed per thread count; the median is reported.
 const SESSION_REPS: usize = 101;
+
+/// A wall-clock number's bound, inclusive.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    AtMost(f64),
+    AtLeast(f64),
+}
+
+// The four bounds the module docs list.
+const SEQ_COST_VS_RAW_X1000: Bound = Bound::AtMost(1562.0);
+const INV_SPEEDUP_T4_X1000: Bound = Bound::AtMost(1875.0);
+const SPEEDUP_T4_X1000: Bound = Bound::AtLeast(750.0);
+const RUNS_PER_SEC: Bound = Bound::AtLeast(75_000.0);
+
+impl Bound {
+    fn holds(self, value: f64) -> bool {
+        match self {
+            Bound::AtMost(max) => value <= max,
+            Bound::AtLeast(min) => value >= min,
+        }
+    }
+}
+
+/// Fails the gate, printing why, when `value` breaks `bound`.
+fn check(what: &str, value: f64, bound: Bound, outcome: &mut Outcome) {
+    if !bound.holds(value) {
+        let (op, limit) = match bound {
+            Bound::AtMost(max) => ("≤", max),
+            Bound::AtLeast(min) => ("≥", min),
+        };
+        eprintln!("{what} is {value}; it must be {op} {limit}");
+        outcome.failed = true;
+    }
+}
+
+/// The t4 speedup bound, or why a host with `cores` hardware threads
+/// cannot meet it.
+fn speedup_bound(cores: usize) -> Result<Bound, String> {
+    if cores >= 4 {
+        Ok(SPEEDUP_T4_X1000)
+    } else {
+        Err(format!("needs ≥4 CPUs, host has {cores}"))
+    }
+}
 
 /// Runs one scan sweep and returns the wall-clock seconds it took.
 /// Quotas are set above the job count so no early stop ever triggers:
@@ -139,11 +181,9 @@ fn pool_spawns() -> u64 {
 
 pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let floor_measurable = cores >= 4;
     let mut outcome = Outcome::default();
     // Headline throughput: the best runs/sec any case reached at any
-    // thread count on this box. Informational (machine-dependent) — it
-    // goes in the document top level, outside the gated `benchmarks`.
+    // thread count on this box.
     let mut headline = 0.0f64;
     println!("Collection-engine scaling (available_parallelism = {cores})");
     println!(
@@ -225,39 +265,40 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
             session_us[1] / session_us[0],
         );
 
-        let x1000 = |ratio: f64| Json::from((ratio * 1000.0).round());
-        if !floor_measurable {
-            outcome.skipped.push(Skip {
-                benchmark: id,
-                metric: "speedup_t4_x1000_floor",
-                reason: format!("needs ≥4 CPUs, host has {cores}"),
-            });
+        let x1000 = |ratio: f64| (ratio * 1000.0).round();
+        let seq_cost = x1000(secs[0] / raw);
+        let inv_speedup = x1000(secs[2] / secs[0]);
+        let speedup = x1000(secs[0] / secs[2]);
+        println!(
+            "  seq_cost_vs_raw_x1000 {seq_cost} | inv_speedup_t4_x1000 {inv_speedup} | speedup_t4_x1000 {speedup}"
+        );
+        for (name, value, bound) in [
+            ("seq_cost_vs_raw_x1000", seq_cost, Ok(SEQ_COST_VS_RAW_X1000)),
+            (
+                "inv_speedup_t4_x1000",
+                inv_speedup,
+                Ok(INV_SPEEDUP_T4_X1000),
+            ),
+            ("speedup_t4_x1000", speedup, speedup_bound(cores)),
+        ] {
+            match bound {
+                Ok(bound) => check(&format!("{id}/{name}"), value, bound, &mut outcome),
+                Err(reason) => println!("skipped {id}/{name}: {reason}"),
+            }
         }
         metrics.checkpoint(
             id,
             vec![
-                // Gate metrics: scale-free, higher-is-worse.
-                ("inv_speedup_t4_x1000", x1000(secs[2] / secs[0])),
-                ("seq_cost_vs_raw_x1000", x1000(secs[0] / raw)),
-                // Floor gate: lower-is-worse (the `_floor` suffix flips
-                // the comparison); `null` where this host cannot measure it.
-                (
-                    "speedup_t4_x1000_floor",
-                    if floor_measurable {
-                        x1000(secs[0] / secs[2])
-                    } else {
-                        Json::Null
-                    },
-                ),
-                // Informational: machine-dependent, not in the baseline.
+                ("inv_speedup_t4_x1000", Json::from(inv_speedup)),
+                ("seq_cost_vs_raw_x1000", Json::from(seq_cost)),
                 ("runs", Json::from(RUNS)),
                 ("runs_per_sec_t1", Json::from(rps(secs[0]).round())),
                 ("runs_per_sec_t2", Json::from(rps(secs[1]).round())),
                 ("runs_per_sec_t4", Json::from(rps(secs[2]).round())),
                 ("runs_per_sec_t8", Json::from(rps(secs[3]).round())),
-                ("speedup_t2_x1000", x1000(secs[0] / secs[1])),
-                ("speedup_t4_x1000", x1000(secs[0] / secs[2])),
-                ("speedup_t8_x1000", x1000(secs[0] / secs[3])),
+                ("speedup_t2_x1000", Json::from(x1000(secs[0] / secs[1]))),
+                ("speedup_t4_x1000", Json::from(speedup)),
+                ("speedup_t8_x1000", Json::from(x1000(secs[0] / secs[3]))),
                 ("available_parallelism", Json::from(cores as u64)),
                 ("witness_session_us_t1", Json::from(session_us[0].round())),
                 ("witness_session_us_t2", Json::from(session_us[1].round())),
@@ -271,10 +312,41 @@ pub fn run(metrics: &mut MetricsEmitter) -> Outcome {
     metrics.top_level("pool_spawns", Json::from(spawns));
 
     println!("\nheadline runs/sec (best case × thread count): {headline:.0}");
+    check("runs_per_sec", headline.round(), RUNS_PER_SEC, &mut outcome);
     metrics.top_level("runs_per_sec", Json::from(headline.round()));
-    // The gated twin: same number under the lower-is-worse suffix, so the
-    // committed baseline can hold a conservative absolute floor without
-    // ever gating on how fast the box happens to be today.
-    metrics.top_level("runs_per_sec_floor", Json::from(headline.round()));
     outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_bound_holds_at_its_limit_and_breaks_one_unit_past() {
+        for (bound, at, past) in [
+            (SEQ_COST_VS_RAW_X1000, 1562.0, 1563.0),
+            (INV_SPEEDUP_T4_X1000, 1875.0, 1876.0),
+            (SPEEDUP_T4_X1000, 750.0, 749.0),
+            (RUNS_PER_SEC, 75_000.0, 74_999.0),
+        ] {
+            assert!(bound.holds(at), "{bound:?} at {at}");
+            assert!(!bound.holds(past), "{bound:?} at {past}");
+        }
+    }
+
+    #[test]
+    fn the_speedup_bound_is_skipped_below_four_cpus() {
+        let bound = speedup_bound(4).expect("4 CPUs measure the t4 speedup");
+        assert!(bound.holds(750.0) && !bound.holds(749.0));
+        assert_eq!(speedup_bound(3).unwrap_err(), "needs ≥4 CPUs, host has 3");
+    }
+
+    #[test]
+    fn a_broken_bound_fails_the_gate() {
+        let mut outcome = Outcome::default();
+        check("runs_per_sec", 75_000.0, RUNS_PER_SEC, &mut outcome);
+        assert!(!outcome.failed);
+        check("runs_per_sec", 74_999.0, RUNS_PER_SEC, &mut outcome);
+        assert!(outcome.failed);
+    }
 }

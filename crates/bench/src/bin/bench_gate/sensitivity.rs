@@ -13,11 +13,11 @@
 //! snapshots the driver reads back, never execution or classification, so
 //! the sweep isolates signal degradation from workload luck.
 //!
-//! Every metric is a 1-based rank where **higher is worse** and `null`
-//! means the root cause was not ranked at all (total signal loss): a rank
-//! drifting up, or a previously present rank disappearing, fails the
-//! gate. The simulation is fully seeded, so these ranks are
-//! machine-independent.
+//! Every metric is a 1-based rank (lower is better) and `null` means the
+//! root cause was not ranked at all (total signal loss). The simulation
+//! is fully seeded, so these ranks are machine-independent, and any
+//! change to one — a rank moving either way, appearing or disappearing —
+//! fails the gate.
 
 use stm_bench::{json_rank, mark, MetricsEmitter};
 use stm_core::diagnose::Diagnosis;

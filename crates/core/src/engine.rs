@@ -142,6 +142,16 @@ pub enum ProfileKind {
     Lcr,
 }
 
+impl ProfileKind {
+    /// Wire form (`"lbr"` / `"lcr"`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ProfileKind::Lbr => "lbr",
+            ProfileKind::Lcr => "lcr",
+        }
+    }
+}
+
 /// The widest collection session: `threads(n)` above it is rejected before
 /// any run, since the pool starts one OS thread per requested thread
 /// beyond the caller. Eight times the host default's cap
@@ -157,8 +167,9 @@ pub enum SessionError {
     /// Both witness lists (`failing`/`passing`) and scan bases
     /// (`workloads`) were set; a session is one or the other.
     ConflictingWorkloads,
-    /// The hardware configuration is contradictory — a zero-capacity
-    /// ring, or a malformed perturbation setting. Surfaced before any run
+    /// The hardware configuration is contradictory — no cores, a
+    /// zero-sized cache geometry, a zero-capacity ring, or a malformed
+    /// perturbation setting. Surfaced before any run
     /// executes, so a bad sweep setting fails fast with the reason rather
     /// than panicking inside a worker.
     InvalidHardware(stm_hardware::HwConfigError),
@@ -1526,20 +1537,31 @@ mod tests {
 
     #[test]
     fn zero_capacity_ring_is_a_typed_error_not_a_clamp() {
+        use stm_hardware::HwConfigError;
         let (p, site) = guarded_program();
-        for (lbr_entries, lcr_entries, want) in [
-            (0usize, 16usize, stm_hardware::HwConfigError::ZeroLbrEntries),
-            (16, 0, stm_hardware::HwConfigError::ZeroLcrEntries),
+        let zeroed = |zero: fn(&mut HwConfig)| {
+            let mut config = HwConfig::default();
+            zero(&mut config);
+            config
+        };
+        // Zero cores and a zero-sized cache geometry are rejected the same
+        // way. A run on such hardware would panic inside a worker, so the
+        // typed error also shows that validation came before any run.
+        for (hw, want) in [
+            (zeroed(|c| c.lbr_entries = 0), HwConfigError::ZeroLbrEntries),
+            (zeroed(|c| c.lcr_entries = 0), HwConfigError::ZeroLcrEntries),
+            (zeroed(|c| c.num_cores = 0), HwConfigError::ZeroCores),
+            (zeroed(|c| c.cache.ways = 0), HwConfigError::ZeroCacheWays),
+            (
+                zeroed(|c| c.cache.line_bytes = 0),
+                HwConfigError::ZeroCacheLineBytes,
+            ),
         ] {
             let err = DiagnosisSession::new(&p)
                 .instrument(&InstrumentOptions::lbra_reactive(vec![site], vec![]))
                 .failure(FailureSpec::ErrorLogAt(site))
                 .failing(vec![Workload::new(vec![-1])])
-                .hw_config(stm_hardware::HwConfig {
-                    lbr_entries,
-                    lcr_entries,
-                    ..stm_hardware::HwConfig::default()
-                })
+                .hw_config(hw)
                 .collect()
                 .unwrap_err();
             assert_eq!(err, SessionError::InvalidHardware(want));

@@ -242,7 +242,9 @@ impl Runner {
         }
     }
 
-    /// Overrides the run configuration (step budget, cores...).
+    /// Overrides the run configuration (step budget, sampling...). Each
+    /// run still takes its scheduler seed from the workload and its core
+    /// count from the hardware configuration.
     pub fn with_run_config(mut self, config: RunConfig) -> Self {
         self.run_config = config;
         self
@@ -303,6 +305,8 @@ impl Runner {
             cfg.scheduler = SchedPolicy::Random {
                 seed: workload.seed,
             };
+            // Threads map onto the cores the hardware models, never more.
+            cfg.num_cores = self.hw_config.num_cores;
             if let Some(seed) = sample_seed {
                 cfg.sample_seed = seed;
             }

@@ -198,7 +198,6 @@ pub fn instrument(program: &Program, opts: &InstrumentOptions) -> Program {
         lbr: opts.lbr,
         lcr: opts.lcr,
     };
-    p.lcr_config = opts.lcr_config;
     p.finalize();
     debug_assert!(p.validate().is_ok(), "instrumentation broke the program");
     p
@@ -688,7 +687,7 @@ mod tests {
 
     #[test]
     fn lcr_options_insert_lcr_ops() {
-        let (p, _, _) = sample();
+        let (p, _, main) = sample();
         let out = instrument(&p, &InstrumentOptions::lcrlog(LcrConfig::SPACE_SAVING));
         assert!(
             count_ops(&out, |i| matches!(
@@ -699,7 +698,13 @@ mod tests {
                 }
             )) >= 1
         );
-        assert_eq!(out.lcr_config, LcrConfig::SPACE_SAVING);
+        assert!(matches!(
+            out.functions[main.index()].blocks[0].stmts[0].instr,
+            Instr::HwCtl {
+                op: HwCtlOp::ConfigLcr(LcrConfig::SPACE_SAVING),
+                ..
+            }
+        ));
         assert!(out.fault_profile.lcr);
         assert!(!out.fault_profile.lbr);
     }

@@ -40,7 +40,7 @@ use std::fmt::Display;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use stm_core::converge::{LiveRanking, SnapshotIngest};
 use stm_core::diagnose::{failure_profile, Diagnosis};
-use stm_core::engine::CollectedProfiles;
+use stm_core::engine::{CollectedProfiles, ProfileKind};
 use stm_core::profile::{
     decode_lbr, decode_lcr, BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry,
 };
@@ -53,25 +53,6 @@ use stm_telemetry::json::Json;
 /// failure-end link always survive the cap; middle links are kept by
 /// support score.
 pub const MAX_LINKS: usize = 8;
-
-/// Which ring the chain was walked from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainKind {
-    /// Last Branch Record — branch-outcome links.
-    Lbr,
-    /// Last Cache-coherence Record — coherence-event links.
-    Lcr,
-}
-
-impl ChainKind {
-    /// Wire form (`"lbr"` / `"lcr"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ChainKind::Lbr => "lbr",
-            ChainKind::Lcr => "lcr",
-        }
-    }
-}
 
 /// A link's role in the storyline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +122,7 @@ pub struct ChainLink {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CausalChain {
     /// Which ring was walked.
-    pub kind: ChainKind,
+    pub kind: ProfileKind,
     /// Display form of the top-ranked predictor (with `!` prefix when it
     /// is an absence predictor).
     pub top_predictor: String,
@@ -286,7 +267,7 @@ impl CausalChain {
         failures: usize,
         successes: usize,
     ) -> Option<CausalChain> {
-        reconstruct(ChainKind::Lbr, ranked, traces, failures, successes, |e| {
+        reconstruct(ProfileKind::Lbr, ranked, traces, failures, successes, |e| {
             branch_label(program, e)
         })
     }
@@ -301,7 +282,7 @@ impl CausalChain {
         failures: usize,
         successes: usize,
     ) -> Option<CausalChain> {
-        reconstruct(ChainKind::Lcr, ranked, traces, failures, successes, |e| {
+        reconstruct(ProfileKind::Lcr, ranked, traces, failures, successes, |e| {
             coherence_label(program, e)
         })
     }
@@ -319,12 +300,12 @@ impl CausalChain {
         let successes = ingest.successes();
         match ingest.live_ranking()? {
             LiveRanking::Lbr { scores, traces } => {
-                reconstruct(ChainKind::Lbr, scores, traces, failures, successes, |e| {
+                reconstruct(ProfileKind::Lbr, scores, traces, failures, successes, |e| {
                     branch_label(None, e)
                 })
             }
             LiveRanking::Lcr { scores, traces } => {
-                reconstruct(ChainKind::Lcr, scores, traces, failures, successes, |e| {
+                reconstruct(ProfileKind::Lcr, scores, traces, failures, successes, |e| {
                     coherence_label(None, e)
                 })
             }
@@ -507,7 +488,7 @@ impl<E, D> Draft<'_, '_, E, D> {
 /// The shared reconstruction walk over decoded traces. `ranked` must be in
 /// ranking order (best predictor first).
 fn reconstruct<E, D>(
-    kind: ChainKind,
+    kind: ProfileKind,
     ranked: &[RankedEvent<E>],
     traces: &[(String, Vec<D>)],
     failures: usize,
@@ -758,7 +739,7 @@ mod tests {
     fn chain_orders_root_cause_to_failure() {
         let (ranked, traces) = demo_inputs();
         let chain = CausalChain::from_lbra(None, &ranked, &traces, 2, 2).unwrap();
-        assert_eq!(chain.kind, ChainKind::Lbr);
+        assert_eq!(chain.kind, ProfileKind::Lbr);
         assert_eq!(chain.anchor, "br0=true");
         assert_eq!(chain.top_predictor, "br0=true");
         assert_eq!(chain.witnesses_consulted, 2);
@@ -868,7 +849,7 @@ mod tests {
             }],
         )];
         let chain = CausalChain::from_lcra(None, &ranked, &traces, 1, 0).unwrap();
-        assert_eq!(chain.kind, ChainKind::Lcr);
+        assert_eq!(chain.kind, ProfileKind::Lcr);
         let t = mesi_transition(AccessKind::Store, CoherenceState::Shared);
         assert!(chain.links[0].mechanism.starts_with(t.transition));
     }

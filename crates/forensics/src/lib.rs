@@ -18,10 +18,7 @@
 //!   ring snapshots to an ordered root-cause → propagation → failure
 //!   [`CausalChain`] whose every link carries typed evidence (witness
 //!   positions, the branch edge or MESI transition it rides on, and a
-//!   precision/recall support score against the passing population);
-//! * [`diff`] — the **regression tracker**: structural comparison of two
-//!   `results/BENCH_*.json` generations with configurable tolerance,
-//!   behind the `bench_gate` binary the CI gate runs.
+//!   precision/recall support score against the passing population).
 //!
 //! Everything serializes through [`stm_telemetry::json`] — the build is
 //! offline, so no serde.
@@ -35,14 +32,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod chain;
-pub mod diff;
 pub mod dossier;
 pub mod report;
 
 /// Convenient re-exports for downstream users.
 pub mod prelude {
-    pub use crate::chain::{CausalChain, ChainKind, ChainLink, LinkRole, WitnessMark};
-    pub use crate::diff::{diff_benchmarks, BenchDiff, Delta, DiffOptions, Direction};
+    pub use crate::chain::{CausalChain, ChainLink, LinkRole, WitnessMark};
     pub use crate::dossier::{mesi_transition, FailureDossier, MesiTransition};
     pub use crate::report::{EvidenceRow, ForensicReport, RankingReport};
 }

@@ -9,9 +9,10 @@
 
 use std::path::PathBuf;
 
+use stm_core::engine::ProfileKind;
 use stm_core::profile::{BranchOutcome, CoherenceEvent, DecodedLbrEntry, DecodedLcrEntry};
 use stm_core::ranking::{Polarity, RankedEvent};
-use stm_forensics::{CausalChain, ChainKind};
+use stm_forensics::CausalChain;
 use stm_machine::events::{AccessKind, BranchKind, BranchRecord, CoherenceRecord, CoherenceState};
 use stm_machine::ids::{BranchId, FuncId};
 use stm_machine::ir::SourceLoc;
@@ -229,7 +230,7 @@ fn golden_lcr_chain() {
     let chain = CausalChain::from_lcra(None, &ranked, &traces, 2, 2)
         .expect("lcr chain reconstructs")
         .with_symptom("segmentation fault at 0x0 in worker at w.c:41");
-    assert_eq!(chain.kind, ChainKind::Lcr);
+    assert_eq!(chain.kind, ProfileKind::Lcr);
     check_golden("chain_lcr.json", &(chain.to_json().encode() + "\n"));
     check_golden("chain_lcr.md", &chain.to_markdown());
 }

@@ -100,11 +100,18 @@ pub struct CacheSystem {
 
 impl CacheSystem {
     /// Creates a cache system with `num_cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// When `num_cores`, `cfg.ways` or `cfg.line_bytes` is zero.
     pub fn new(num_cores: u32, cfg: CacheConfig) -> Self {
+        assert!(num_cores > 0, "a cache system needs a core");
+        assert!(cfg.ways > 0, "cache ways must be positive");
+        assert!(cfg.line_bytes > 0, "cache line_bytes must be positive");
         let sets = cfg.num_sets() as usize;
         CacheSystem {
             cfg,
-            cores: (0..num_cores.max(1))
+            cores: (0..num_cores)
                 .map(|_| CoreCache {
                     sets: vec![Vec::new(); sets],
                 })
@@ -388,5 +395,29 @@ mod tests {
             s.access(core, addr, kind);
         }
         s.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "cache ways must be positive")]
+    fn zero_ways_are_rejected_not_divided_by() {
+        let _ = CacheSystem::new(
+            1,
+            CacheConfig {
+                ways: 0,
+                ..CacheConfig::PAPER
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cache line_bytes must be positive")]
+    fn zero_line_bytes_are_rejected_not_divided_by() {
+        let _ = CacheSystem::new(
+            1,
+            CacheConfig {
+                line_bytes: 0,
+                ..CacheConfig::PAPER
+            },
+        );
     }
 }

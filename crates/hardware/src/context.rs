@@ -18,6 +18,12 @@ use stm_machine::ids::{CoreId, ThreadId};
 /// A rejected hardware configuration, reported by [`HwConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HwConfigError {
+    /// `num_cores` was zero — threads need a core to run on.
+    ZeroCores,
+    /// `cache.ways` was zero — a cache set needs at least one way.
+    ZeroCacheWays,
+    /// `cache.line_bytes` was zero — a cache line needs at least one byte.
+    ZeroCacheLineBytes,
     /// `lbr_entries` was zero — a branch ring needs at least one entry.
     ZeroLbrEntries,
     /// `lcr_entries` was zero — a coherence ring needs at least one entry.
@@ -40,6 +46,11 @@ pub enum HwConfigError {
 impl fmt::Display for HwConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            HwConfigError::ZeroCores => write!(f, "num_cores must be positive"),
+            HwConfigError::ZeroCacheWays => write!(f, "cache ways must be positive"),
+            HwConfigError::ZeroCacheLineBytes => {
+                write!(f, "cache line_bytes must be positive")
+            }
             HwConfigError::ZeroLbrEntries => {
                 write!(f, "lbr_entries must be positive (zero-entry ring)")
             }
@@ -64,7 +75,8 @@ impl std::error::Error for HwConfigError {}
 /// Static configuration of the monitoring unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HwConfig {
-    /// Number of cores (and LBRs).
+    /// Number of cores (and LBRs). A run's threads map onto these cores
+    /// round-robin.
     pub num_cores: u32,
     /// LBR entries per core.
     pub lbr_entries: usize,
@@ -99,12 +111,22 @@ impl Default for HwConfig {
 }
 
 impl HwConfig {
-    /// Checks the configuration for contradictions — zero-capacity rings
-    /// and malformed perturbation settings — without building anything.
+    /// Checks the configuration for contradictions — no cores, a
+    /// zero-sized cache geometry, zero-capacity rings and malformed
+    /// perturbation settings — without building anything.
     /// [`HardwareCtx::new`] asserts on the same conditions; sessions call
     /// this first so a bad configuration surfaces as a typed error instead
     /// of a panic inside a worker.
     pub fn validate(&self) -> Result<(), HwConfigError> {
+        if self.num_cores == 0 {
+            return Err(HwConfigError::ZeroCores);
+        }
+        if self.cache.ways == 0 {
+            return Err(HwConfigError::ZeroCacheWays);
+        }
+        if self.cache.line_bytes == 0 {
+            return Err(HwConfigError::ZeroCacheLineBytes);
+        }
         if self.lbr_entries == 0 {
             return Err(HwConfigError::ZeroLbrEntries);
         }
@@ -130,12 +152,17 @@ pub struct HardwareCtx {
 
 impl HardwareCtx {
     /// Creates a monitoring unit from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// On a configuration [`HwConfig::validate`] rejects for its cores,
+    /// cache geometry or ring capacities.
     pub fn new(config: HwConfig) -> Self {
         let mut lcr = Lcr::new(config.lcr_entries);
         lcr.configure(config.lcr_config);
         HardwareCtx {
             config,
-            lbrs: (0..config.num_cores.max(1))
+            lbrs: (0..config.num_cores)
                 .map(|_| Lbr::new(config.lbr_entries))
                 .collect(),
             cache: CacheSystem::new(config.num_cores, config.cache),
@@ -548,16 +575,32 @@ mod tests {
     #[test]
     fn validate_rejects_zero_capacity_rings() {
         assert!(HwConfig::default().validate().is_ok());
-        let no_lbr = HwConfig {
-            lbr_entries: 0,
-            ..HwConfig::default()
+        let zeroed = |zero: fn(&mut HwConfig)| {
+            let mut config = HwConfig::default();
+            zero(&mut config);
+            config
         };
-        assert_eq!(no_lbr.validate(), Err(HwConfigError::ZeroLbrEntries));
-        let no_lcr = HwConfig {
-            lcr_entries: 0,
+        for (config, want) in [
+            (zeroed(|c| c.lbr_entries = 0), HwConfigError::ZeroLbrEntries),
+            (zeroed(|c| c.lcr_entries = 0), HwConfigError::ZeroLcrEntries),
+            (zeroed(|c| c.num_cores = 0), HwConfigError::ZeroCores),
+            (zeroed(|c| c.cache.ways = 0), HwConfigError::ZeroCacheWays),
+            (
+                zeroed(|c| c.cache.line_bytes = 0),
+                HwConfigError::ZeroCacheLineBytes,
+            ),
+        ] {
+            assert_eq!(config.validate(), Err(want));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a cache system needs a core")]
+    fn zero_cores_are_rejected_not_clamped() {
+        let _ = HardwareCtx::new(HwConfig {
+            num_cores: 0,
             ..HwConfig::default()
-        };
-        assert_eq!(no_lcr.validate(), Err(HwConfigError::ZeroLcrEntries));
+        });
     }
 
     #[test]

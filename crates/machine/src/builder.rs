@@ -20,7 +20,6 @@
 //! assert_eq!(program.functions.len(), 1);
 //! ```
 
-use crate::events::LcrConfig;
 use crate::ids::{BlockId, FileId, FuncId, LogSiteId, VarId};
 use crate::ir::{
     BasicBlock, BinOp, Callee, FaultProfile, Function, GlobalDef, Instr, LogKind, LogSiteInfo,
@@ -37,7 +36,6 @@ pub struct ProgramBuilder {
     globals: Vec<GlobalDef>,
     next_global_addr: u64,
     log_sites: Vec<LogSiteInfo>,
-    lcr_config: LcrConfig,
 }
 
 impl ProgramBuilder {
@@ -51,7 +49,6 @@ impl ProgramBuilder {
             globals: Vec::new(),
             next_global_addr: GLOBAL_BASE,
             log_sites: Vec::new(),
-            lcr_config: LcrConfig::default(),
         }
     }
 
@@ -121,12 +118,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Sets the LCR configuration the program requests at startup.
-    pub fn lcr_config(&mut self, config: LcrConfig) -> &mut Self {
-        self.lcr_config = config;
-        self
-    }
-
     /// Starts building the body of a previously declared function.
     ///
     /// # Panics
@@ -181,7 +172,6 @@ impl ProgramBuilder {
             branches: Vec::new(),
             log_sites: self.log_sites,
             fault_profile: FaultProfile::default(),
-            lcr_config: self.lcr_config,
         };
         program.finalize();
         program.validate().map_err(|e| e.to_string())?;

@@ -51,6 +51,8 @@ pub struct RunConfig {
     /// Scheduling policy.
     pub scheduler: SchedPolicy,
     /// Number of simulated cores; threads map to cores round-robin.
+    /// Runners overwrite it with their hardware configuration's core
+    /// count, so a thread never lands on a core the hardware lacks.
     pub num_cores: u32,
     /// Mean period of the `Sample` countdown (the CBI `1/rate`).
     pub sample_mean: u32,

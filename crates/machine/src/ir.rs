@@ -17,7 +17,7 @@
 //! rather than by hand; the builder assigns identifiers and keeps the
 //! registries (branches, log sites) consistent.
 
-use crate::events::{HwCtlOp, LcrConfig};
+use crate::events::HwCtlOp;
 use crate::ids::{BlockId, BranchId, FileId, FuncId, LogSiteId, SampleId, VarId};
 use std::fmt;
 
@@ -563,8 +563,6 @@ pub struct Program {
     pub log_sites: Vec<LogSiteInfo>,
     /// Fault-handler profiling configuration.
     pub fault_profile: FaultProfile,
-    /// The LCR configuration the instrumentation programs at startup.
-    pub lcr_config: LcrConfig,
 }
 
 /// Errors reported by [`Program::validate`].

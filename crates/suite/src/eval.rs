@@ -419,4 +419,20 @@ mod tests {
         assert_eq!(threads_from_env("100000"), Some(MAX_THREADS));
         assert_eq!(threads_from_env("abc"), None);
     }
+
+    #[test]
+    fn every_concurrency_benchmark_collects_on_fewer_cores() {
+        for b in crate::concurrency() {
+            let d = Deployment::new(b, 1);
+            for num_cores in [1, 2] {
+                let hw = HwConfig {
+                    num_cores,
+                    ..HwConfig::default()
+                };
+                if let Err(e) = d.session(1).hw_config(hw).collect() {
+                    panic!("{} at {num_cores} cores: {e}", d.bench.info.id);
+                }
+            }
+        }
+    }
 }

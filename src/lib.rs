@@ -18,7 +18,7 @@
 //! | [`baselines`] | `stm-baselines` | CBI, CCI, PBI |
 //! | [`suite`] | `stm-suite` | the 31 Table 4 failures with ground truth |
 //! | [`telemetry`] | `stm-telemetry` | tracing, metrics, trace export |
-//! | [`forensics`] | `stm-forensics` | failure dossiers, explainable reports, bench diffing |
+//! | [`forensics`] | `stm-forensics` | failure dossiers, explainable reports, causal chains |
 //! | [`fleet`] | `stm-fleet` | long-lived sharded ingest daemon with explicit backpressure |
 //! | [`profiler`] | `stm-profiler` | guest sampling profiles, pipeline critical-path attribution |
 //! | [`observatory`] | `stm-observatory` | live health model, `/metrics` + `/health` endpoint, status board |
